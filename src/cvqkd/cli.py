@@ -28,11 +28,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, CvqkdError
+from .errors import ConfigError, CvqkdError, InvalidStateError
 from .gaussian import (
     covariance_from_json,
     covariance_to_json,
     epr_product,
+    is_physical,
+    symplectic_eigenvalues,
     variance_to_db,
 )
 from .keyrate import secret_key_rate
@@ -368,6 +370,11 @@ def cmd_analyze(args, cfg: dict) -> int:
         result = reconstruct(load_dataset(args.input))
         g = result.gamma_hat
         n_default = result.n_min
+    if not is_physical(g):
+        raise InvalidStateError(
+            f"{args.input}: covariance matrix is unphysical, its smallest symplectic "
+            f"eigenvalue is {symplectic_eigenvalues(g)[1]:.6g} < 1"
+        )
     n = args.n if args.n is not None else n_default
     report = secret_key_rate(g, n_samples=n if cfg["analysis"]["worst_case"] else None)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
@@ -393,3 +400,7 @@ _DISPATCH = {
     "reconstruct": cmd_reconstruct,
     "analyze": cmd_analyze,
 }
+
+
+if __name__ == "__main__":
+    sys.exit(main())

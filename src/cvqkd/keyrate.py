@@ -17,9 +17,10 @@ report so a two-basis protocol rate can be read off as well.
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
-rate is minimized over the corners of that uncertainty box (restricted to
-physical matrices), together with a closed-form candidate minimizer in the
-normal-form basis as a cross check.
+rate is minimized over the 1024 corners of that uncertainty box (screened
+for physicality as one batch and rated by one vectorized, leniently clamped
+kernel over (..., 4, 4) stacks), together with a closed-form candidate
+minimizer in the normal-form basis as a cross check.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ from .gaussian import (
 INDEPENDENT_ENTRIES = (
     (0, 0), (1, 1), (2, 2), (3, 3),
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+)
+
+#: (1024, 4, 4) signs of the box corners: corner `mask` scales independent
+#: entry b and its mirror by 1 + t where bit b of mask is set, else by 1 - t
+_CORNER_SIGNS = np.zeros((2 ** len(INDEPENDENT_ENTRIES), 4, 4))
+_ROWS, _COLS = np.array(INDEPENDENT_ENTRIES).T
+_CORNER_SIGNS[:, _ROWS, _COLS] = _CORNER_SIGNS[:, _COLS, _ROWS] = np.where(
+    (np.arange(len(_CORNER_SIGNS))[:, np.newaxis] >> np.arange(len(_ROWS))) & 1, 1.0, -1.0
 )
 
 
@@ -252,15 +261,7 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     is computed as well.
     """
     _require_two_modes(g)
-    inv = invariants(g)
-    mi = mutual_information(inv)
-    inter = holevo_intermediates(inv)
-    s_joint = entropy_f(inter.d_plus) + entropy_f(inter.d_minus)
-    chi_a = s_joint - entropy_f(inter.d_a)
-    chi_b = s_joint - entropy_f(inter.d_b)
-    chi_a = 0.0 if -1e-12 < chi_a < 0.0 else chi_a
-    chi_b = 0.0 if -1e-12 < chi_b < 0.0 else chi_b
-    k_nominal = min(mi - chi_a, mi - chi_b)
+    k_nominal, mi, chi_a, chi_b, inter = _formula_rate(invariants(g))
     mi_x, mi_p = mi_oracle(g)
     chi_a_x, chi_a_p = holevo_oracle(g, "A")
     chi_b_x, chi_b_p = holevo_oracle(g, "B")
@@ -300,30 +301,23 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 
 
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
-    """worst_case_key_rate with its corner/candidate diagnostics exposed."""
+    """worst_case_key_rate with its corner/candidate diagnostics exposed.
+
+    All corners are screened by one batched eigvalsh of corner + i*Omega and
+    rated, with the candidate, by one vectorized kernel. DegenerateBoxError
+    is raised when no corner is physical, before the other terms are built.
+    """
     _require_two_modes(g)
-    if n < 1:
+    if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     t = 1.0 / math.sqrt(n)
     omega = symplectic_form(2)
-    base = g.entries
-    corner_min = math.inf
-    n_physical = 0
-    for mask in range(2 ** len(INDEPENDENT_ENTRIES)):
-        corner = base.copy()
-        for bit, (i, j) in enumerate(INDEPENDENT_ENTRIES):
-            scale = 1.0 + t if (mask >> bit) & 1 else 1.0 - t
-            corner[i, j] *= scale
-            if i != j:
-                corner[j, i] = corner[i, j]
-        if np.linalg.eigvalsh(corner + 1j * omega).min() < -DEFAULT_TOL:
-            continue
-        n_physical += 1
-        corner_min = min(corner_min, _lenient_key_rate(corner))
+    corners = g.entries * (1.0 + t * _CORNER_SIGNS)
+    physical = np.linalg.eigvalsh(corners + 1j * omega).min(axis=-1) >= -DEFAULT_TOL
+    n_physical = int(np.count_nonzero(physical))
     if n_physical == 0:
         raise DegenerateBoxError(
-            f"no physical matrix among the {2 ** len(INDEPENDENT_ENTRIES)} uncertainty-box "
-            f"corners at n = {n:g}",
+            f"no physical matrix among the {len(corners)} uncertainty-box corners at n = {n:g}",
             n_samples=n,
         )
     nf = normal_form(g)
@@ -336,61 +330,66 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
         ]
     )
     cand_matrix = normal_form_matrix(nf).entries + t * shift
-    candidate = None
-    if np.linalg.eigvalsh(cand_matrix + 1j * omega).min() >= -DEFAULT_TOL:
-        candidate = _lenient_key_rate(cand_matrix)
-        if candidate < corner_min - DEFAULT_TOL:
-            warnings.warn(
-                f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
-                f"minimum {corner_min:.9g}; corner enumeration may be too coarse",
-                stacklevel=3,
-            )
-    value = min(corner_min, _nominal_rate(invariants(g)))
-    if candidate is not None:
-        value = min(value, candidate)
+    cand_physical = np.linalg.eigvalsh(cand_matrix + 1j * omega).min() >= -DEFAULT_TOL
+    stack = np.concatenate((corners, cand_matrix[np.newaxis]))
+    rates = _lenient_key_rates(stack[np.append(physical, cand_physical)])
+    corner_min = float(rates[:n_physical].min())
+    candidate = float(rates[n_physical]) if cand_physical else None
+    if candidate is not None and candidate < corner_min - DEFAULT_TOL:
+        warnings.warn(
+            f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
+            f"minimum {corner_min:.9g}; corner enumeration may be too coarse",
+            stacklevel=3,
+        )
     return WorstCaseBreakdown(
         corner_min=corner_min,
         candidate=candidate,
-        value=value,
+        value=min(float(rates.min()), _formula_rate(invariants(g))[0]),
         n_corners_physical=n_physical,
     )
 
 
-def _nominal_rate(inv: SymplecticInvariants) -> float:
+def _formula_rate(inv: SymplecticInvariants) -> tuple:
+    """(k_nominal, mi, chi_a, chi_b, intermediates) on the strict formula path."""
     mi = mutual_information(inv)
     inter = holevo_intermediates(inv)
     s_joint = entropy_f(inter.d_plus) + entropy_f(inter.d_minus)
-    return mi - s_joint + min(entropy_f(inter.d_a), entropy_f(inter.d_b))
+    chi_a = s_joint - entropy_f(inter.d_a)
+    chi_b = s_joint - entropy_f(inter.d_b)
+    chi_a = 0.0 if -1e-12 < chi_a < 0.0 else chi_a
+    chi_b = 0.0 if -1e-12 < chi_b < 0.0 else chi_b
+    return min(mi - chi_a, mi - chi_b), mi, chi_a, chi_b, inter
 
 
-def _lenient_key_rate(matrix: np.ndarray) -> float:
-    """Key rate of a raw symmetric 4x4 matrix with clamped radicands.
+def _lenient_key_rates(m: np.ndarray) -> np.ndarray:
+    """Key rates of a (..., 4, 4) stack of raw symmetric matrices.
 
     Box corners sit on or just outside the physical boundary after the
     -1e-9 eigenvalue screen, so every radicand and eigenvalue here is
-    clamped instead of raised on. Must only be fed matrices that passed the
-    physicality screen.
+    clamped instead of raised on, and a non-positive mutual-information log
+    argument rates +inf. Feed it only matrices that passed that screen.
     """
-    i1 = float(np.linalg.det(matrix[0:2, 0:2]))
-    i2 = float(np.linalg.det(matrix[2:4, 2:4]))
-    i3 = float(np.linalg.det(matrix[0:2, 2:4]))
-    i4 = float(np.linalg.det(matrix))
+    i1 = np.linalg.det(m[..., 0:2, 0:2])
+    i2 = np.linalg.det(m[..., 2:4, 2:4])
+    i3 = np.linalg.det(m[..., 0:2, 2:4])
+    i4 = np.linalg.det(m)
     i4p = i1 * i2 + i3 * i3 - i4
     q = i1 * i2
-    arg = 1.0 - 0.5 * (i4p / q + math.sqrt(max(i4p * i4p / (q * q) - 4.0 * i3 * i3 / q, 0.0)))
-    if arg <= 0.0:
-        return math.inf
-    mi = -0.5 * math.log2(arg)
+    arg = 1.0 - 0.5 * (i4p / q + np.sqrt(np.maximum(i4p * i4p / (q * q) - 4.0 * i3 * i3 / q, 0.0)))
+    mi = np.where(arg > 0.0, -0.5 * np.log2(np.where(arg > 0.0, arg, 1.0)), np.inf)
     delta = i1 + i2 + 2.0 * i3
-    gap = math.sqrt(max(delta * delta - 4.0 * i4, 0.0))
-    d_plus = max(math.sqrt((delta + gap) / 2.0), 1.0)
-    d_minus = math.sqrt(max((delta - gap) / 2.0, 1.0))
-    sq = math.sqrt(q)
-    root = 0.5 * (i4p / sq + math.sqrt(max(i4p * i4p / q - 4.0 * i3 * i3, 0.0)))
-    s_joint = entropy_f(d_plus) + entropy_f(d_minus)
-    chi_a = s_joint - entropy_f(max(math.sqrt(max(math.sqrt(i2 / i1) * (sq - root), 0.0)), 1.0))
-    chi_b = s_joint - entropy_f(max(math.sqrt(max(math.sqrt(i1 / i2) * (sq - root), 0.0)), 1.0))
-    return min(mi - chi_a, mi - chi_b)
+    gap = np.sqrt(np.maximum(delta * delta - 4.0 * i4, 0.0))
+    sq = np.sqrt(q)
+    root = 0.5 * (i4p / sq + np.sqrt(np.maximum(i4p * i4p / q - 4.0 * i3 * i3, 0.0)))
+    d_cond = np.sqrt(np.maximum(np.sqrt(np.stack((i2 / i1, i1 / i2))) * (sq - root), 0.0))
+    d_plus = np.sqrt((delta + gap) / 2.0)
+    d_minus = np.sqrt(np.maximum((delta - gap) / 2.0, 1.0))
+    # entropy_f of d_plus, d_minus, d_a and d_b, each clamped to >= 1
+    d = np.maximum(np.stack((d_plus, d_minus, *d_cond)), 1.0)
+    a, b = (d + 1.0) / 2.0, (d - 1.0) / 2.0
+    f = a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
+    chi = f[0] + f[1] - f[2:]
+    return np.min(mi - chi, axis=0)
 
 
 def _conditional_eigenvalue(squared: float, inv: SymplecticInvariants) -> float:

@@ -1,15 +1,22 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvqkd
 from cvqkd.cli import SCAN_COLUMNS, load_config, main
 from cvqkd.errors import ConfigError
-from cvqkd.gaussian import covariance_from_json, covariance_to_json
+from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
 from cvqkd.tomography import load_dataset
+
+from conftest import RECONSTRUCTED_EXAMPLE
 
 K_DEFAULT = 0.3976320686657666
 
@@ -213,6 +220,16 @@ def test_analyze_rejects_malformed_json(capsys, tmp_path):
     assert "invalid covariance JSON" in err
 
 
+def test_analyze_unphysical_covariance_names_symplectic_eigenvalue(capsys, tmp_path):
+    path = tmp_path / "unphysical.json"
+    doc = covariance_to_json(covariance(RECONSTRUCTED_EXAMPLE))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert rc == 1 and out == ""
+    assert "smallest symplectic eigenvalue is 0.93958" in err
+    assert "entropy_f" not in err
+
+
 # --------------------------------------------------------------------- config
 
 
@@ -300,3 +317,15 @@ def test_load_config_direct_error_type(tmp_path):
     path.write_text(json.dumps({"analysis": {"n_samples": 0}}), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("module", ["cvqkd", "cvqkd.cli"])
+def test_python_dash_m_entry_points(module):
+    paths = [str(Path(cvqkd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "simulate"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["k_nominal"] == pytest.approx(K_DEFAULT, rel=1e-12)

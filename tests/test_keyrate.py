@@ -2,18 +2,33 @@
 nominal and statistically-worst-case key rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cvqkd.errors import FormulaDomainError, InvalidArgumentError, InvalidStateError
+from cvqkd.errors import (
+    CvqkdError,
+    DegenerateBoxError,
+    FormulaDomainError,
+    InvalidArgumentError,
+    InvalidStateError,
+)
 from cvqkd.gaussian import (
+    DEFAULT_TOL,
     SymplecticInvariants,
+    apply_symplectic,
     covariance,
     invariants,
     is_physical,
+    normal_form,
+    normal_form_matrix,
+    rotation,
+    symplectic_form,
 )
 from cvqkd.keyrate import (
+    INDEPENDENT_ENTRIES,
+    WorstCaseBreakdown,
     entropy_f,
     holevo,
     holevo_intermediates,
@@ -26,7 +41,7 @@ from cvqkd.keyrate import (
 )
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
 
-from conftest import random_normal_form_state
+from conftest import RECONSTRUCTED_EXAMPLE, random_normal_form_state
 
 
 def tmsv(lam):
@@ -218,8 +233,9 @@ def test_pure_lossless_states_have_key_equal_to_mi():
 
 
 def test_worst_case_rejects_bad_sample_count():
-    with pytest.raises(InvalidArgumentError):
-        worst_case_key_rate(default_state(), 0)
+    for n in (0, -1, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            worst_case_key_rate(default_state(), n)
 
 
 def test_worst_case_increases_toward_nominal():
@@ -256,6 +272,7 @@ def test_worst_case_converges_to_nominal():
     wc = worst_case_key_rate(g, 10**12)
     assert wc < nominal
     assert nominal - wc < 1e-4
+    assert worst_case_key_rate(g, math.inf) == pytest.approx(nominal, rel=1e-12)
 
 
 def test_worst_case_never_exceeds_nominal_on_random_states():
@@ -263,3 +280,133 @@ def test_worst_case_never_exceeds_nominal_on_random_states():
     for _ in range(5):
         g = random_normal_form_state(rng)
         assert worst_case_key_rate(g, 10**5) <= secret_key_rate(g).k_nominal + 1e-12
+
+
+# -------------------------------------------- worst case against the corner loop
+
+
+def _reference_breakdown(g, n):
+    """The per-corner worst-case loop the batched evaluation replaced."""
+    if n < 1:
+        raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
+    t = 1.0 / math.sqrt(n)
+    omega = symplectic_form(2)
+    base = g.entries
+    corner_min = math.inf
+    n_physical = 0
+    for mask in range(2 ** len(INDEPENDENT_ENTRIES)):
+        corner = base.copy()
+        for bit, (i, j) in enumerate(INDEPENDENT_ENTRIES):
+            scale = 1.0 + t if (mask >> bit) & 1 else 1.0 - t
+            corner[i, j] *= scale
+            if i != j:
+                corner[j, i] = corner[i, j]
+        if np.linalg.eigvalsh(corner + 1j * omega).min() < -DEFAULT_TOL:
+            continue
+        n_physical += 1
+        corner_min = min(corner_min, _reference_lenient_key_rate(corner))
+    if n_physical == 0:
+        raise DegenerateBoxError(f"no physical corner at n = {n:g}", n_samples=n)
+    nf = normal_form(g)
+    shift = np.array(
+        [
+            [nf.lambda_a, 0.0, -nf.c_x, 0.0],
+            [0.0, nf.lambda_a, 0.0, nf.c_p],
+            [-nf.c_x, 0.0, nf.lambda_b, 0.0],
+            [0.0, nf.c_p, 0.0, nf.lambda_b],
+        ]
+    )
+    cand_matrix = normal_form_matrix(nf).entries + t * shift
+    candidate = None
+    if np.linalg.eigvalsh(cand_matrix + 1j * omega).min() >= -DEFAULT_TOL:
+        candidate = _reference_lenient_key_rate(cand_matrix)
+        if candidate < corner_min - DEFAULT_TOL:
+            warnings.warn(f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
+                          f"minimum {corner_min:.9g}; corner enumeration may be too coarse")
+    inv = invariants(g)
+    inter = holevo_intermediates(inv)
+    s_joint = entropy_f(inter.d_plus) + entropy_f(inter.d_minus)
+    nominal = mutual_information(inv) - s_joint + min(entropy_f(inter.d_a), entropy_f(inter.d_b))
+    value = min(corner_min, nominal)
+    if candidate is not None:
+        value = min(value, candidate)
+    return WorstCaseBreakdown(corner_min, candidate, value, n_physical)
+
+
+def _reference_lenient_key_rate(matrix):
+    i1 = float(np.linalg.det(matrix[0:2, 0:2]))
+    i2 = float(np.linalg.det(matrix[2:4, 2:4]))
+    i3 = float(np.linalg.det(matrix[0:2, 2:4]))
+    i4 = float(np.linalg.det(matrix))
+    i4p = i1 * i2 + i3 * i3 - i4
+    q = i1 * i2
+    arg = 1.0 - 0.5 * (i4p / q + math.sqrt(max(i4p * i4p / (q * q) - 4.0 * i3 * i3 / q, 0.0)))
+    if arg <= 0.0:
+        return math.inf
+    mi = -0.5 * math.log2(arg)
+    delta = i1 + i2 + 2.0 * i3
+    gap = math.sqrt(max(delta * delta - 4.0 * i4, 0.0))
+    d_plus = max(math.sqrt((delta + gap) / 2.0), 1.0)
+    d_minus = math.sqrt(max((delta - gap) / 2.0, 1.0))
+    sq = math.sqrt(q)
+    root = 0.5 * (i4p / sq + math.sqrt(max(i4p * i4p / q - 4.0 * i3 * i3, 0.0)))
+    s_joint = entropy_f(d_plus) + entropy_f(d_minus)
+    chi_a = s_joint - entropy_f(max(math.sqrt(max(math.sqrt(i2 / i1) * (sq - root), 0.0)), 1.0))
+    chi_b = s_joint - entropy_f(max(math.sqrt(max(math.sqrt(i1 / i2) * (sq - root), 0.0)), 1.0))
+    return min(mi - chi_a, mi - chi_b)
+
+
+def _outcome(fn, g, n):
+    """(breakdown or error type, number of undercut warnings) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(g, n)
+        except CvqkdError as exc:
+            result = type(exc)
+    return result, sum("undercuts the corner minimum" in str(w.message) for w in caught)
+
+
+def _boundary_states():
+    """A pure and a near-pure state, whose boxes straddle the physical
+    boundary, and an unphysical one."""
+    near_pure = tmsv(1.2).entries.copy()
+    near_pure[0:2, 2:4] *= 1.0 - 1e-3
+    near_pure[2:4, 0:2] *= 1.0 - 1e-3
+    return [tmsv(1.2), covariance(near_pure), covariance(RECONSTRUCTED_EXAMPLE)]
+
+
+def test_worst_case_batch_matches_corner_loop():
+    rng = np.random.default_rng(34)
+    states = [random_normal_form_state(rng) for _ in range(3)]
+    for _ in range(3):
+        local = np.zeros((4, 4))
+        local[0:2, 0:2] = rotation(float(rng.uniform(0.0, 2.0 * math.pi)))
+        local[2:4, 2:4] = rotation(float(rng.uniform(0.0, 2.0 * math.pi)))
+        states.append(apply_symplectic(random_normal_form_state(rng), local))
+    states += _boundary_states()
+    seen = set()
+    for g in states:
+        for n in [10.0**k for k in range(3, 10)]:
+            got, got_warned = _outcome(worst_case_breakdown, g, n)
+            want, want_warned = _outcome(_reference_breakdown, g, n)
+            assert got_warned == want_warned
+            if isinstance(want, type):
+                assert got is want
+                seen.add(want)
+                continue
+            assert got.n_corners_physical == want.n_corners_physical
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+            assert got.corner_min == pytest.approx(want.corner_min, rel=1e-12, abs=1e-12)
+            assert (got.candidate is None) == (want.candidate is None)
+            if want.candidate is not None:
+                assert got.candidate == pytest.approx(want.candidate, rel=1e-12, abs=1e-12)
+            seen.add("warned" if want_warned else "ok")
+    assert seen == {"ok", "warned", DegenerateBoxError, InvalidArgumentError}
+
+
+def test_worst_case_undercut_warning_points_at_caller():
+    g = _boundary_states()[1]
+    with pytest.warns(UserWarning, match="undercuts the corner minimum") as caught:
+        worst_case_key_rate(g, 10**3)
+    assert caught[0].filename == __file__
