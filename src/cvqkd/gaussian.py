@@ -41,6 +41,8 @@ SYMMETRY_TOL = 1e-12
 #: square root amplifies that to ~1e-8, far above the 1e-9 accuracy the pure
 #: state quantities need. A radicand smaller than this fraction of its
 #: constituent terms is below evaluation resolution and is snapped to zero.
+#: Applied in one place, _snap, which the single-state functions and the
+#: batched key-rate kernel share.
 DEGENERACY_SNAP = 4e-12
 
 
@@ -227,12 +229,17 @@ class SymplecticInvariants:
 def invariants(g: CovarianceMatrix) -> SymplecticInvariants:
     """Block determinants of a two-mode covariance matrix."""
     _require_two_modes(g)
-    m = g.entries
-    i1 = _det2(m[0:2, 0:2])
-    i2 = _det2(m[2:4, 2:4])
-    i3 = _det2(m[0:2, 2:4])
-    i4 = float(np.linalg.det(m))
-    return SymplecticInvariants(i1=i1, i2=i2, i3=i3, i4=i4, i4_prime=i1 * i2 + i3 * i3 - i4)
+    return SymplecticInvariants(*map(float, _invariant_values(g.entries)))
+
+
+def _invariant_values(m: np.ndarray) -> tuple:
+    """(i1, i2, i3, i4, i4') of a 4x4 matrix, or arrays of them for a stack."""
+    e = m.transpose(-2, -1, *range(m.ndim - 2))  # e[i, j]: entry (i, j) of every matrix
+    i1 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    i2 = e[2, 2] * e[3, 3] - e[2, 3] * e[3, 2]
+    i3 = e[0, 2] * e[1, 3] - e[0, 3] * e[1, 2]
+    i4 = np.linalg.det(m)
+    return i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4
 
 
 @dataclass(frozen=True)
@@ -263,17 +270,13 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
     inv = invariants(g)
     if inv.i1 <= 0.0 or inv.i2 <= 0.0:
         raise InvalidStateError(f"block determinants must be positive, got i1={inv.i1}, i2={inv.i2}")
-    la = math.sqrt(inv.i1)
-    lb = math.sqrt(inv.i2)
-    q = inv.i4_prime / math.sqrt(inv.i1 * inv.i2)
-    disc = q * q - 4.0 * inv.i3 * inv.i3
-    if abs(disc) < DEGENERACY_SNAP * (q * q + 4.0 * inv.i3 * inv.i3):
-        disc = 0.0
+    _, _, _, disc, cx2, cp2, _ = _radicands(inv)
     if disc < -DEFAULT_TOL:
         raise NumericalDegeneracyError(f"normal form discriminant {disc:.3e} below -1e-9")
-    root = math.sqrt(max(disc, 0.0))
-    cx = math.sqrt(max((q + root) / 2.0, 0.0))
-    cp_mag = math.sqrt(max((q - root) / 2.0, 0.0))
+    la = math.sqrt(inv.i1)
+    lb = math.sqrt(inv.i2)
+    cx = math.sqrt(max(cx2, 0.0))
+    cp_mag = math.sqrt(max(cp2, 0.0))
     if inv.i3 == 0.0:
         cp = 0.0
     else:
@@ -303,17 +306,8 @@ def symplectic_eigenvalues_from_invariants(inv: SymplecticInvariants) -> tuple[f
     Delta = i1 + i2 + 2*i3. Radicands below -1e-9 raise
     NumericalDegeneracyError; smaller negatives are clamped.
     """
-    delta = inv.i1 + inv.i2 + 2.0 * inv.i3
-    rad = delta * delta - 4.0 * inv.i4
-    if abs(rad) < DEGENERACY_SNAP * (delta * delta + 4.0 * abs(inv.i4)):
-        rad = 0.0
-    if rad < -DEFAULT_TOL:
-        raise NumericalDegeneracyError(f"symplectic eigenvalue radicand {rad:.3e} below -1e-9")
-    root = math.sqrt(max(rad, 0.0))
-    hi = (delta + root) / 2.0
-    lo = (delta - root) / 2.0
-    if lo < -DEFAULT_TOL:
-        raise NumericalDegeneracyError(f"negative squared symplectic eigenvalue {lo:.3e}")
+    rad, hi, lo, *_ = _radicands(inv)
+    _check_symplectic_squares(rad, lo)
     return math.sqrt(max(hi, 0.0)), math.sqrt(max(lo, 0.0))
 
 
@@ -403,8 +397,41 @@ def covariance_from_json(doc: dict) -> CovarianceMatrix:
     return g
 
 
-def _det2(block: np.ndarray) -> float:
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+def _snap(rad, scale):
+    """rad, zeroed where |rad| < DEGENERACY_SNAP * scale, the size of the
+    terms that cancel in rad; for floats and arrays alike."""
+    return rad * (abs(rad) >= DEGENERACY_SNAP * scale)
+
+
+def _clamp(x):
+    """max(x, 0), exact, for floats and arrays alike."""
+    return (x + abs(x)) / 2.0
+
+
+def _check_symplectic_squares(rad: float, lo: float) -> None:
+    if rad < -DEFAULT_TOL:
+        raise NumericalDegeneracyError(f"symplectic eigenvalue radicand {rad:.3e} below -1e-9")
+    if lo < -DEFAULT_TOL:
+        raise NumericalDegeneracyError(f"negative squared symplectic eigenvalue {lo:.3e}")
+
+
+def _radicands(inv: SymplecticInvariants) -> tuple:
+    """The radicands of the invariant formulas and the squares they give.
+
+    Returns (rad, d_plus^2, d_minus^2) of the symplectic eigenvalues, with
+    rad = Delta^2 - 4*i4, then (disc, c_x^2, c_p^2) of the correlation
+    quadratic t^2 - (i4'/s) t + i3^2 = 0, and s = sqrt(i1*i2). rad and disc
+    are snapped, and clamped only inside the roots. The invariants may be
+    floats or arrays; s reads 1 where i1*i2 <= 0, which callers reject.
+    """
+    delta = inv.i1 + inv.i2 + 2.0 * inv.i3
+    rad = _snap(delta * delta - 4.0 * inv.i4, delta * delta + 4.0 * abs(inv.i4))
+    q = inv.i1 * inv.i2
+    s = _clamp(q) ** 0.5 + (q <= 0.0)
+    u = inv.i4_prime / s
+    disc = _snap(u * u - 4.0 * inv.i3 * inv.i3, u * u + 4.0 * inv.i3 * inv.i3)
+    d_root, c_root = _clamp(rad) ** 0.5, _clamp(disc) ** 0.5
+    return rad, (delta + d_root) / 2.0, (delta - d_root) / 2.0, disc, (u + c_root) / 2.0, (u - c_root) / 2.0, s
 
 
 def _require_two_modes(g: CovarianceMatrix) -> None:

@@ -15,18 +15,26 @@ branch conventions. The formula quantities pick the quadrature branch with
 the larger mutual information; the per-branch values are exposed on the
 report so a two-basis protocol rate can be read off as well.
 
+The formula path is one kernel from invariants, floats or arrays, shared
+by the single-state functions and the batched worst case, with one
+clamping policy: radicands are snapped by DEGENERACY_SNAP and clamped at 0,
+eigenvalues are clamped to >= 1 inside the entropies, and a non-positive
+mutual-information log argument rates +inf. The single-state functions
+raise typed errors on the kernel's unclamped values instead.
+
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
 rate is minimized over the 1024 corners of that uncertainty box (screened
-for physicality as one batch and rated by one vectorized, leniently clamped
-kernel over (..., 4, 4) stacks), together with a closed-form candidate
-minimizer in the normal-form basis as a cross check.
+for physicality as one batch and rated by the kernel over (..., 4, 4)
+stacks), together with a closed-form candidate minimizer in the
+normal-form basis as a cross check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,16 +47,19 @@ from .errors import (
 )
 from .gaussian import (
     DEFAULT_TOL,
-    DEGENERACY_SNAP,
     CovarianceMatrix,
+    NormalForm,
     SymplecticInvariants,
+    _check_symplectic_squares,
+    _clamp,
+    _invariant_values,
+    _radicands,
     _require_two_modes,
     conditional_variance,
     invariants,
     normal_form,
     normal_form_matrix,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_from_invariants,
     symplectic_form,
 )
 
@@ -141,13 +152,8 @@ def entropy_f(x: float) -> float:
     extended by f(1) = 0. Values of x within 1e-9 below 1 are clamped to 1;
     anything lower is rejected.
     """
-    if x < 1.0 - DEFAULT_TOL:
-        raise InvalidArgumentError(f"entropy_f needs x >= 1, got {x}")
-    if x <= 1.0:
-        return 0.0
-    a = (x + 1.0) / 2.0
-    b = (x - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
+    _check_entropy_arguments(x)
+    return float(_entropy(x))
 
 
 def mutual_information(inv: SymplecticInvariants) -> float:
@@ -158,19 +164,9 @@ def mutual_information(inv: SymplecticInvariants) -> float:
     which equals the larger of the two per-quadrature direct values
     (mi_oracle validates this). Zero for uncorrelated states.
     """
-    q = inv.i1 * inv.i2
-    if q <= 0.0:
-        raise InvalidStateError(f"block determinants must be positive, got i1*i2 = {q}")
-    u = inv.i4_prime / q
-    rad = u * u - 4.0 * inv.i3 * inv.i3 / q
-    if abs(rad) < DEGENERACY_SNAP * (u * u + 4.0 * inv.i3 * inv.i3 / q):
-        rad = 0.0
-    rad = _clamp_radicand(rad, inv, "mutual information")
-    arg = 1.0 - 0.5 * (u + math.sqrt(rad))
-    if arg <= 0.0:
-        raise InvalidStateError(f"mutual information log argument {arg:.3e} is not positive")
-    value = -0.5 * math.log2(arg)
-    return 0.0 if -1e-12 < value < 0.0 else value
+    f = _formula(inv)
+    _check_mutual_information(f, inv)
+    return float(f.mi)
 
 
 def mi_oracle(g: CovarianceMatrix) -> tuple[float, float]:
@@ -191,23 +187,13 @@ def holevo_intermediates(inv: SymplecticInvariants) -> HolevoIntermediates:
     """The d quantities feeding the Holevo bound, from the invariants.
 
     d_plus, d_minus are the symplectic eigenvalues. The conditional
-    eigenvalues use the larger root of the correlation quadratic,
-    d_a = sqrt(sqrt(i2/i1) (sqrt(i1 i2) - 1/2 (i4'/sqrt(i1 i2)
-    + sqrt(i4'^2/(i1 i2) - 4 i3^2)))), and d_b with i1 and i2 swapped.
+    eigenvalues use the larger root c_x^2 of the correlation quadratic,
+    d_a^2 = i2 (1 - c_x^2/sqrt(i1 i2)) and d_b^2 = i1 (1 - c_x^2/sqrt(i1 i2)),
+    which equals sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) and its mirror.
     """
-    d_plus, d_minus = symplectic_eigenvalues_from_invariants(inv)
-    q = inv.i1 * inv.i2
-    if q <= 0.0:
-        raise InvalidStateError(f"block determinants must be positive, got i1*i2 = {q}")
-    sq = math.sqrt(q)
-    inner = inv.i4_prime * inv.i4_prime / q - 4.0 * inv.i3 * inv.i3
-    if abs(inner) < DEGENERACY_SNAP * (inv.i4_prime * inv.i4_prime / q + 4.0 * inv.i3 * inv.i3):
-        inner = 0.0
-    inner = _clamp_radicand(inner, inv, "conditional symplectic eigenvalue")
-    remainder = sq - 0.5 * (inv.i4_prime / sq + math.sqrt(inner))
-    d_a = _conditional_eigenvalue(math.sqrt(inv.i2 / inv.i1) * remainder, inv)
-    d_b = _conditional_eigenvalue(math.sqrt(inv.i1 / inv.i2) * remainder, inv)
-    return HolevoIntermediates(d_plus=d_plus, d_minus=d_minus, d_a=d_a, d_b=d_b)
+    f = _formula(inv)
+    _check_intermediates(f, inv)
+    return _intermediates(f)
 
 
 def holevo(inv: SymplecticInvariants, direction: str) -> float:
@@ -217,10 +203,11 @@ def holevo(inv: SymplecticInvariants, direction: str) -> float:
     quantities of holevo_intermediates. Zero for pure joint states. The
     direction names the measured party, "A" or "B".
     """
-    inter = holevo_intermediates(inv)
-    d_x = inter.d_a if _normalize_direction(direction) == "A" else inter.d_b
-    value = entropy_f(inter.d_plus) + entropy_f(inter.d_minus) - entropy_f(d_x)
-    return 0.0 if -1e-12 < value < 0.0 else value
+    f = _formula(inv)
+    _check_intermediates(f, inv)
+    measured_a = _normalize_direction(direction) == "A"
+    _check_entropy_arguments(f.d_plus, f.d_minus, f.d_a if measured_a else f.d_b)
+    return float(f.chi_a if measured_a else f.chi_b)
 
 
 def holevo_oracle(g: CovarianceMatrix, direction: str) -> tuple[float, float]:
@@ -321,18 +308,12 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
             n_samples=n,
         )
     nf = normal_form(g)
-    shift = np.array(
-        [
-            [nf.lambda_a, 0.0, -nf.c_x, 0.0],
-            [0.0, nf.lambda_a, 0.0, nf.c_p],
-            [-nf.c_x, 0.0, nf.lambda_b, 0.0],
-            [0.0, nf.c_p, 0.0, nf.lambda_b],
-        ]
-    )
-    cand_matrix = normal_form_matrix(nf).entries + t * shift
+    # the candidate: local noise up and correlations down by t in the normal form
+    widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
+    cand_matrix = normal_form_matrix(widened).entries
     cand_physical = np.linalg.eigvalsh(cand_matrix + 1j * omega).min() >= -DEFAULT_TOL
     stack = np.concatenate((corners, cand_matrix[np.newaxis]))
-    rates = _lenient_key_rates(stack[np.append(physical, cand_physical)])
+    rates = _formula(SymplecticInvariants(*_invariant_values(stack[np.append(physical, cand_physical)]))).k
     corner_min = float(rates[:n_physical].min())
     candidate = float(rates[n_physical]) if cand_physical else None
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
@@ -350,65 +331,94 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
 
 
 def _formula_rate(inv: SymplecticInvariants) -> tuple:
-    """(k_nominal, mi, chi_a, chi_b, intermediates) on the strict formula path."""
-    mi = mutual_information(inv)
-    inter = holevo_intermediates(inv)
-    s_joint = entropy_f(inter.d_plus) + entropy_f(inter.d_minus)
-    chi_a = s_joint - entropy_f(inter.d_a)
-    chi_b = s_joint - entropy_f(inter.d_b)
-    chi_a = 0.0 if -1e-12 < chi_a < 0.0 else chi_a
-    chi_b = 0.0 if -1e-12 < chi_b < 0.0 else chi_b
-    return min(mi - chi_a, mi - chi_b), mi, chi_a, chi_b, inter
+    """(k_nominal, mi, chi_a, chi_b, intermediates), checked for the domain."""
+    f = _formula(inv)
+    _check_mutual_information(f, inv)
+    _check_intermediates(f, inv)
+    _check_entropy_arguments(f.d_plus, f.d_minus, f.d_a, f.d_b)
+    return float(f.k), float(f.mi), float(f.chi_a), float(f.chi_b), _intermediates(f)
 
 
-def _lenient_key_rates(m: np.ndarray) -> np.ndarray:
-    """Key rates of a (..., 4, 4) stack of raw symmetric matrices.
+#: what _formula returns: q = i1*i2, the radicands, arg and the squared
+#: eigenvalues unclamped, then the clamped eigenvalues, mi, chi_a, chi_b and k
+_Formula = namedtuple("_Formula", "q sym_rad dm2 disc arg da2 db2 d_plus d_minus d_a d_b mi chi_a chi_b k")
 
-    Box corners sit on or just outside the physical boundary after the
-    -1e-9 eigenvalue screen, so every radicand and eigenvalue here is
-    clamped instead of raised on, and a non-positive mutual-information log
-    argument rates +inf. Feed it only matrices that passed that screen.
+
+def _formula(inv: SymplecticInvariants) -> _Formula:
+    """The formula path from invariants (floats or arrays) to the key rate.
+
+    MI = -1/2 log2(arg) with arg = 1 - c_x^2/sqrt(i1 i2), the conditional
+    eigenvalues are d_a^2 = |i2| arg and d_b^2 = |i1| arg, chi_A and chi_B are
+    f(d_plus) + f(d_minus) - f(d_a or d_b), and k = MI - max(chi_A, chi_B).
+    Values less than 1e-12 below zero are reported as 0. Plain operators
+    keep float inputs cheap.
     """
-    i1 = np.linalg.det(m[..., 0:2, 0:2])
-    i2 = np.linalg.det(m[..., 2:4, 2:4])
-    i3 = np.linalg.det(m[..., 0:2, 2:4])
-    i4 = np.linalg.det(m)
-    i4p = i1 * i2 + i3 * i3 - i4
-    q = i1 * i2
-    arg = 1.0 - 0.5 * (i4p / q + np.sqrt(np.maximum(i4p * i4p / (q * q) - 4.0 * i3 * i3 / q, 0.0)))
-    mi = np.where(arg > 0.0, -0.5 * np.log2(np.where(arg > 0.0, arg, 1.0)), np.inf)
-    delta = i1 + i2 + 2.0 * i3
-    gap = np.sqrt(np.maximum(delta * delta - 4.0 * i4, 0.0))
-    sq = np.sqrt(q)
-    root = 0.5 * (i4p / sq + np.sqrt(np.maximum(i4p * i4p / q - 4.0 * i3 * i3, 0.0)))
-    d_cond = np.sqrt(np.maximum(np.sqrt(np.stack((i2 / i1, i1 / i2))) * (sq - root), 0.0))
-    d_plus = np.sqrt((delta + gap) / 2.0)
-    d_minus = np.sqrt(np.maximum((delta - gap) / 2.0, 1.0))
-    # entropy_f of d_plus, d_minus, d_a and d_b, each clamped to >= 1
-    d = np.maximum(np.stack((d_plus, d_minus, *d_cond)), 1.0)
-    a, b = (d + 1.0) / 2.0, (d - 1.0) / 2.0
-    f = a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
-    chi = f[0] + f[1] - f[2:]
-    return np.min(mi - chi, axis=0)
+    sym_rad, dp2, dm2, disc, cx2, _, s = _radicands(inv)
+    arg = 1.0 - cx2 / s
+    with np.errstate(divide="ignore"):  # log2(0) = -inf: arg <= 0 rates +inf
+        mi = _zero_rounding_noise(-0.5 * np.log2(_clamp(arg)))
+    # |i2| arg = sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) also where i1 and i2 are both negative
+    da2, db2 = abs(inv.i2) * arg, abs(inv.i1) * arg
+    d_plus, d_minus, d_a, d_b = _clamp(dp2) ** 0.5, _clamp(dm2) ** 0.5, _clamp(da2) ** 0.5, _clamp(db2) ** 0.5
+    s_joint = _entropy(d_plus) + _entropy(d_minus)
+    chi_a, chi_b = _zero_rounding_noise(s_joint - _entropy(d_a)), _zero_rounding_noise(s_joint - _entropy(d_b))
+    k = np.minimum(mi - chi_a, mi - chi_b)
+    return _Formula(inv.i1 * inv.i2, sym_rad, dm2, disc, arg, da2, db2, d_plus, d_minus, d_a, d_b, mi, chi_a, chi_b, k)
 
 
-def _conditional_eigenvalue(squared: float, inv: SymplecticInvariants) -> float:
-    if squared < -DEFAULT_TOL:
+def _entropy(d):
+    """entropy_f of d clamped to >= 1, for floats and arrays alike."""
+    b = _clamp(d - 1.0) / 2.0
+    a = b + 1.0
+    return a * np.log2(a) - b * np.log2(b + (b == 0.0))
+
+
+def _zero_rounding_noise(x):
+    """x with values less than 1e-12 below zero set to 0."""
+    return x * ((x >= 0.0) | (x <= -1e-12)) + 0.0
+
+
+def _intermediates(f: _Formula) -> HolevoIntermediates:
+    return HolevoIntermediates(*(float(d) for d in (f.d_plus, f.d_minus, f.d_a, f.d_b)))
+
+
+def _check_mutual_information(f: _Formula, inv: SymplecticInvariants) -> None:
+    _check_block_determinants(f)
+    if f.disc / f.q < -DEFAULT_TOL:
         raise FormulaDomainError(
-            f"conditional symplectic eigenvalue squared is {squared:.3e}; "
-            "the input is outside the formula domain",
+            f"mutual information radicand is {f.disc / f.q:.3e}, negative beyond the rounding tolerance",
             invariants=inv,
         )
-    return math.sqrt(max(squared, 0.0))
+    if f.arg <= 0.0:
+        raise InvalidStateError(f"mutual information log argument {f.arg:.3e} is not positive")
 
 
-def _clamp_radicand(value: float, inv: SymplecticInvariants, what: str) -> float:
-    if value < -DEFAULT_TOL:
+def _check_intermediates(f: _Formula, inv: SymplecticInvariants) -> None:
+    _check_symplectic_squares(f.sym_rad, f.dm2)
+    _check_block_determinants(f)
+    if f.disc < -DEFAULT_TOL:
         raise FormulaDomainError(
-            f"{what} radicand is {value:.3e}, negative beyond the rounding tolerance",
+            f"conditional symplectic eigenvalue radicand is {f.disc:.3e}, negative beyond the rounding tolerance",
             invariants=inv,
         )
-    return max(value, 0.0)
+    for squared in (f.da2, f.db2):
+        if squared < -DEFAULT_TOL:
+            raise FormulaDomainError(
+                f"conditional symplectic eigenvalue squared is {squared:.3e}; "
+                "the input is outside the formula domain",
+                invariants=inv,
+            )
+
+
+def _check_block_determinants(f: _Formula) -> None:
+    if f.q <= 0.0:
+        raise InvalidStateError(f"block determinants must be positive, got i1*i2 = {f.q}")
+
+
+def _check_entropy_arguments(*xs: float) -> None:
+    for x in xs:
+        if x < 1.0 - DEFAULT_TOL:
+            raise InvalidArgumentError(f"entropy_f needs x >= 1, got {x}")
 
 
 def _normalize_direction(direction: str) -> str:

@@ -207,7 +207,7 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
         )
     stats = _per_setting_moments(ds)
     canonical_idx = _match_canonical(ds.settings)
-    if canonical_idx is not None:
+    if None not in canonical_idx:
         return _reconstruct_canonical(stats, canonical_idx)
     return _reconstruct_least_squares(ds.settings, stats)
 
@@ -350,8 +350,8 @@ def _per_setting_moments(ds: HomodyneDataset) -> list:
     return out
 
 
-def _match_canonical(settings) -> list | None:
-    """Indices of the five canonical settings within settings, or None."""
+def _match_canonical(settings) -> list:
+    """Index of each of the five canonical settings within settings, None where absent."""
     idx = []
     for want in CANONICAL_SETTINGS:
         found = None
@@ -359,8 +359,6 @@ def _match_canonical(settings) -> list | None:
             if abs(s.theta_a - want.theta_a) <= ANGLE_TOL and abs(s.theta_b - want.theta_b) <= ANGLE_TOL:
                 found = i
                 break
-        if found is None:
-            return None
         idx.append(found)
     return idx
 
@@ -442,11 +440,7 @@ def _reconstruct_least_squares(settings, stats) -> ReconstructionResult:
         raise ProtocolIncompleteError("dataset has no records")
     design = np.array(rows)
     if np.linalg.matrix_rank(design) < 10:
-        missing = [
-            _fmt_setting(c)
-            for c in CANONICAL_SETTINGS
-            if _match_canonical_single(settings, c) is None
-        ]
+        missing = [_fmt_setting(c) for c, i in zip(CANONICAL_SETTINGS, _match_canonical(settings)) if i is None]
         raise ProtocolIncompleteError(
             "measurement settings do not determine all 10 covariance entries; "
             f"missing canonical settings: {', '.join(missing) if missing else 'none'}"
@@ -465,13 +459,6 @@ def _reconstruct_least_squares(settings, stats) -> ReconstructionResult:
         std_errors=se,
         n_min=min(counts),
     )
-
-
-def _match_canonical_single(settings, want) -> int | None:
-    for i, s in enumerate(settings):
-        if abs(s.theta_a - want.theta_a) <= ANGLE_TOL and abs(s.theta_b - want.theta_b) <= ANGLE_TOL:
-            return i
-    return None
 
 
 def _parse_calibration_comment(line: str, lineno: int, calib: dict, header_seen: bool) -> None:
