@@ -268,8 +268,7 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
     negative values are clamped to zero.
     """
     inv = invariants(g)
-    if inv.i1 <= 0.0 or inv.i2 <= 0.0:
-        raise InvalidStateError(f"block determinants must be positive, got i1={inv.i1}, i2={inv.i2}")
+    _check_block_determinants(inv)
     _, _, _, disc, cx2, cp2, _ = _radicands(inv)
     if disc < -DEFAULT_TOL:
         raise NumericalDegeneracyError(f"normal form discriminant {disc:.3e} below -1e-9")
@@ -406,6 +405,11 @@ def _snap(rad, scale):
 def _clamp(x):
     """max(x, 0), exact, for floats and arrays alike."""
     return (x + abs(x)) / 2.0
+
+
+def _check_block_determinants(inv: SymplecticInvariants) -> None:
+    if inv.i1 <= 0.0 or inv.i2 <= 0.0:
+        raise InvalidStateError(f"block determinants must be positive, got i1={inv.i1}, i2={inv.i2}")
 
 
 def _check_symplectic_squares(rad: float, lo: float) -> None:

@@ -50,6 +50,7 @@ from .gaussian import (
     CovarianceMatrix,
     NormalForm,
     SymplecticInvariants,
+    _check_block_determinants,
     _check_symplectic_squares,
     _clamp,
     _invariant_values,
@@ -383,7 +384,7 @@ def _intermediates(f: _Formula) -> HolevoIntermediates:
 
 
 def _check_mutual_information(f: _Formula, inv: SymplecticInvariants) -> None:
-    _check_block_determinants(f)
+    _check_block_determinants(inv)
     if f.disc / f.q < -DEFAULT_TOL:
         raise FormulaDomainError(
             f"mutual information radicand is {f.disc / f.q:.3e}, negative beyond the rounding tolerance",
@@ -395,7 +396,7 @@ def _check_mutual_information(f: _Formula, inv: SymplecticInvariants) -> None:
 
 def _check_intermediates(f: _Formula, inv: SymplecticInvariants) -> None:
     _check_symplectic_squares(f.sym_rad, f.dm2)
-    _check_block_determinants(f)
+    _check_block_determinants(inv)
     if f.disc < -DEFAULT_TOL:
         raise FormulaDomainError(
             f"conditional symplectic eigenvalue radicand is {f.disc:.3e}, negative beyond the rounding tolerance",
@@ -408,11 +409,6 @@ def _check_intermediates(f: _Formula, inv: SymplecticInvariants) -> None:
                 "the input is outside the formula domain",
                 invariants=inv,
             )
-
-
-def _check_block_determinants(f: _Formula) -> None:
-    if f.q <= 0.0:
-        raise InvalidStateError(f"block determinants must be positive, got i1*i2 = {f.q}")
 
 
 def _check_entropy_arguments(*xs: float) -> None:

@@ -24,6 +24,8 @@ determine all 10 entries.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -216,7 +218,9 @@ def save_dataset(ds: HomodyneDataset, path) -> None:
     """Write a dataset as CSV with a calibration comment block.
 
     path may be a filesystem path or an open text stream. Floats are
-    written in repr form, so a save/load round trip is lossless.
+    written in repr form, so a save/load round trip is lossless. Records
+    are formatted a column chunk at a time: each setting's id and angle
+    prefix once, the samples through repr of their Python floats.
     """
     if hasattr(path, "write"):
         _write_dataset(ds, path)
@@ -225,13 +229,24 @@ def save_dataset(ds: HomodyneDataset, path) -> None:
             _write_dataset(ds, fh)
 
 
+#: records formatted per write; bounds the text held in memory while saving
+_WRITE_CHUNK = 8192
+
+
 def _write_dataset(ds: HomodyneDataset, fh) -> None:
     fh.write(f"# calib_a={float(ds.calib_a)!r}\n")
     fh.write(f"# calib_b={float(ds.calib_b)!r}\n")
     fh.write(DATASET_HEADER + "\n")
-    for sid, a, b in zip(ds.setting_ids, ds.samples_a, ds.samples_b):
-        s = ds.settings[sid]
-        fh.write(f"{int(sid)},{float(s.theta_a)!r},{float(s.theta_b)!r},{float(a)!r},{float(b)!r}\n")
+    prefixes = [f"{i},{float(s.theta_a)!r},{float(s.theta_b)!r}" for i, s in enumerate(ds.settings)]
+    for lo in range(0, ds.n_records, _WRITE_CHUNK):
+        chunk = slice(lo, lo + _WRITE_CHUNK)
+        rows = zip(
+            map(prefixes.__getitem__, ds.setting_ids[chunk].tolist()),
+            map(repr, ds.samples_a[chunk].tolist()),
+            map(repr, ds.samples_b[chunk].tolist()),
+        )
+        fh.write("\n".join(map(",".join, rows)))
+        fh.write("\n")
 
 
 def load_dataset(path) -> HomodyneDataset:
@@ -240,28 +255,133 @@ def load_dataset(path) -> HomodyneDataset:
     Setting ids must be contiguous from 0 and consistent with their angle
     columns; malformed content raises DatasetParseError naming the line,
     and a file with no records raises EmptyDatasetError.
+
+    The records are parsed in one numpy pass and checked by whole columns.
+    That pass accepts a subset of the format: where numpy rejects a line or
+    a column check fails, the file is read again one line at a time, and
+    that reading decides, with the line-numbered error or with the dataset
+    (numpy is stricter than the line rules about whitespace-only lines,
+    comments among the records and digit separators; records with
+    non-ASCII text go to the line loop unparsed).
+    Both readings give bit-identical arrays. path must therefore name a
+    file that can be read twice, not a pipe.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        ds = _load_dataset_columns(fh, path)
+    return ds if ds is not None else _load_dataset_lines(path)
+
+
+#: one dataset record, as np.loadtxt parses it
+_RECORD_DTYPE = np.dtype(
+    [
+        ("setting_id", np.int64),
+        ("theta_a", np.float64),
+        ("theta_b", np.float64),
+        ("sample_a", np.float64),
+        ("sample_b", np.float64),
+    ]
+)
+
+#: characters of record text screened by _numpy_readable at a time
+_READ_BATCH = 1 << 16
+
+#: ASCII separators numpy's number parser strips as whitespace and float() rejects
+_INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _load_dataset_columns(fh, path) -> HomodyneDataset | None:
+    """The dataset from one np.loadtxt pass, or None where the line loop must decide."""
+    lines = enumerate(fh, start=1)
+    calib = _read_preamble(lines, path)
+    # np.loadtxt skips empty lines, and warns when it finds nothing else
+    first = next((raw for _, raw in lines if raw != "\n"), None)
+    if first is None:
+        return None
+    batches = itertools.chain([[first]], iter(functools.partial(fh.readlines, _READ_BATCH), []))
+    try:
+        rec = np.loadtxt(
+            itertools.chain.from_iterable(map(_numpy_readable, batches)),
+            dtype=_RECORD_DTYPE,
+            delimiter=",",
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    ids, ta, tb = rec["setting_id"], rec["theta_a"], rec["theta_b"]
+    if not all(np.isfinite(rec[name]).all() for name in _RECORD_DTYPE.names[1:]):
+        return None
+    # a record may name any id seen before it, or the next new one
+    seen = np.concatenate(([-1], np.maximum.accumulate(ids)[:-1]))
+    if ids.min() < 0 or (ids > seen + 1).any():
+        return None
+    first_use = np.flatnonzero(ids > seen)
+    if not ((ta == ta[first_use][ids]).all() and (tb == tb[first_use][ids]).all()):
+        return None
+    try:
+        settings = tuple(map(MeasurementSetting, ta[first_use].tolist(), tb[first_use].tolist()))
+    except InvalidArgumentError:
+        return None
+    return HomodyneDataset(
+        settings=settings,
+        setting_ids=ids,
+        samples_a=rec["sample_a"],
+        samples_b=rec["sample_b"],
+        calib_a=calib["calib_a"],
+        calib_b=calib["calib_b"],
+    )
+
+
+def _numpy_readable(batch: list) -> list:
+    """batch, if numpy reads its numbers as float() and int() do, else ValueError.
+
+    numpy's parser strips the ASCII information separators around a number,
+    which float() rejects, and reads non-ASCII numerals other than float()
+    and int() do (DEVANAGARI DIGIT TWO as 2360, where int() reads 2).
+    """
+    text = "".join(batch)
+    if not text.isascii() or any(c in text for c in _INFO_SEPARATORS):
+        raise ValueError("non-ASCII or separator characters among the records")
+    return batch
+
+
+def _read_preamble(lines, path) -> dict:
+    """Calibration from the blank and comment lines up to the header, which it consumes.
+
+    lines yields (line number, raw line) pairs.
     """
     calib = {"calib_a": 1.0, "calib_b": 1.0}
-    header_seen = False
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _parse_calibration_comment(line, lineno, calib, header_seen=False)
+            continue
+        if line != DATASET_HEADER:
+            raise DatasetParseError(
+                f"line {lineno}: expected header {DATASET_HEADER!r}, got {line!r}",
+                line=lineno,
+            )
+        return calib
+    raise EmptyDatasetError(f"{path}: no header found")
+
+
+def _load_dataset_lines(path) -> HomodyneDataset:
+    """load_dataset one line at a time: the statement of the format's rules and messages."""
     angles = {}
     ids = []
     arr_a = []
     arr_b = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = enumerate(fh, start=1)
+        calib = _read_preamble(lines, path)
+        for lineno, raw in lines:
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                _parse_calibration_comment(line, lineno, calib, header_seen)
-                continue
-            if not header_seen:
-                if line != DATASET_HEADER:
-                    raise DatasetParseError(
-                        f"line {lineno}: expected header {DATASET_HEADER!r}, got {line!r}",
-                        line=lineno,
-                    )
-                header_seen = True
+                _parse_calibration_comment(line, lineno, calib, header_seen=True)
                 continue
             fields = line.split(",")
             if len(fields) != 5:
@@ -296,8 +416,6 @@ def load_dataset(path) -> HomodyneDataset:
             ids.append(sid)
             arr_a.append(a)
             arr_b.append(b)
-    if not header_seen:
-        raise EmptyDatasetError(f"{path}: no header found")
     if not ids:
         raise EmptyDatasetError(f"{path}: header but no records")
     settings = tuple(MeasurementSetting(*angles[i][:2]) for i in range(len(angles)))

@@ -130,6 +130,12 @@ def test_mi_oracle_on_reconstructed_example(reconstructed_example):
 def test_mutual_information_rejects_bad_invariants():
     with pytest.raises(InvalidStateError):
         mutual_information(SymplecticInvariants(-1.0, 1.0, 0.0, 1.0, 0.0))
+    # both block determinants negative: their product is positive, but neither block is a state
+    both_negative = SymplecticInvariants(i1=-0.074, i2=-0.094, i3=1.986, i4=2.766, i4_prime=-4.887)
+    with pytest.raises(InvalidStateError, match="block determinants"):
+        mutual_information(both_negative)
+    with pytest.raises(InvalidStateError, match="block determinants"):
+        holevo_intermediates(both_negative)
     with pytest.raises(FormulaDomainError):
         mutual_information(SymplecticInvariants(1.0, 1.0, 0.9, 0.81, 1.0))
 

@@ -2,12 +2,17 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cvqkd.tomography
 from cvqkd.errors import (
     CalibrationError,
+    CvqkdError,
     DatasetParseError,
     EmptyDatasetError,
     InvalidArgumentError,
@@ -19,6 +24,7 @@ from cvqkd.tomography import (
     CANONICAL_SETTINGS,
     HomodyneDataset,
     MeasurementSetting,
+    _load_dataset_lines,
     load_dataset,
     marginal_covariance,
     reconstruct,
@@ -293,5 +299,172 @@ def test_load_rejects_calibration_comment_after_header(tmp_path):
 def test_load_empty_inputs(tmp_path):
     with pytest.raises(EmptyDatasetError):
         load_dataset(write(tmp_path, ""))
-    with pytest.raises(EmptyDatasetError):
-        load_dataset(write(tmp_path, HEADER))
+    for body in (HEADER, HEADER + "\n\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDatasetError, match="header but no records"):
+                load_dataset(write(tmp_path, body))
+
+
+def test_save_dataset_writes_one_repr_line_per_record():
+    """The column-wise writer's bytes, against the per-record format."""
+    ds = sample_homodyne(default_state(), settings=CANONICAL_SETTINGS[::-1], n_per_setting=5000, seed=12)
+    ids = np.concatenate([ds.setting_ids[1::2], ds.setting_ids[::2]])
+    ds = HomodyneDataset(
+        settings=ds.settings, setting_ids=ids, samples_a=ds.samples_a, samples_b=-ds.samples_b, calib_a=0.75
+    )
+    out = io.StringIO()
+    save_dataset(ds, out)
+    expected = ["# calib_a=0.75", "# calib_b=1.0", HEADER.rstrip("\n")]
+    for sid, a, b in zip(ds.setting_ids, ds.samples_a, ds.samples_b):
+        s = ds.settings[sid]
+        expected.append(f"{int(sid)},{float(s.theta_a)!r},{float(s.theta_b)!r},{float(a)!r},{float(b)!r}")
+    assert out.getvalue() == "\n".join(expected) + "\n"
+
+
+def test_load_dataset_reads_saved_file_without_line_loop(tmp_path, monkeypatch):
+    ds = sample_homodyne(default_state(), n_per_setting=3000, seed=11)
+    path = tmp_path / "records.csv"
+    save_dataset(ds, path)
+
+    def unexpected(path):
+        raise AssertionError("a well-formed file reached the line loop")
+
+    monkeypatch.setattr(cvqkd.tomography, "_load_dataset_lines", unexpected)
+    assert _outcome(load_dataset, path) == _outcome(lambda p: ds, path)
+    load_dataset(write(tmp_path, "\n".join(_base_lines()) + "\n"))
+
+
+def test_load_reports_bad_field_line_in_large_file(tmp_path):
+    ds = sample_homodyne(default_state(), n_per_setting=30000, seed=13)
+    path = tmp_path / "records.csv"
+    save_dataset(ds, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[40002] = lines[40002].replace(",", ",x", 1)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetParseError, match="^line 40003: ") as info:
+        load_dataset(path)
+    assert info.value.line == 40003
+
+
+def test_load_leaves_non_ascii_digits_to_line_loop(tmp_path):
+    """numpy reads DEVANAGARI DIGIT TWO as id 2360; int() reads 2, whose angles differ."""
+    lines = [HEADER.rstrip("\n")]
+    lines += [f"{i},{i * 0.05!r},0.0,1.0,1.0" for i in range(2361)]
+    lines.append(f"\u0968,{2360 * 0.05!r},0.0,1.0,1.0")
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError, match="^line 2363: setting id 2 redeclared"):
+        load_dataset(path)
+
+
+# ------------------------------------------------ loader against the line loop
+
+
+def _outcome(load, path):
+    """What load makes of path: the dataset bit for bit, or the error class, message and line."""
+    try:
+        ds = load(path)
+    except CvqkdError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    arrays = (ds.setting_ids, ds.samples_a, ds.samples_b)
+    return (
+        tuple((s.theta_a.hex(), s.theta_b.hex()) for s in ds.settings),
+        (ds.calib_a.hex(), ds.calib_b.hex()),
+        tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays),
+    )
+
+
+def _base_lines():
+    """A saved dataset of the five canonical settings with interleaved records, as lines.
+
+    Setting 3 has a single record (line 11); setting 4 has two (lines 12 and 14).
+    """
+    src = sample_homodyne(default_state(), n_per_setting=3, seed=14)
+    ds = HomodyneDataset(
+        settings=src.settings,
+        setting_ids=np.array([0, 0, 1, 0, 2, 1, 2, 3, 4, 2, 4]),
+        samples_a=src.samples_a[:11],
+        samples_b=src.samples_b[:11],
+        calib_a=1.25,
+        calib_b=0.5,
+    )
+    out = io.StringIO()
+    save_dataset(ds, out)
+    return out.getvalue().splitlines()
+
+
+def _next_id(v):
+    try:
+        return str(int(v) + 1)
+    except ValueError:
+        return v
+
+
+def _set_field(index, value):
+    def edit(fields):
+        fields[index] = value(fields[index])
+
+    return edit
+
+
+#: edits of one record's fields, by name
+_FIELD_EDITS = {
+    "id_plus": _set_field(0, lambda v: "+" + v),
+    "id_padded": _set_field(0, lambda v: f" {v} "),
+    "id_float": _set_field(0, lambda v: v + ".0"),
+    "id_next": _set_field(0, _next_id),
+    "id_out_of_range": _set_field(0, lambda v: "7"),
+    "id_negative": _set_field(0, lambda v: "-1"),
+    "id_huge": _set_field(0, lambda v: "99999999999999999999"),
+    "id_unicode_digits": _set_field(0, lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+    "id_aegean_numeral": _set_field(0, lambda v: "\U00010112" + v),
+    "sample_underscore": _set_field(3, lambda v: "1_0.5"),
+    "sample_fullwidth": _set_field(3, lambda v: "１.５"),
+    "sample_separator": _set_field(3, lambda v: v + "\x1c"),
+    "sample_nan": _set_field(3, lambda v: "nan"),
+    "sample_inf": _set_field(4, lambda v: "-inf"),
+    "sample_overflow": _set_field(4, lambda v: "1e999"),
+    "angle_negative_zero": _set_field(1, lambda v: "-0.0"),
+    "angle_redeclared": _set_field(2, lambda v: "45.5"),
+    "angle_out_of_range": _set_field(1, lambda v: "180.0"),
+    "extra_field": lambda fields: fields.append("1.0"),
+}
+
+#: lines inserted among the records, by name
+_INSERTED_LINES = {
+    "blank": "",
+    "whitespace": " \t",
+    "comment": "# note",
+    "calibration_comment": "# calib_a=2.0",
+}
+
+_MUTATION = st.tuples(st.sampled_from(sorted(_FIELD_EDITS) + sorted(_INSERTED_LINES)), st.integers(0, 99))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@example(mutations=[("angle_out_of_range", 7)], newline="\n", truncate=None)
+@example(mutations=[("id_negative", 10)], newline="\n", truncate=None)
+@given(
+    mutations=st.lists(_MUTATION, max_size=3),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    truncate=st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_load_dataset_agrees_with_line_loop(tmp_path_factory, mutations, newline, truncate):
+    """The numpy pass returns what the line loop returns, dataset or error, on mutated files."""
+    lines = _base_lines()
+    for name, at in mutations:
+        if name in _INSERTED_LINES:
+            lines.insert(3 + at % (len(lines) - 2), _INSERTED_LINES[name])
+        else:
+            records = [i for i, line in enumerate(lines) if i >= 3 and line.count(",") >= 4]
+            row = records[at % len(records)]
+            fields = lines[row].split(",")
+            _FIELD_EDITS[name](fields)
+            lines[row] = ",".join(fields)
+    text = newline.join(lines) + newline
+    if truncate is not None:
+        text = text[: len(text) - len(lines[-1]) - len(newline) + truncate]
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _outcome(load_dataset, path) == _outcome(_load_dataset_lines, path)
