@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 
 import numpy as np
@@ -208,8 +207,9 @@ def _validate_config(cfg: dict) -> None:
 def _require_number(section: str, key: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {section}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"config field {section}.{key} must be finite, got {value!r}")
+    # also rejects an int beyond the float range, on which math.isfinite overflows
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config field {section}.{key} must be a finite float, got {value!r}")
 
 
 def _apply_flag_overrides(cfg: dict, args) -> None:
@@ -290,17 +290,15 @@ def cmd_scan(args, cfg: dict) -> int:
 
 
 def _scan_row(cfg: dict, sweep: str, value: float) -> str:
-    point = copy.deepcopy(cfg)
+    # cfg's sections are shared with every row: replace a section, never edit it
+    point = dict(cfg)
     extra_loss_b = 0.0
     if sweep == "sqz_db":
-        point["source"]["mode"] = "measured"
-        point["source"]["var_sqz_db"] = -abs(value)
-        point["source"]["var_asqz_db"] = None
+        point["source"] = {**cfg["source"], "mode": "measured", "var_sqz_db": -abs(value), "var_asqz_db": None}
     elif sweep == "nu_b":
         extra_loss_b = value
     elif sweep == "sigma":
-        point["channel"]["sigma_a"] = value
-        point["channel"]["sigma_b"] = value
+        point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
     _, detected, input_db = _build_states(point, extra_loss_b=extra_loss_b)
     ana = point["analysis"]
     report = secret_key_rate(detected, n_samples=ana["n_samples"] if ana["worst_case"] else None)
@@ -356,10 +354,10 @@ def cmd_reconstruct(args, cfg: dict) -> int:
 
 
 def cmd_analyze(args, cfg: dict) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "rb") as fh:
         head = fh.read(64)
     n_default = cfg["analysis"]["n_samples"]
-    if head.lstrip()[:1] == "{":
+    if head.lstrip()[:1] == b"{":
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)

@@ -7,19 +7,23 @@ tomographic protocol here measures five settings,
 
     (0, 0), (90, 90), (0, 90), (90, 0), (45, 45),
 
-which determine all 10 entries with one redundant moment left over: the
-(45, 45) cross covariance is predictable from the other settings and is
-reported as a self-test. The intra-mode covariances Cov(X, P) come from the
-45-degree variances via Cov(X, P) = Var(X(45)) - (Var X + Var P)/2.
+which determine all 10 entries with 5 of their 15 moments to spare.
+
+Every dataset is reconstructed by one least-squares solve of the
+rotated-moment equations: each setting gives var_a, var_b and cov as linear
+functions of the 10 entries. When the dataset declares all five canonical
+settings, only their equations enter, and five of the 15 are held out: the
+repeat variances of (0, 90) and (90, 0), and the (45, 45) cross covariance,
+which the fitted matrix predicts and which is reported as a self-test. The
+remaining 10 equations fix the entries exactly; the intra-mode covariance
+Cov(X, P), for instance, is Var(X(45)) - (Var X + Var P)/2. Standard errors
+are the solve's first-order propagation of each moment's standard error.
+Any other setting list enters in full and must determine all 10 entries.
 
 Datasets carry a vacuum calibration variance per detector; raw samples are
 divided by its square root before moment estimation, so synthetic data uses
 calibration 1. First moments are always subtracted, which costs nothing for
 the zero-mean model and guards ingested real data against offsets.
-
-Datasets with a different, non-canonical setting list are reconstructed by
-solving the linear system of rotated second moments, provided the settings
-determine all 10 entries.
 """
 
 from __future__ import annotations
@@ -118,8 +122,8 @@ class ReconstructionResult:
     n_min is the smallest per-setting sample count among the settings used,
     the N that feeds the finite-statistics worst-case key rate. The
     cross_check_* fields hold the redundant (45, 45) cross moment (measured,
-    predicted from the other settings, and its standard error); they are
-    None when reconstruction went through the generic least-squares path.
+    predicted by the fit, and its standard error); they are None unless the
+    dataset declares all five canonical settings.
     """
 
     gamma_hat: CovarianceMatrix
@@ -198,10 +202,12 @@ def sample_homodyne(
 def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
     """Covariance matrix estimate from a homodyne dataset.
 
-    Uses the five-setting canonical assembly when the dataset declares all
-    canonical settings, including the redundant-moment self-test; any other
-    setting list falls back to an unweighted least-squares solve of the
-    rotated-moment equations and must still determine all 10 entries.
+    One unweighted least-squares solve of the rotated-moment equations. A
+    dataset that declares all five canonical settings is fitted from 10 of
+    their 15 moments; other declared settings are ignored, and the
+    redundant (45, 45) cross moment is checked against the fit, with a
+    warning beyond 5 standard errors. Any other setting list is fitted from
+    all its moments and must determine all 10 entries.
     """
     if ds.calib_a <= 0.0 or ds.calib_b <= 0.0:
         raise CalibrationError(
@@ -209,9 +215,59 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
         )
     stats = _per_setting_moments(ds)
     canonical_idx = _match_canonical(ds.settings)
-    if None not in canonical_idx:
-        return _reconstruct_canonical(stats, canonical_idx)
-    return _reconstruct_least_squares(ds.settings, stats)
+    canonical = None not in canonical_idx
+    if canonical:
+        for want, i in zip(CANONICAL_SETTINGS, canonical_idx):
+            if stats[i] is None:
+                raise ProtocolIncompleteError(
+                    f"dataset declares setting {_fmt_setting(want)} but has no records for it"
+                )
+        used = canonical_idx
+    else:
+        used = [i for i, m in enumerate(stats) if m is not None]
+        if not used:
+            raise ProtocolIncompleteError("dataset has no records")
+    # shapes (settings, 3 moments, 10 unknowns), (settings, 3) and (settings, 3)
+    design, values, errors = map(np.array, zip(*(_moment_equations(ds.settings[i], stats[i]) for i in used)))
+    fit = np.ones(values.shape, dtype=bool)
+    if canonical:
+        fit[tuple(zip(*_HELD_OUT))] = False
+    if np.linalg.matrix_rank(design[fit]) < 10:
+        missing = [_fmt_setting(c) for c, i in zip(CANONICAL_SETTINGS, canonical_idx) if i is None]
+        raise ProtocolIncompleteError(
+            "measurement settings do not determine all 10 covariance entries; "
+            f"missing canonical settings: {', '.join(missing) if missing else 'none'}"
+        )
+    solution, *_ = np.linalg.lstsq(design[fit], values[fit], rcond=None)
+    # first-order error propagation, one independent error per fitted equation
+    param_se = np.sqrt(np.linalg.pinv(design[fit]) ** 2 @ errors[fit] ** 2)
+    gamma = np.zeros((4, 4))
+    se = np.zeros((4, 4))
+    rows, cols = zip(*_LSQ_POSITIONS)
+    gamma[rows, cols] = gamma[cols, rows] = solution
+    se[rows, cols] = se[cols, rows] = param_se
+    cross_check = {}
+    if canonical:
+        check = _HELD_OUT[-1]
+        measured, check_se = float(values[check]), float(errors[check])
+        predicted = float(design[check] @ solution)
+        if abs(measured - predicted) > 5.0 * check_se:
+            warnings.warn(
+                f"redundant (45, 45) cross moment {measured:.9g} deviates from the value "
+                f"{predicted:.9g} predicted by the other settings by more than 5 standard errors",
+                stacklevel=2,
+            )
+        cross_check = {
+            "cross_check_measured": measured,
+            "cross_check_predicted": predicted,
+            "cross_check_std_error": check_se,
+        }
+    return ReconstructionResult(
+        gamma_hat=covariance(gamma),
+        std_errors=se,
+        n_min=min(stats[i].n for i in used),
+        **cross_check,
+    )
 
 
 def save_dataset(ds: HomodyneDataset, path) -> None:
@@ -264,11 +320,31 @@ def load_dataset(path) -> HomodyneDataset:
     comments among the records and digit separators; records with
     non-ASCII text go to the line loop unparsed).
     Both readings give bit-identical arrays. path must therefore name a
-    file that can be read twice, not a pipe.
+    file that can be read twice, not a pipe. A file that is not valid UTF-8
+    raises DatasetParseError naming the first offending byte.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        ds = _load_dataset_columns(fh, path)
-    return ds if ds is not None else _load_dataset_lines(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ds = _load_dataset_columns(fh, path)
+        return ds if ds is not None else _load_dataset_lines(path)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path) from exc
+
+
+def _utf8_error(path) -> DatasetParseError:
+    """DatasetParseError at the first byte of path that does not decode as UTF-8."""
+    offset = 0
+    with open(path, "rb") as fh:
+        # a newline byte never occurs inside a multi-byte UTF-8 sequence
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DatasetParseError(
+                    f"{path}: byte {offset + exc.start} (line {lineno}) is not valid UTF-8", line=lineno
+                )
+            offset += len(raw)
+    return DatasetParseError(f"{path}: not valid UTF-8")
 
 
 #: one dataset record, as np.loadtxt parses it
@@ -481,102 +557,32 @@ def _match_canonical(settings) -> list:
     return idx
 
 
-def _reconstruct_canonical(stats, canonical_idx) -> ReconstructionResult:
-    used = []
-    for pos, i in enumerate(canonical_idx):
-        if stats[i] is None:
-            raise ProtocolIncompleteError(
-                f"dataset declares setting {_fmt_setting(CANONICAL_SETTINGS[pos])} but has no records for it"
-            )
-        used.append(stats[i])
-    s_xx, s_pp, s_xp, s_px, s_45 = used
-    gamma = np.zeros((4, 4))
-    se = np.zeros((4, 4))
-    gamma[0, 0], gamma[2, 2], gamma[0, 2] = s_xx.var_a, s_xx.var_b, s_xx.cov
-    gamma[1, 1], gamma[3, 3], gamma[1, 3] = s_pp.var_a, s_pp.var_b, s_pp.cov
-    gamma[0, 3] = s_xp.cov
-    gamma[1, 2] = s_px.cov
-    gamma[0, 1] = s_45.var_a - 0.5 * (gamma[0, 0] + gamma[1, 1])
-    gamma[2, 3] = s_45.var_b - 0.5 * (gamma[2, 2] + gamma[3, 3])
-    for i in range(4):
-        se[i, i] = gamma[i, i] * math.sqrt(2.0 / used[_VAR_SOURCE[i]].n)
-    se[0, 2] = _cov_se(s_xx.var_a, s_xx.var_b, s_xx.cov, s_xx.n)
-    se[1, 3] = _cov_se(s_pp.var_a, s_pp.var_b, s_pp.cov, s_pp.n)
-    se[0, 3] = _cov_se(s_xp.var_a, s_xp.var_b, s_xp.cov, s_xp.n)
-    se[1, 2] = _cov_se(s_px.var_a, s_px.var_b, s_px.cov, s_px.n)
-    se[0, 1] = _derived_intra_se(s_45.var_a, gamma[0, 0], gamma[1, 1], s_45.n, s_xx.n, s_pp.n)
-    se[2, 3] = _derived_intra_se(s_45.var_b, gamma[2, 2], gamma[3, 3], s_45.n, s_xx.n, s_pp.n)
-    gamma = gamma + np.triu(gamma, 1).T
-    se = se + np.triu(se, 1).T
-    predicted = 0.5 * (gamma[0, 2] + gamma[0, 3] + gamma[1, 2] + gamma[1, 3])
-    measured = s_45.cov
-    check_se = _cov_se(s_45.var_a, s_45.var_b, s_45.cov, s_45.n)
-    if abs(measured - predicted) > 5.0 * check_se:
-        warnings.warn(
-            f"redundant (45, 45) cross moment {measured:.9g} deviates from the value "
-            f"{predicted:.9g} predicted by the other settings by more than 5 standard errors",
-            stacklevel=3,
-        )
-    return ReconstructionResult(
-        gamma_hat=covariance(gamma),
-        std_errors=se,
-        n_min=min(m.n for m in used),
-        cross_check_measured=measured,
-        cross_check_predicted=predicted,
-        cross_check_std_error=check_se,
-    )
-
-
-#: which canonical setting (index into the used list) measures each diagonal entry
-_VAR_SOURCE = {0: 0, 1: 1, 2: 0, 3: 1}
-
-#: unknown ordering for the least-squares path, as (row, col) matrix positions
+#: unknowns of the fit, as (row, col) positions in the covariance matrix
 _LSQ_POSITIONS = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 
+#: equations left out of the fit when all five canonical settings are declared, as
+#: (canonical position, moment: 0 var_a, 1 var_b, 2 cov). The other 10 determine
+#: the entries exactly. The repeat variances of (0, 90) and (90, 0) are dropped;
+#: the (45, 45) cross moment, last, is the redundant-moment self-test.
+_HELD_OUT = ((2, 0), (2, 1), (3, 0), (3, 1), (4, 2))
 
-def _reconstruct_least_squares(settings, stats) -> ReconstructionResult:
-    rows = []
-    values = []
-    errors = []
-    counts = []
-    for s, m in zip(settings, stats):
-        if m is None:
-            continue
-        counts.append(m.n)
-        ca, sa = math.cos(math.radians(s.theta_a)), math.sin(math.radians(s.theta_a))
-        cb, sb = math.cos(math.radians(s.theta_b)), math.sin(math.radians(s.theta_b))
-        rows.append([ca * ca, 2 * ca * sa, sa * sa, 0, 0, 0, 0, 0, 0, 0])
-        values.append(m.var_a)
-        errors.append(m.var_a * math.sqrt(2.0 / m.n))
-        rows.append([0, 0, 0, cb * cb, 2 * cb * sb, sb * sb, 0, 0, 0, 0])
-        values.append(m.var_b)
-        errors.append(m.var_b * math.sqrt(2.0 / m.n))
-        rows.append([0, 0, 0, 0, 0, 0, ca * cb, ca * sb, sa * cb, sa * sb])
-        values.append(m.cov)
-        errors.append(_cov_se(m.var_a, m.var_b, m.cov, m.n))
-    if not rows:
-        raise ProtocolIncompleteError("dataset has no records")
-    design = np.array(rows)
-    if np.linalg.matrix_rank(design) < 10:
-        missing = [_fmt_setting(c) for c, i in zip(CANONICAL_SETTINGS, _match_canonical(settings)) if i is None]
-        raise ProtocolIncompleteError(
-            "measurement settings do not determine all 10 covariance entries; "
-            f"missing canonical settings: {', '.join(missing) if missing else 'none'}"
-        )
-    solution, *_ = np.linalg.lstsq(design, np.array(values), rcond=None)
-    pseudo = np.linalg.pinv(design)
-    param_cov = pseudo @ np.diag(np.array(errors) ** 2) @ pseudo.T
-    param_se = np.sqrt(np.clip(np.diag(param_cov), 0.0, None))
-    gamma = np.zeros((4, 4))
-    se = np.zeros((4, 4))
-    for value, err, (i, j) in zip(solution, param_se, _LSQ_POSITIONS):
-        gamma[i, j] = gamma[j, i] = value
-        se[i, j] = se[j, i] = err
-    return ReconstructionResult(
-        gamma_hat=covariance(gamma),
-        std_errors=se,
-        n_min=min(counts),
+
+def _moment_equations(s: MeasurementSetting, m: _SettingMoments) -> tuple:
+    """Design rows, measured values and standard errors of a setting's var_a, var_b and cov."""
+    ca, sa = math.cos(math.radians(s.theta_a)), math.sin(math.radians(s.theta_a))
+    cb, sb = math.cos(math.radians(s.theta_b)), math.sin(math.radians(s.theta_b))
+    design = (
+        (ca * ca, 2 * ca * sa, sa * sa, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, cb * cb, 2 * cb * sb, sb * sb, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, ca * cb, ca * sb, sa * cb, sa * sb),
     )
+    values = (m.var_a, m.var_b, m.cov)
+    errors = (
+        m.var_a * math.sqrt(2.0 / m.n),
+        m.var_b * math.sqrt(2.0 / m.n),
+        math.sqrt((m.var_a * m.var_b + m.cov * m.cov) / m.n),
+    )
+    return design, values, errors
 
 
 def _parse_calibration_comment(line: str, lineno: int, calib: dict, header_seen: bool) -> None:
@@ -593,18 +599,6 @@ def _parse_calibration_comment(line: str, lineno: int, calib: dict, header_seen:
                 raise DatasetParseError(f"line {lineno}: bad {key} value", line=lineno) from exc
             calib[key] = value
             return
-
-
-def _cov_se(var_a: float, var_b: float, cov: float, n: int) -> float:
-    return math.sqrt((var_a * var_b + cov * cov) / n)
-
-
-def _derived_intra_se(var_45: float, var_x: float, var_p: float, n_45: int, n_x: int, n_p: int) -> float:
-    return math.sqrt(
-        2.0 * var_45 * var_45 / n_45
-        + 0.25 * 2.0 * var_x * var_x / n_x
-        + 0.25 * 2.0 * var_p * var_p / n_p
-    )
 
 
 def _fmt_setting(s: MeasurementSetting) -> str:

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cvqkd
-from cvqkd.cli import SCAN_COLUMNS, load_config, main
+from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
@@ -108,6 +112,17 @@ def test_scan_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("sweep", ["sqz_db", "nu_b", "sigma"])
+def test_scan_leaves_config_unchanged(capsys, tmp_path, sweep):
+    path = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 120.0, "var_asqz_db": 15.0}})
+    cfg = load_config(path)
+    before = copy.deepcopy(cfg)
+    args = build_parser().parse_args(["scan", "--sweep", sweep, "--from", "0.1", "--to", "0.5", "--steps", "3"])
+    assert cmd_scan(args, cfg) == 0
+    assert len(scan_rows(capsys.readouterr().out)) == 3
+    assert cfg == before
 
 
 def test_scan_extra_loss_sweep_composes_total_loss(capsys):
@@ -230,6 +245,20 @@ def test_analyze_unphysical_covariance_names_symplectic_eigenvalue(capsys, tmp_p
     assert "entropy_f" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+@pytest.mark.parametrize(
+    "body",
+    [b"\xff", b"setting_id,theta_a_deg,theta_b_deg,sample_a,sample_b\n0,0.0,0.0,1.0,\xff\n", b'{"\xff": 1}'],
+    ids=["leading_byte", "record", "json"],
+)
+def test_non_utf8_input_exits_one(capsys, tmp_path, command, body):
+    path = tmp_path / "input.csv"
+    path.write_bytes(body)
+    rc, out, err = run(capsys, command, str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
+
+
 # --------------------------------------------------------------------- config
 
 
@@ -273,6 +302,90 @@ def test_config_validation_failures(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "simulate", "--config", str(path))
     assert rc == 1
     assert err.startswith("error:")
+
+
+#: hostile config values: NaN, infinities, huge ints, strings, bools, null and nested JSON
+_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none() | st.floats(), max_size=2),
+)
+
+
+def _field_values(default):
+    """Mostly values of the default's type, sometimes hostile ones."""
+    if isinstance(default, bool):
+        plausible = st.booleans()
+    elif isinstance(default, str):
+        plausible = st.sampled_from(["measured", "pump"])
+    elif isinstance(default, int):
+        plausible = st.integers(0, 10**7)
+    else:
+        plausible = st.floats(-20.0, 300.0)
+    return st.one_of(plausible, plausible, plausible, _HOSTILE)
+
+
+#: documents with known sections and fields only
+_KNOWN_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: st.fixed_dictionaries({}, optional={key: _field_values(v) for key, v in fields.items()})
+        for name, fields in DEFAULT_CONFIG.items()
+    },
+)
+
+
+def _with_stray_field(doc, section, key, value):
+    doc.setdefault(section, {})[key] = value
+    return doc
+
+
+_NAMES = st.sampled_from(sorted(DEFAULT_CONFIG)) | st.text(max_size=4)
+_CONFIG_DOCS = st.one_of(
+    _KNOWN_DOCS,
+    _KNOWN_DOCS,
+    st.builds(
+        _with_stray_field,
+        _KNOWN_DOCS,
+        _NAMES,
+        st.sampled_from(sorted({k for fields in DEFAULT_CONFIG.values() for k in fields})) | st.text(max_size=4),
+        _HOSTILE,
+    ),
+    st.dictionaries(_NAMES, _HOSTILE, min_size=1, max_size=2),
+    _HOSTILE,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@example(doc={"analysis": {"n_samples": 10**400}})
+@example(doc={"source": {"var_sqz_db": float("nan")}})
+@example(doc={"channel": {"nu_a": None}})
+@example(doc={"analysis": {"seed": True}})
+@example(doc={"source": {"k": {"nested": 1.0}}})
+@given(doc=_CONFIG_DOCS)
+def test_load_config_rejects_only_with_config_error(tmp_path_factory, doc):
+    """Random sections, fields and values: a valid configuration, or a ConfigError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    assert set(cfg) == set(DEFAULT_CONFIG)
+    assert cfg["source"]["mode"] in ("measured", "pump")
+    for section in ("source", "channel"):
+        for key, value in cfg[section].items():
+            if key != "mode" and value is not None:
+                assert type(value) in (int, float) and math.isfinite(value)
+    ana = cfg["analysis"]
+    assert type(ana["n_samples"]) is int and ana["n_samples"] >= 1
+    assert type(ana["seed"]) is int and ana["seed"] >= 0
+    assert type(ana["worst_case"]) is bool
 
 
 def test_config_invalid_json_and_missing_file(capsys, tmp_path):

@@ -18,7 +18,7 @@ from cvqkd.errors import (
     InvalidArgumentError,
     ProtocolIncompleteError,
 )
-from cvqkd.gaussian import apply_symplectic, rotation
+from cvqkd.gaussian import apply_symplectic, rotation, squeeze
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
 from cvqkd.tomography import (
     CANONICAL_SETTINGS,
@@ -163,6 +163,262 @@ def test_reconstruct_rejects_single_record_setting():
         reconstruct(ds)
 
 
+def _regroup(ds, order, keep=None):
+    """ds with its settings listed as ds.settings[order[k]], records unchanged.
+
+    keep, if given, is a boolean mask of the records to retain.
+    """
+    keep = np.ones(ds.n_records, dtype=bool) if keep is None else keep
+    new_id = np.argsort(order)
+    return HomodyneDataset(
+        settings=tuple(ds.settings[i] for i in order),
+        setting_ids=new_id[ds.setting_ids[keep]],
+        samples_a=ds.samples_a[keep],
+        samples_b=ds.samples_b[keep],
+    )
+
+
+def _same_result(a, b):
+    np.testing.assert_array_equal(a.gamma_hat.entries, b.gamma_hat.entries)
+    np.testing.assert_array_equal(a.std_errors, b.std_errors)
+    assert a.n_min == b.n_min
+    assert (a.cross_check_measured, a.cross_check_predicted, a.cross_check_std_error) == (
+        b.cross_check_measured,
+        b.cross_check_predicted,
+        b.cross_check_std_error,
+    )
+
+
+def test_reconstruct_shuffled_canonical_order_gives_same_result():
+    ds = sample_homodyne(rotated_state(0.4), n_per_setting=500, seed=15)
+    for order in ((4, 3, 2, 1, 0), (2, 0, 4, 1, 3)):
+        _same_result(reconstruct(_regroup(ds, order)), reconstruct(ds))
+
+
+def test_reconstruct_ignores_extra_settings_beside_canonical():
+    """A (30, 60) setting with fewer records changes neither the estimate nor n_min."""
+    extra = CANONICAL_SETTINGS + (MeasurementSetting(30.0, 60.0),)
+    full = sample_homodyne(rotated_state(0.4), settings=extra, n_per_setting=500, seed=16)
+    keep = (full.setting_ids < 5) | (np.arange(full.n_records) % 10 == 0)
+    with_extra = _regroup(full, (0, 1, 5, 2, 3, 4), keep)
+    assert with_extra.n_per_setting.min() == 50
+    canonical = sample_homodyne(rotated_state(0.4), n_per_setting=500, seed=16)
+    res = reconstruct(with_extra)
+    _same_result(res, reconstruct(canonical))
+    assert res.n_min == 500
+
+
+def test_reconstruct_rejects_empty_canonical_setting():
+    ds = sample_homodyne(default_state(), n_per_setting=20, seed=17)
+    empty = _regroup(ds, range(5), ds.setting_ids != 2)
+    with pytest.raises(
+        ProtocolIncompleteError,
+        match=r"^dataset declares setting \(theta_a=0, theta_b=90\) but has no records for it$",
+    ):
+        reconstruct(empty)
+
+
+def test_reconstruct_cross_check_warning_names_moments_and_caller():
+    """A (45, 45) cross moment of the wrong sign warns, at the line that called reconstruct."""
+    ds = sample_homodyne(default_state(), n_per_setting=2000, seed=18)
+    flipped = np.where(ds.setting_ids == 4, -ds.samples_b, ds.samples_b)
+    bad = HomodyneDataset(ds.settings, ds.setting_ids, ds.samples_a, flipped)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = reconstruct(bad)
+    assert res.cross_check_ok is False
+    assert [str(w.message) for w in caught] == [
+        f"redundant (45, 45) cross moment {res.cross_check_measured:.9g} deviates from the value "
+        f"{res.cross_check_predicted:.9g} predicted by the other settings by more than 5 standard errors"
+    ]
+    assert caught[0].filename == __file__
+
+
+# ------------------------------------- one solve against the two-path reference
+
+
+def _reference_reconstruct(ds):
+    """reconstruct with a hand-built five-setting assembly and a separate least-squares path.
+
+    The canonical branch fills the 10 entries from 10 of the 15 canonical
+    moments and writes each entry's standard error by hand; the reference
+    the single least-squares solve must reproduce.
+    """
+    stats = cvqkd.tomography._per_setting_moments(ds)
+    idx = cvqkd.tomography._match_canonical(ds.settings)
+    if None in idx:
+        return _reference_least_squares(ds.settings, stats, idx)
+    used = []
+    for want, i in zip(CANONICAL_SETTINGS, idx):
+        if stats[i] is None:
+            raise ProtocolIncompleteError(
+                f"dataset declares setting (theta_a={want.theta_a:g}, theta_b={want.theta_b:g}) "
+                "but has no records for it"
+            )
+        used.append(stats[i])
+
+    def cov_se(m):
+        return math.sqrt((m.var_a * m.var_b + m.cov * m.cov) / m.n)
+
+    def intra_se(v45, vx, vp, n45, nx, np_):
+        return math.sqrt(2.0 * v45 * v45 / n45 + 0.25 * 2.0 * vx * vx / nx + 0.25 * 2.0 * vp * vp / np_)
+
+    xx, pp, xp, px, s45 = used
+    gamma = np.zeros((4, 4))
+    se = np.zeros((4, 4))
+    gamma[0, 0], gamma[2, 2], gamma[0, 2] = xx.var_a, xx.var_b, xx.cov
+    gamma[1, 1], gamma[3, 3], gamma[1, 3] = pp.var_a, pp.var_b, pp.cov
+    gamma[0, 3], gamma[1, 2] = xp.cov, px.cov
+    gamma[0, 1] = s45.var_a - 0.5 * (gamma[0, 0] + gamma[1, 1])
+    gamma[2, 3] = s45.var_b - 0.5 * (gamma[2, 2] + gamma[3, 3])
+    for i, m in enumerate((xx, pp, xx, pp)):
+        se[i, i] = gamma[i, i] * math.sqrt(2.0 / m.n)
+    se[0, 2], se[1, 3], se[0, 3], se[1, 2] = cov_se(xx), cov_se(pp), cov_se(xp), cov_se(px)
+    se[0, 1] = intra_se(s45.var_a, gamma[0, 0], gamma[1, 1], s45.n, xx.n, pp.n)
+    se[2, 3] = intra_se(s45.var_b, gamma[2, 2], gamma[3, 3], s45.n, xx.n, pp.n)
+    gamma = gamma + np.triu(gamma, 1).T
+    se = se + np.triu(se, 1).T
+    predicted = 0.5 * (gamma[0, 2] + gamma[0, 3] + gamma[1, 2] + gamma[1, 3])
+    if abs(s45.cov - predicted) > 5.0 * cov_se(s45):
+        warnings.warn(
+            f"redundant (45, 45) cross moment {s45.cov:.9g} deviates from the value "
+            f"{predicted:.9g} predicted by the other settings by more than 5 standard errors"
+        )
+    return cvqkd.tomography.ReconstructionResult(
+        gamma_hat=cvqkd.tomography.covariance(gamma),
+        std_errors=se,
+        n_min=min(m.n for m in used),
+        cross_check_measured=s45.cov,
+        cross_check_predicted=predicted,
+        cross_check_std_error=cov_se(s45),
+    )
+
+
+def _reference_least_squares(settings, stats, idx):
+    rows, values, errors = [], [], []
+    for s, m in zip(settings, stats):
+        if m is None:
+            continue
+        ca, sa = math.cos(math.radians(s.theta_a)), math.sin(math.radians(s.theta_a))
+        cb, sb = math.cos(math.radians(s.theta_b)), math.sin(math.radians(s.theta_b))
+        rows += [
+            [ca * ca, 2 * ca * sa, sa * sa, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, cb * cb, 2 * cb * sb, sb * sb, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, ca * cb, ca * sb, sa * cb, sa * sb],
+        ]
+        values += [m.var_a, m.var_b, m.cov]
+        errors += [m.var_a * math.sqrt(2.0 / m.n), m.var_b * math.sqrt(2.0 / m.n)]
+        errors.append(math.sqrt((m.var_a * m.var_b + m.cov * m.cov) / m.n))
+    if not rows:
+        raise ProtocolIncompleteError("dataset has no records")
+    design = np.array(rows)
+    if np.linalg.matrix_rank(design) < 10:
+        missing = [
+            f"(theta_a={c.theta_a:g}, theta_b={c.theta_b:g})" for c, i in zip(CANONICAL_SETTINGS, idx) if i is None
+        ]
+        raise ProtocolIncompleteError(
+            "measurement settings do not determine all 10 covariance entries; "
+            f"missing canonical settings: {', '.join(missing) if missing else 'none'}"
+        )
+    solution, *_ = np.linalg.lstsq(design, np.array(values), rcond=None)
+    pseudo = np.linalg.pinv(design)
+    param_se = np.sqrt(np.clip(np.diag(pseudo @ np.diag(np.array(errors) ** 2) @ pseudo.T), 0.0, None))
+    gamma = np.zeros((4, 4))
+    se = np.zeros((4, 4))
+    positions = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3))
+    for value, err, (i, j) in zip(solution, param_se, positions):
+        gamma[i, j] = gamma[j, i] = value
+        se[i, j] = se[j, i] = err
+    return cvqkd.tomography.ReconstructionResult(
+        gamma_hat=cvqkd.tomography.covariance(gamma), std_errors=se, n_min=min(m.n for m in stats if m)
+    )
+
+
+def _reconstruct_outcome(rec, ds):
+    """(result or (error class, message), warning messages) of rec on ds."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = rec(ds)
+        except CvqkdError as exc:
+            out = (type(exc), str(exc))
+    return out, [str(w.message) for w in caught]
+
+
+def _canonical_plus_extra(rng):
+    at = int(rng.integers(6))
+    return CANONICAL_SETTINGS[:at] + (MeasurementSetting(30.0, 60.0),) + CANONICAL_SETTINGS[at:]
+
+
+def _four_canonical_plus_two(rng):
+    drop = int(rng.integers(5))
+    kept = CANONICAL_SETTINGS[:drop] + CANONICAL_SETTINGS[drop + 1 :]
+    return kept + (MeasurementSetting(45.0, 0.0), MeasurementSetting(0.0, 45.0))
+
+
+def _random_settings(rng):
+    angles = rng.integers(0, 180, size=(int(rng.integers(4, 8)), 2))
+    return tuple(MeasurementSetting(float(a), float(b)) for a, b in angles)
+
+
+#: setting lists of the differential test, by name; each maps a random generator to settings
+_LAYOUTS = {
+    "canonical": lambda rng: CANONICAL_SETTINGS,
+    "shuffled": lambda rng: tuple(CANONICAL_SETTINGS[i] for i in rng.permutation(5)),
+    "extra": _canonical_plus_extra,
+    "four_canonical_plus_two": _four_canonical_plus_two,
+    "non_canonical": _random_settings,
+    "underdetermined": lambda rng: CANONICAL_SETTINGS[:4],
+}
+
+
+def test_reconstruct_matches_two_path_reference():
+    """One least-squares solve gives the hand-built canonical assembly's numbers, and the old solve's."""
+    seen = set()
+    for case in range(300):
+        rng = np.random.default_rng(case)
+        layout = sorted(_LAYOUTS)[case % len(_LAYOUTS)]
+        local = np.zeros((4, 4))
+        local[0:2, 0:2] = rotation(rng.uniform(0, math.pi)) @ squeeze(rng.uniform(-1.0, 1.0))
+        local[2:4, 2:4] = rotation(rng.uniform(0, math.pi)) @ squeeze(rng.uniform(-1.0, 1.0))
+        g = apply_symplectic(default_state(), local)
+        n = int(rng.integers(50, 5001))
+        ds = sample_homodyne(g, settings=_LAYOUTS[layout](rng), n_per_setting=n, seed=case)
+        tweak = case // len(_LAYOUTS) % 3
+        if tweak == 1:
+            # the (45, 45) cross moment, where measured, of the wrong sign, so the cross check warns
+            at45 = np.array([s == CANONICAL_SETTINGS[4] for s in ds.settings])[ds.setting_ids]
+            flipped = np.where(at45, -ds.samples_b, ds.samples_b)
+            ds = HomodyneDataset(ds.settings, ds.setting_ids, ds.samples_a, flipped)
+        elif tweak == 2:
+            # one declared setting loses its records, another keeps a quarter of them
+            empty, short = rng.choice(len(ds.settings), size=2, replace=False)
+            keep = (ds.setting_ids != empty) & ((ds.setting_ids != short) | (np.arange(ds.n_records) % 4 == 0))
+            ds = _regroup(ds, range(len(ds.settings)), keep)
+        got, got_warnings = _reconstruct_outcome(reconstruct, ds)
+        want, want_warnings = _reconstruct_outcome(_reference_reconstruct, ds)
+        assert got_warnings == want_warnings, case
+        if isinstance(want, tuple):
+            assert got == want, case
+            seen.add((layout, want[0].__name__))
+            continue
+        scale = 1e-12 * np.abs(want.gamma_hat.entries).max()
+        np.testing.assert_allclose(got.gamma_hat.entries, want.gamma_hat.entries, rtol=0, atol=scale)
+        np.testing.assert_allclose(got.std_errors, want.std_errors, rtol=0, atol=scale)
+        assert got.n_min == want.n_min, case
+        assert got.cross_check_measured == want.cross_check_measured, case
+        assert got.cross_check_std_error == want.cross_check_std_error, case
+        if want.cross_check_predicted is None:
+            assert got.cross_check_predicted is None, case
+        else:
+            assert abs(got.cross_check_predicted - want.cross_check_predicted) <= scale, case
+        seen.add((layout, "warned" if want_warnings else "ok"))
+    for layout in ("canonical", "shuffled", "extra"):
+        assert {(layout, "ok"), (layout, "warned"), (layout, "ProtocolIncompleteError")} <= seen
+    assert {("non_canonical", "ok"), ("four_canonical_plus_two", "ok")} <= seen
+    assert ("underdetermined", "ProtocolIncompleteError") in seen
+
+
 def test_reconstruct_rejects_bad_calibration():
     ds = sample_homodyne(default_state(), n_per_setting=4, seed=0)
     bad = HomodyneDataset(
@@ -304,6 +560,23 @@ def test_load_empty_inputs(tmp_path):
             warnings.simplefilter("error")
             with pytest.raises(EmptyDatasetError, match="header but no records"):
                 load_dataset(write(tmp_path, body))
+
+
+def test_load_rejects_non_utf8_bytes(tmp_path):
+    """The error names the path and the file offset of the first bad byte, past any decode buffer."""
+    records = "".join(f"0,0.0,0.0,{i}.5,1.0\n" for i in range(2000))
+    cases = [
+        (b"\xff" + HEADER.encode(), 0, 1),
+        (HEADER.encode() + b"0,0.0,0.0,1.0,\xff\n", len(HEADER) + 14, 2),
+        ((HEADER + records).encode() + b"0,0.0,0.0,\xe2\x82,1.0\n", len(HEADER) + len(records) + 10, 2002),
+    ]
+    path = tmp_path / "bytes.csv"
+    for body, offset, line in cases:
+        path.write_bytes(body)
+        with pytest.raises(DatasetParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: byte {offset} (line {line}) is not valid UTF-8"
+        assert info.value.line == line
 
 
 def test_save_dataset_writes_one_repr_line_per_record():
