@@ -21,7 +21,7 @@ run whose nominal key rate is not positive.
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import json
 import sys
 
@@ -138,8 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and shared by every later one.
+
+    parse_args keeps no state between calls: each returns a new namespace
+    filled from the parser's defaults.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         _apply_flag_overrides(cfg, args)
@@ -152,7 +162,8 @@ def main(argv=None) -> int:
 
 def load_config(path=None) -> dict:
     """DEFAULT_CONFIG with the JSON file at path merged over it, validated."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    # one level deep is a full copy: every value is a scalar or None
+    cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .gaussian import (
     normal_form,
     normal_form_matrix,
     symplectic_eigenvalues,
+    symplectic_eigenvalues_from_invariants,
     symplectic_form,
 )
 
@@ -127,7 +128,7 @@ class KeyRateReport:
 
     def as_dict(self) -> dict:
         """Plain-dict form with the same field names, for JSON output."""
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -223,21 +224,7 @@ def holevo_oracle(g: CovarianceMatrix, direction: str) -> tuple[float, float]:
     """
     _require_two_modes(g)
     measured = 0 if _normalize_direction(direction) == "A" else 1
-    other = 1 - measured
-    d_plus, d_minus = symplectic_eigenvalues(g)
-    s_e = entropy_f(d_plus) + entropy_f(d_minus)
-    m = g.entries
-    out = []
-    for quad in (0, 1):
-        idx = 2 * measured + quad
-        var = m[idx, idx]
-        if var <= 0.0:
-            raise InvalidStateError(f"variance of measured quadrature {idx} is not positive: {var}")
-        c = m[2 * other : 2 * other + 2, idx]
-        cond = m[2 * other : 2 * other + 2, 2 * other : 2 * other + 2] - np.outer(c, c) / var
-        det = float(cond[0, 0] * cond[1, 1] - cond[0, 1] * cond[1, 0])
-        out.append(s_e - entropy_f(math.sqrt(max(det, 0.0))))
-    return out[0], out[1]
+    return _holevo_oracle(g.entries, measured, _joint_entropy(symplectic_eigenvalues(g)))
 
 
 def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyRateReport:
@@ -247,12 +234,17 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     oracle-path branch detail attached. Negative rates are reported as-is
     and flagged. When n_samples is given the finite-statistics worst case
     is computed as well.
+
+    The invariants are computed once, and so is the joint entropy
+    S(E) = f(d_plus) + f(d_minus) that both oracle directions subtract from.
     """
     _require_two_modes(g)
-    k_nominal, mi, chi_a, chi_b, inter = _formula_rate(invariants(g))
+    inv = invariants(g)
+    k_nominal, mi, chi_a, chi_b, inter = _formula_rate(inv)
     mi_x, mi_p = mi_oracle(g)
-    chi_a_x, chi_a_p = holevo_oracle(g, "A")
-    chi_b_x, chi_b_p = holevo_oracle(g, "B")
+    s_e = _joint_entropy(symplectic_eigenvalues_from_invariants(inv))
+    chi_a_x, chi_a_p = _holevo_oracle(g.entries, 0, s_e)
+    chi_b_x, chi_b_p = _holevo_oracle(g.entries, 1, s_e)
     k_branch_x = mi_x - max(chi_a_x, chi_b_x)
     k_branch_p = mi_p - max(chi_a_p, chi_b_p)
     k_worst = worst_case_key_rate(g, n_samples) if n_samples is not None else None
@@ -329,6 +321,28 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
         value=min(float(rates.min()), _formula_rate(invariants(g))[0]),
         n_corners_physical=n_physical,
     )
+
+
+def _joint_entropy(d: tuple[float, float]) -> float:
+    """S(E) = f(d_plus) + f(d_minus) of the symplectic eigenvalues d."""
+    return entropy_f(d[0]) + entropy_f(d[1])
+
+
+def _holevo_oracle(m: np.ndarray, measured: int, s_e: float) -> tuple[float, float]:
+    """holevo_oracle on the entries m, measured party 0 (A) or 1 (B), with
+    the joint entropy s_e given."""
+    other = 1 - measured
+    out = []
+    for quad in (0, 1):
+        idx = 2 * measured + quad
+        var = m[idx, idx]
+        if var <= 0.0:
+            raise InvalidStateError(f"variance of measured quadrature {idx} is not positive: {var}")
+        c = m[2 * other : 2 * other + 2, idx]
+        cond = m[2 * other : 2 * other + 2, 2 * other : 2 * other + 2] - np.outer(c, c) / var
+        det = float(cond[0, 0] * cond[1, 1] - cond[0, 1] * cond[1, 0])
+        out.append(s_e - entropy_f(math.sqrt(max(det, 0.0))))
+    return out[0], out[1]
 
 
 def _formula_rate(inv: SymplecticInvariants) -> tuple:

@@ -40,18 +40,18 @@ from .errors import InvalidArgumentError, OutOfRangeError
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
-    apply_symplectic,
     balanced_beamsplitter,
     covariance,
     db_to_variance,
     squeezed_vacuum,
-    tensor,
-    vacuum,
     variance_to_db,
 )
 
 #: pump model evaluated only up to this multiple of the threshold power
 PUMP_GUARD_FACTOR = 1.05
+
+#: the symplectic matrix of the source's beam splitter, built once
+_BEAMSPLITTER = balanced_beamsplitter()
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,7 @@ def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
     nus = _per_mode(nu, g.n_modes, "nu")
     if np.any(nus < 0.0) or np.any(nus > 1.0):
         raise InvalidArgumentError(f"loss values must lie in [0, 1], got {list(nus)}")
-    if np.all(nus == nus[0]):
-        v = float(nus[0])
-        return covariance((1.0 - v) * g.entries + v * np.eye(g.dim))
-    gdiag = np.repeat(np.sqrt(1.0 - nus), 2)
-    scale = np.outer(gdiag, gdiag)
-    out = scale * g.entries + np.diag(1.0 - gdiag * gdiag)
-    return covariance(out)
+    return covariance(_loss(g.entries, nus))
 
 
 def detection_noise(g: CovarianceMatrix, delta) -> CovarianceMatrix:
@@ -236,7 +230,7 @@ def detection_noise(g: CovarianceMatrix, delta) -> CovarianceMatrix:
     deltas = _per_mode(delta, g.n_modes, "delta")
     if np.any(deltas < 0.0):
         raise InvalidArgumentError(f"detection noise must be non-negative, got {list(deltas)}")
-    return covariance(g.entries + np.diag(np.repeat(deltas, 2)))
+    return covariance(_detection(g.entries, deltas))
 
 
 def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
@@ -255,8 +249,28 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
         raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {list(sigmas)}")
     if np.all(sigmas == 0.0):
         return g
-    n = g.n_modes
-    m = g.entries
+    return covariance(_phase_noise(g.entries, sigmas))
+
+
+# The channel arithmetic on raw matrices, without argument checks or
+# validation: the public maps above wrap each in covariance(), and
+# _pipeline chains them and validates once.
+
+
+def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    if np.all(nus == nus[0]):
+        v = float(nus[0])
+        return (1.0 - v) * m + v * np.eye(len(m))
+    gdiag = np.repeat(np.sqrt(1.0 - nus), 2)
+    return np.outer(gdiag, gdiag) * m + np.diag(1.0 - gdiag * gdiag)
+
+
+def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    return m + np.diag(np.repeat(deltas, 2))
+
+
+def _phase_noise(m: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    n = len(sigmas)
     out = np.empty_like(m)
     for i in range(n):
         for j in range(n):
@@ -274,7 +288,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
             else:
                 f = math.exp(-(sigmas[i] ** 2 + sigmas[j] ** 2) / 2.0)
                 out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = f * blk
-    return covariance((out + out.T) / 2.0)
+    return (out + out.T) / 2.0
 
 
 def phase_noise_monte_carlo(
@@ -368,6 +382,11 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     Per-arm loss is the incremental value (loss - epsilon)/(1 - epsilon)
     for measured inputs (epsilon is already inside the measured figure) and
     the full configured loss for pure-r inputs.
+
+    The two-mode state is validated once: the stages run on a raw array
+    and only the result is wrapped by covariance(). It equals, bit for bit,
+    the composition of tensor, apply_symplectic, loss_channel,
+    phase_noise_channel and detection_noise.
     """
     ch = channel if channel is not None else ChannelParams()
     if isinstance(spec, SourceParams):
@@ -415,15 +434,25 @@ def _incremental_loss(total: float, epsilon: float, name: str) -> float:
 
 
 def _pipeline(single_mode: CovarianceMatrix, nu_a: float, nu_b: float, ch: ChannelParams) -> CovarianceMatrix:
-    g = tensor(single_mode, vacuum(1))
-    g = apply_symplectic(g, balanced_beamsplitter())
+    """tensor with vacuum, _BEAMSPLITTER, loss, phase noise and detection
+    noise on one raw 4x4 array, validated once by the final covariance().
+
+    Each step's result is exactly symmetric, so the validation that the
+    public maps apply after every step would change nothing in between; the
+    channel values come checked from ChannelParams.
+    """
+    m = np.zeros((4, 4))
+    m[:2, :2] = single_mode.entries
+    m[2, 2] = m[3, 3] = 1.0
+    m = _BEAMSPLITTER @ m @ _BEAMSPLITTER.T
+    m = (m + m.T) / 2.0
     if nu_a != 0.0 or nu_b != 0.0:
-        g = loss_channel(g, [nu_a, nu_b])
+        m = _loss(m, np.array([nu_a, nu_b], dtype=float))
     if ch.phase_sigma_a != 0.0 or ch.phase_sigma_b != 0.0:
-        g = phase_noise_channel(g, [ch.phase_sigma_a, ch.phase_sigma_b])
+        m = _phase_noise(m, np.array([ch.phase_sigma_a, ch.phase_sigma_b], dtype=float))
     if ch.det_noise_a != 0.0 or ch.det_noise_b != 0.0:
-        g = detection_noise(g, [ch.det_noise_a, ch.det_noise_b])
-    return g
+        m = _detection(m, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
+    return covariance(m)
 
 
 def _per_mode(value, n_modes: int, name: str) -> np.ndarray:

@@ -48,6 +48,9 @@ from .gaussian import CovarianceMatrix, _require_two_modes, covariance
 #: angle tolerance (degrees) when matching a setting against the canonical list
 ANGLE_TOL = 1e-9
 
+#: the largest array numpy can allocate, in bytes
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 DATASET_HEADER = "setting_id,theta_a_deg,theta_b_deg,sample_a,sample_b"
 
 
@@ -173,7 +176,8 @@ def sample_homodyne(
     given seed; each setting uses an independent child stream spawned from
     the master seed (spawn key = setting index), so settings could be
     sampled in parallel without changing the data. Calibration is 1.0, the
-    samples are already in vacuum units.
+    samples are already in vacuum units. A count too large for a numpy
+    array, or for memory, raises InvalidArgumentError.
     """
     _require_two_modes(g)
     settings = tuple(settings)
@@ -181,22 +185,35 @@ def sample_homodyne(
         raise InvalidArgumentError("at least one measurement setting is required")
     if n_per_setting < 2:
         raise InvalidArgumentError(f"n_per_setting must be at least 2, got {n_per_setting}")
+    # numpy sizes an array in bytes by a signed pointer-sized integer; the
+    # largest arrays here are one setting's (n, 2) draws and the columns
+    # of all settings, 8 bytes an entry
+    if n_per_setting > min(_MAX_ARRAY_BYTES // 16, _MAX_ARRAY_BYTES // (8 * len(settings))):
+        raise InvalidArgumentError(
+            f"n_per_setting = {n_per_setting} over {len(settings)} settings is more records "
+            "than a numpy array can hold"
+        )
     ids = []
     cols_a = []
     cols_b = []
-    for idx, s in enumerate(settings):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        chol = np.linalg.cholesky(marginal_covariance(g, s))
-        draws = rng.standard_normal((n_per_setting, 2)) @ chol.T
-        ids.append(np.full(n_per_setting, idx, dtype=int))
-        cols_a.append(draws[:, 0])
-        cols_b.append(draws[:, 1])
-    return HomodyneDataset(
-        settings=settings,
-        setting_ids=np.concatenate(ids),
-        samples_a=np.concatenate(cols_a),
-        samples_b=np.concatenate(cols_b),
-    )
+    try:
+        for idx, s in enumerate(settings):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+            chol = np.linalg.cholesky(marginal_covariance(g, s))
+            draws = rng.standard_normal((n_per_setting, 2)) @ chol.T
+            ids.append(np.full(n_per_setting, idx, dtype=int))
+            cols_a.append(draws[:, 0])
+            cols_b.append(draws[:, 1])
+        return HomodyneDataset(
+            settings=settings,
+            setting_ids=np.concatenate(ids),
+            samples_a=np.concatenate(cols_a),
+            samples_b=np.concatenate(cols_b),
+        )
+    except MemoryError as exc:
+        raise InvalidArgumentError(
+            f"n_per_setting = {n_per_setting} over {len(settings)} settings does not fit in memory"
+        ) from exc
 
 
 def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd
+from cvqkd import cli
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json
@@ -173,6 +174,15 @@ def test_sample_then_reconstruct_round_trip(capsys, tmp_path):
     expected = make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams())
     se = np.asarray(doc["std_errors"])
     assert (np.abs(g.entries - expected.entries) / se).max() < 5.0
+
+
+@pytest.mark.parametrize("n", [10**30, 2**63])
+def test_sample_extreme_count_exits_one(capsys, tmp_path, n):
+    data = tmp_path / "records.csv"
+    rc, out, err = run(capsys, "sample", "--n", str(n), "--out", str(data))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and str(n) in err
+    assert not data.exists()
 
 
 def test_sample_writes_to_stdout(capsys):
@@ -423,6 +433,46 @@ def test_usage_errors_exit_one(capsys):
         main([])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+#: argv lists whose outputs would differ if one call's arguments leaked
+#: into the next through the shared parser
+_REUSE_SEQUENCE = (
+    ("simulate", "--worst-case", "--n", "1000"),
+    ("simulate",),
+    ("scan", "--sweep", "nu_b", "--from", "0", "--to", "0.1", "--steps", "3", "--n", "500"),
+    ("scan", "--sweep", "nu_b", "--from", "0", "--to", "0.1", "--steps", "3"),
+    ("scan", "--sweep", "entropy", "--from", "0", "--to", "1", "--steps", "3"),
+    ("simulate", "--seed", "7"),
+)
+
+
+def _run_sequence(capsys):
+    results = []
+    for argv in _REUSE_SEQUENCE:
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    shared = _run_sequence(capsys)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _run_sequence(capsys)
+    assert shared == fresh
+    codes = [rc for rc, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 1, 0]
+    assert json.loads(shared[0][1])["report"]["k_worst_case"] is not None
+    assert json.loads(shared[1][1])["report"]["k_worst_case"] is None
+    assert [row[9] for row in scan_rows(shared[2][1])] == ["500"] * 3
+    assert [row[9] for row in scan_rows(shared[3][1])] == ["1000000"] * 3
+    assert "invalid choice" in shared[4][2]
+    assert shared[5][1] == shared[1][1]
 
 
 def test_load_config_direct_error_type(tmp_path):

@@ -1,13 +1,16 @@
 """Source model, loss and detection channels, phase noise, state assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cvqkd.errors import InvalidArgumentError, OutOfRangeError
+import cvqkd.noise
+from cvqkd.errors import InvalidArgumentError, InvalidStateError, OutOfRangeError
 from cvqkd.gaussian import (
     apply_symplectic,
+    balanced_beamsplitter,
     covariance,
     db_to_variance,
     epr_product,
@@ -431,3 +434,105 @@ def test_make_epr_state_output_is_physical():
         )
         g = make_epr_state(SqueezingSpec(r=float(rng.uniform(0.0, 2.2))), ch)
         assert is_physical(g)
+
+
+# ------------------------------------------- one-pass pipeline, differential
+
+
+def _reference_pipeline(single_mode, nu_a, nu_b, ch):
+    """make_epr_state's stages as the composition of the public maps, each
+    result validated by covariance()."""
+    g = tensor(single_mode, vacuum(1))
+    g = apply_symplectic(g, balanced_beamsplitter())
+    if nu_a != 0.0 or nu_b != 0.0:
+        g = loss_channel(g, [nu_a, nu_b])
+    if ch.phase_sigma_a != 0.0 or ch.phase_sigma_b != 0.0:
+        g = phase_noise_channel(g, [ch.phase_sigma_a, ch.phase_sigma_b])
+    if ch.det_noise_a != 0.0 or ch.det_noise_b != 0.0:
+        g = detection_noise(g, [ch.det_noise_a, ch.det_noise_b])
+    return g
+
+
+def _random_spec(rng, kind):
+    if kind == "measured value":
+        return SqueezingSpec(var_sqz_db=float(rng.uniform(-12.0, -1.0)))
+    if kind == "measured pair":
+        sqz = float(rng.uniform(-12.0, -1.0))
+        return SqueezingSpec(var_sqz_db=sqz, var_asqz_db=float(rng.uniform(-sqz - 3.0, -sqz + 8.0)))
+    if kind == "pure r":
+        return SqueezingSpec(r=float(rng.uniform(0.0, 2.5)))
+    return SourceParams(p_mw=float(rng.uniform(0.0, 280.0)))
+
+
+def _random_channel(rng, arms):
+    eps = float(rng.uniform(0.0, 0.1))
+    loss_a = float(rng.uniform(eps, 0.3))
+    loss_b = loss_a if arms == "equal" else float(rng.uniform(eps, 0.3))
+    terms = dict(
+        epsilon=eps,
+        loss_a=loss_a,
+        loss_b=loss_b,
+        det_noise_a=float(rng.uniform(0.0, 0.05)),
+        det_noise_b=float(rng.uniform(0.0, 0.05)),
+        phase_sigma_a=float(rng.uniform(0.0, 0.3)),
+        phase_sigma_b=float(rng.uniform(0.0, 0.3)),
+    )
+    if arms == "zero terms":
+        for name in terms:
+            if rng.uniform() < 0.5:
+                terms[name] = 0.0
+    return ChannelParams(**terms)
+
+
+def _differential_cases():
+    rng = np.random.default_rng(808)
+    kinds = ("measured value", "measured pair", "pure r", "pump")
+    cases = [
+        (_random_spec(rng, kind), _random_channel(rng, arms))
+        for _ in range(20)
+        for kind in kinds
+        for arms in ("equal", "unequal", "zero terms")
+    ]
+    cases += [
+        (SqueezingSpec(r=0.0), zero_channel()),
+        (SqueezingSpec(r=1.0), ChannelParams(epsilon=0.0, loss_a=1.0, loss_b=1.0)),
+        (SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=13.0), ChannelParams()),
+        (SqueezingSpec(var_sqz_db=-15.0, var_asqz_db=16.6), ChannelParams()),
+        (SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6), ChannelParams(loss_a=0.01)),
+        (SourceParams(p_mw=275.0), ChannelParams()),
+        (SqueezingSpec(var_sqz_db=-11.1), ChannelParams(det_noise_a=math.inf)),
+        (SqueezingSpec(var_sqz_db=-11.1), ChannelParams(phase_sigma_b=math.nan)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases.append((SqueezingSpec(r=-0.2), ChannelParams()))
+    return cases
+
+
+def _epr_state_outcome(spec, ch):
+    """(entries or (error type, message), warnings as (text, category, file, line))."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = make_epr_state(spec, ch).entries
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
+    cases = _differential_cases()
+    one_pass = [_epr_state_outcome(spec, ch) for spec, ch in cases]
+    monkeypatch.setattr(cvqkd.noise, "_pipeline", _reference_pipeline)
+    composed = [_epr_state_outcome(spec, ch) for spec, ch in cases]
+    for (spec, ch), (got, got_warnings), (want, want_warnings) in zip(cases, one_pass, composed):
+        if isinstance(want, tuple):
+            assert got == want, (spec, ch)
+        else:
+            assert np.array_equal(got, want), (spec, ch)
+        assert got_warnings == want_warnings, (spec, ch)
+    # the cases reach states, errors and warnings alike
+    errors = [want for want, _ in composed if isinstance(want, tuple)]
+    assert len(errors) < len(cases) // 4
+    assert {kind for kind, _ in errors} >= {InvalidArgumentError, InvalidStateError}
+    assert sum(bool(w) for _, w in composed) >= 10

@@ -102,6 +102,34 @@ def test_sample_homodyne_rejects_degenerate_requests():
         sample_homodyne(default_state(), settings=())
 
 
+@pytest.mark.parametrize(
+    "settings, n",
+    [
+        (CANONICAL_SETTINGS[:1], 10**30),
+        (CANONICAL_SETTINGS[:1], 2**63),
+        (CANONICAL_SETTINGS, 10**30),
+        (CANONICAL_SETTINGS, 2**63),
+        # one setting's draws fit in an array, five settings' columns do not
+        (CANONICAL_SETTINGS, 2**59 - 1),
+    ],
+)
+def test_sample_homodyne_rejects_counts_numpy_cannot_hold(settings, n):
+    with pytest.raises(InvalidArgumentError, match="more records than a numpy array can hold"):
+        sample_homodyne(default_state(), settings=settings, n_per_setting=n)
+
+
+class _GeneratorWithoutMemory:
+    def standard_normal(self, size):
+        raise MemoryError
+
+
+def test_sample_homodyne_out_of_memory_is_a_typed_error(monkeypatch):
+    g = default_state()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorWithoutMemory())
+    with pytest.raises(InvalidArgumentError, match="does not fit in memory"):
+        sample_homodyne(g, n_per_setting=4)
+
+
 def test_sample_homodyne_dataset_shape():
     ds = sample_homodyne(default_state(), n_per_setting=8, seed=0)
     assert ds.n_records == 40
