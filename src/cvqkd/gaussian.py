@@ -202,11 +202,43 @@ def balanced_beamsplitter() -> np.ndarray:
 def is_physical(g: CovarianceMatrix, tol: float = DEFAULT_TOL) -> bool:
     """True when Gamma + i*Omega is positive semidefinite within tol.
 
-    Equivalent to all symplectic eigenvalues being >= 1 - tol.
+    tol bounds the least eigenvalue of the Hermitian matrix Gamma + i*Omega:
+    the state passes when that eigenvalue is >= -tol. At tol = 0 this is
+    equivalent to all symplectic eigenvalues being >= 1, but tol is not a
+    margin on the symplectic eigenvalues: a reconstructed state with
+    nu_minus = 0.9396 passes at tol = 0.05, because the least eigenvalue of
+    its Gamma + i*Omega is -0.0438.
     """
-    omega = symplectic_form(g.n_modes)
-    eigs = np.linalg.eigvalsh(g.entries + 1j * omega)
-    return bool(eigs.min() >= -tol)
+    return bool(_physical(g.entries, tol))
+
+
+def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
+    """is_physical for every matrix of a (..., 2n, 2n) stack, as a bool array.
+
+    H = Gamma + i*Omega + tol*I is tested for positive definiteness by
+    eliminating one pivot at a time (the Schur complement, no pivoting): a
+    matrix passes when every pivot is positive. A pivot that is already
+    <= 0 is replaced by 1 before it divides, and a pivot that overflows to
+    inf or NaN fails, so no numpy warning fires on any finite input.
+
+    Rounding in the pivots is about eps * ||Gamma||, so where that nears tol
+    neither this test nor an eigensolver resolves the boundary. At the
+    default tol = 1e-9, over the worst-case boxes of a two-mode squeezed
+    vacuum for n = 1e2 ... 1e12, this test and a Hermitian eigensolver
+    agree on every corner up to r = 6 (||Gamma|| = 8e4), and differ on 0.7%
+    of the corners at r = 7 and on 10% at r = 8 (||Gamma|| = 4e6).
+    """
+    dim = stack.shape[-1]
+    h = stack + (1j * symplectic_form(dim // 2) + tol * np.eye(dim))
+    h = np.ascontiguousarray(h.transpose(-2, -1, *range(stack.ndim - 2)))  # h[i, j]: entry (i, j) of every matrix
+    ok = np.ones(stack.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(dim):
+            pivot = h[0, 0].real
+            ok &= pivot > 0.0
+            col = h[1:, 0] / np.where(ok, pivot, 1.0)
+            h = h[1:, 1:] - col[:, np.newaxis] * h[0, 1:]
+    return ok
 
 
 @dataclass(frozen=True)
@@ -227,9 +259,21 @@ class SymplecticInvariants:
 
 
 def invariants(g: CovarianceMatrix) -> SymplecticInvariants:
-    """Block determinants of a two-mode covariance matrix."""
+    """Block determinants of a two-mode covariance matrix.
+
+    InvalidStateError is raised when entries are so large that the
+    invariants, or the square of Delta = i1 + i2 + 2*i3 that the symplectic
+    eigenvalues need, overflow the float range.
+    """
     _require_two_modes(g)
-    return SymplecticInvariants(*map(float, _invariant_values(g.entries)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = SymplecticInvariants(*map(float, _invariant_values(g.entries)))
+    delta = inv.i1 + inv.i2 + 2.0 * inv.i3  # Python floats overflow to inf without a warning
+    if not math.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime):
+        raise InvalidStateError(
+            f"covariance entries up to {np.abs(g.entries).max():.3g} overflow the symplectic invariants"
+        )
+    return inv
 
 
 def _invariant_values(m: np.ndarray) -> tuple:

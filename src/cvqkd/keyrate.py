@@ -24,10 +24,11 @@ raise typed errors on the kernel's unclamped values instead.
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
-rate is minimized over the 1024 corners of that uncertainty box (screened
-for physicality as one batch and rated by the kernel over (..., 4, 4)
-stacks), together with a closed-form candidate minimizer in the
-normal-form basis as a cross check.
+rate is minimized over the 1024 corners of that uncertainty box, together
+with a closed-form candidate minimizer in the normal-form basis as a cross
+check. Corners and candidate form one (1025, 4, 4) stack, screened for
+physicality by one call of the pivot test gaussian._physical and rated by
+one call of the kernel.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .gaussian import (
     _check_symplectic_squares,
     _clamp,
     _invariant_values,
+    _physical,
     _radicands,
     _require_two_modes,
     conditional_variance,
@@ -62,7 +64,6 @@ from .gaussian import (
     normal_form_matrix,
     symplectic_eigenvalues,
     symplectic_eigenvalues_from_invariants,
-    symplectic_form,
 )
 
 #: index pairs of the 10 independent entries of a symmetric 4x4 matrix
@@ -283,32 +284,30 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
-    All corners are screened by one batched eigvalsh of corner + i*Omega and
-    rated, with the candidate, by one vectorized kernel. DegenerateBoxError
-    is raised when no corner is physical, before the other terms are built.
+    The corners and the candidate are stacked, screened for physicality by
+    one pivot test of Gamma + i*Omega (gaussian._physical) and rated by one
+    vectorized kernel. DegenerateBoxError is raised when no corner is
+    physical, before any rate is computed; the normal form that the
+    candidate needs is built before that, so its own errors come first.
     """
     _require_two_modes(g)
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     t = 1.0 / math.sqrt(n)
-    omega = symplectic_form(2)
-    corners = g.entries * (1.0 + t * _CORNER_SIGNS)
-    physical = np.linalg.eigvalsh(corners + 1j * omega).min(axis=-1) >= -DEFAULT_TOL
-    n_physical = int(np.count_nonzero(physical))
-    if n_physical == 0:
-        raise DegenerateBoxError(
-            f"no physical matrix among the {len(corners)} uncertainty-box corners at n = {n:g}",
-            n_samples=n,
-        )
     nf = normal_form(g)
     # the candidate: local noise up and correlations down by t in the normal form
     widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
-    cand_matrix = normal_form_matrix(widened).entries
-    cand_physical = np.linalg.eigvalsh(cand_matrix + 1j * omega).min() >= -DEFAULT_TOL
-    stack = np.concatenate((corners, cand_matrix[np.newaxis]))
-    rates = _formula(SymplecticInvariants(*_invariant_values(stack[np.append(physical, cand_physical)]))).k
+    stack = np.concatenate((g.entries * (1.0 + t * _CORNER_SIGNS), normal_form_matrix(widened).entries[np.newaxis]))
+    physical = _physical(stack, DEFAULT_TOL)
+    n_physical = int(np.count_nonzero(physical[:-1]))
+    if n_physical == 0:
+        raise DegenerateBoxError(
+            f"no physical matrix among the {len(_CORNER_SIGNS)} uncertainty-box corners at n = {n:g}",
+            n_samples=n,
+        )
+    rates = _formula(SymplecticInvariants(*_invariant_values(stack[physical]))).k
     corner_min = float(rates[:n_physical].min())
-    candidate = float(rates[n_physical]) if cand_physical else None
+    candidate = float(rates[n_physical]) if physical[-1] else None
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
         warnings.warn(
             f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,22 @@ def test_analyze_unphysical_covariance_names_symplectic_eigenvalue(capsys, tmp_p
     assert rc == 1 and out == ""
     assert "smallest symplectic eigenvalue is 0.93958" in err
     assert "entropy_f" not in err
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_analyze_huge_entries_exit_one_without_numpy_warnings(capsys, tmp_path, scale, worst_case):
+    base = make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams()).entries
+    flags = ["--worst-case"] if worst_case else []
+    for name, m in (("vacuum", np.eye(4)), ("default", base), ("reconstructed", RECONSTRUCTED_EXAMPLE)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(covariance_to_json(covariance(m * scale))), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "analyze", *flags, str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "overflow the symplectic invariants" in err
+        assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "reconstruct"])

@@ -7,7 +7,9 @@ import pytest
 
 from cvqkd.errors import InvalidArgumentError, InvalidStateError
 from cvqkd.gaussian import (
+    DEFAULT_TOL,
     CovarianceMatrix,
+    _physical,
     apply_symplectic,
     balanced_beamsplitter,
     conditional_variance,
@@ -32,7 +34,7 @@ from cvqkd.gaussian import (
     wigner_density,
 )
 
-from conftest import random_normal_form_state
+from conftest import RECONSTRUCTED_EXAMPLE, random_normal_form_state
 
 
 def tmsv(lam):
@@ -225,6 +227,94 @@ def test_reconstructed_example_is_marginally_unphysical(reconstructed_example):
     low = np.linalg.eigvalsh(reconstructed_example.entries + 1j * omega).min()
     assert low == pytest.approx(-0.043781301872870305, rel=1e-12)
     assert is_physical(reconstructed_example, tol=0.05)
+
+
+def test_is_physical_tol_bounds_the_eigenvalue_not_the_symplectic_eigenvalues(reconstructed_example):
+    """tol is a margin on the least eigenvalue of Gamma + i*Omega: the
+    example passes at tol = 0.05 although nu_minus is below 1 - 0.05."""
+    nu_minus = symplectic_eigenvalues(reconstructed_example)[1]
+    assert nu_minus == pytest.approx(0.93958, abs=1e-5)
+    assert nu_minus < 1.0 - 0.05
+    assert is_physical(reconstructed_example, tol=0.05)
+    assert not is_physical(reconstructed_example, tol=0.04)
+
+
+def _eigensolver_physical(stack, tol):
+    """The eigenvalue criterion the pivot test replaces, as the oracle."""
+    omega = symplectic_form(stack.shape[-1] // 2)
+    return np.linalg.eigvalsh(stack + 1j * omega).min(axis=-1) >= -tol
+
+
+def _random_symplectic(rng, n_modes):
+    """Local rotations and squeezers on every mode, then beam splitters
+    between neighbouring modes, twice."""
+    s = np.eye(2 * n_modes)
+    for _ in range(2):
+        local = np.zeros_like(s)
+        for k in range(n_modes):
+            local[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ squeeze(
+                rng.uniform(-1.0, 1.0)
+            )
+        s = local @ s
+        for k in range(n_modes - 1):
+            phi = rng.uniform(0.0, math.pi)
+            c, sn = math.cos(phi), math.sin(phi)
+            mix = np.eye(2 * n_modes)
+            a, b = slice(2 * k, 2 * k + 2), slice(2 * k + 2, 2 * k + 4)
+            mix[a, a] = mix[b, b] = c * np.eye(2)
+            mix[a, b], mix[b, a] = sn * np.eye(2), -sn * np.eye(2)
+            s = mix @ s
+    return s
+
+
+def _random_states(rng, n_modes, count, nu_low=0.9):
+    """S diag(nu) S^T with symplectic eigenvalues nu drawn from [nu_low, 1.3]:
+    physical and unphysical states of n_modes modes."""
+    out = []
+    for _ in range(count):
+        s = _random_symplectic(rng, n_modes)
+        m = s @ np.diag(np.repeat(rng.uniform(nu_low, 1.3, n_modes), 2)) @ s.T
+        out.append((m + m.T) / 2.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_is_physical_matches_eigensolver(n_modes):
+    rng = np.random.default_rng(40 + n_modes)
+    stack = _random_states(rng, n_modes, 300)
+    for tol in (0.0, DEFAULT_TOL, 1e-6, 1e-3, 0.05):
+        want = _eigensolver_physical(stack, tol)
+        assert 0 < np.count_nonzero(want) < len(stack)
+        assert [is_physical(covariance(m), tol) for m in stack] == want.tolist()
+        np.testing.assert_array_equal(_physical(stack, tol), want)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_pivot_test_resolves_the_eigenvalue_boundary_to_1e_12(n_modes):
+    """Matrices shifted so that the least eigenvalue of Gamma + i*Omega is
+    -tol + 1e-12 pass, and at -tol - 1e-12 they fail, in both methods."""
+    rng = np.random.default_rng(50 + n_modes)
+    base = _random_states(rng, n_modes, 100, nu_low=1.0)
+    low = np.linalg.eigvalsh(base + 1j * symplectic_form(n_modes)).min(axis=-1)
+    eye = np.eye(2 * n_modes)
+    for tol in (0.0, DEFAULT_TOL, 1e-6, 0.05):
+        for side in (1.0, -1.0):
+            shifted = base + (-tol + side * 1e-12 - low)[:, np.newaxis, np.newaxis] * eye
+            want = np.full(len(base), side > 0.0)
+            np.testing.assert_array_equal(_eigensolver_physical(shifted, tol), want)
+            np.testing.assert_array_equal(_physical(shifted, tol), want)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_huge_entries_are_screened_without_warnings_and_rejected_by_invariants(scale):
+    """numpy RuntimeWarnings fail the suite: overflow inside the pivot test
+    reads as unphysical, and invariants that overflow raise a typed error."""
+    indefinite = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0], [2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]])
+    stack = np.array([np.eye(4), tmsv(3.0).entries, RECONSTRUCTED_EXAMPLE, indefinite]) * scale
+    np.testing.assert_array_equal(_physical(stack, DEFAULT_TOL), [True, True, True, False])
+    for m in stack:
+        with pytest.raises(InvalidStateError, match="overflow the symplectic invariants"):
+            invariants(covariance(m))
 
 
 # ---------------------------------------------------------------- invariants

@@ -23,6 +23,7 @@ from cvqkd.gaussian import (
     NormalForm,
     SymplecticInvariants,
     _invariant_values,
+    _physical,
     apply_symplectic,
     covariance,
     invariants,
@@ -35,6 +36,7 @@ from cvqkd.gaussian import (
     symplectic_form,
 )
 from cvqkd.keyrate import (
+    _CORNER_SIGNS,
     INDEPENDENT_ENTRIES,
     WorstCaseBreakdown,
     _formula,
@@ -541,3 +543,58 @@ def test_indefinite_matrices_raise_only_typed_errors(m):
             call()
         except CvqkdError:
             pass
+
+
+# ------------------------------------- physicality screen against the eigensolver
+
+
+def _screens(g, n):
+    """(pivot test, eigensolver criterion) on the box corners of g at n and
+    on the closed-form candidate, the stack worst_case_breakdown screens."""
+    t = 1.0 / math.sqrt(n)
+    nf = normal_form(g)
+    widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
+    stack = np.concatenate((g.entries * (1.0 + t * _CORNER_SIGNS), normal_form_matrix(widened).entries[np.newaxis]))
+    want = np.linalg.eigvalsh(stack + 1j * symplectic_form(2)).min(axis=-1) >= -DEFAULT_TOL
+    return _physical(stack, DEFAULT_TOL), want
+
+
+def _generator_states(rng):
+    """States from the benchmark's operating-point ranges, each also as a
+    pure-loss variant without detection and phase noise."""
+    states = []
+    for near in (True, False) * 8:
+        sqz_low, nu_high, delta_high, sigma_high = (9.0, 0.12, 0.02, 0.03) if near else (4.5, 0.3, 0.05, 0.15)
+        sqz = rng.uniform(sqz_low, 12.0)
+        nu_a, nu_b = rng.uniform(0.059, nu_high, 2)
+        delta, sigma = rng.uniform(0.0, delta_high), rng.uniform(0.0, sigma_high)
+        for d, s in ((delta, sigma), (0.0, 0.0)):
+            channel = ChannelParams(0.059, nu_a, nu_b, d, d, s, s)
+            states.append(make_epr_state(SqueezingSpec(var_sqz_db=-sqz), channel))
+    return states
+
+
+def test_corner_screen_matches_eigensolver_on_generator_states():
+    """The pivot test keeps the eigenvalue criterion exactly on the boxes the
+    CLI rates, and on two-mode squeezed vacua up to r = 6. Beyond that the
+    two can differ: see gaussian._physical."""
+    outcomes = set()
+    for g in _generator_states(np.random.default_rng(60)):
+        for n in [10.0**k for k in range(2, 13)]:
+            got, want = _screens(g, n)
+            np.testing.assert_array_equal(got, want)
+            outcomes.update(want.tolist())
+            breakdown = worst_case_breakdown(g, n)
+            assert breakdown.n_corners_physical == np.count_nonzero(want[:-1])
+            assert (breakdown.candidate is not None) == want[-1]
+    assert outcomes == {True, False}
+    for r in (0.5, 2.0, 4.0, 6.0):
+        for n in [10.0**k for k in range(2, 13)]:
+            np.testing.assert_array_equal(*_screens(tmsv(math.cosh(2.0 * r)), n))
+
+
+@_PROPERTY_SETTINGS
+@given(_EDGE_STATES, st.sampled_from([10.0**k for k in range(2, 13)]))
+def test_corner_screen_matches_eigensolver_on_edge_regimes(g, n):
+    got, want = _screens(g, n)
+    np.testing.assert_array_equal(got, want)
