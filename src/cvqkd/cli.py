@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .noise import (
     SourceParams,
     SqueezingSpec,
     detection_noise,
-    loss_channel,
     make_epr_state,
     pump_to_variances,
 )
@@ -236,47 +236,33 @@ def _apply_flag_overrides(cfg: dict, args) -> None:
         cfg["analysis"]["worst_case"] = True
 
 
-def _resolve_source(cfg: dict) -> tuple:
-    """(make_epr_state spec, detected input squeezing in dB) for the config."""
-    src = cfg["source"]
-    if src["mode"] == "pump":
-        params = SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"])
-        return params, variance_to_db(pump_to_variances(params)[0])
-    spec = SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"])
-    return spec, src["var_sqz_db"]
-
-
-def _build_states(cfg: dict, extra_loss_b: float = 0.0) -> tuple:
-    """Optical (pre-detection) and detected states for the config.
-
-    The detection-noise step is held out of make_epr_state so the
-    conditional-variance product can be evaluated on the optical state; the
-    detected state adds it back and is what the key rate is computed on.
-    extra_loss_b composes additional loss into arm B before detection.
-    """
-    ch = cfg["channel"]
+def _resolve(cfg: dict) -> tuple:
+    """(make_epr_state spec, ChannelParams, detected input squeezing in dB)
+    for the config."""
+    src, ch = cfg["source"], cfg["channel"]
     channel = ChannelParams(
         epsilon=ch["epsilon"],
         loss_a=ch["nu_a"],
         loss_b=ch["nu_b"],
-        det_noise_a=0.0,
-        det_noise_b=0.0,
+        det_noise_a=ch["delta_a"],
+        det_noise_b=ch["delta_b"],
         phase_sigma_a=ch["sigma_a"],
         phase_sigma_b=ch["sigma_b"],
     )
-    spec, input_db = _resolve_source(cfg)
-    optical = make_epr_state(spec, channel)
-    if extra_loss_b != 0.0:
-        optical = loss_channel(optical, [0.0, extra_loss_b])
-    if ch["delta_a"] != 0.0 or ch["delta_b"] != 0.0:
-        detected = detection_noise(optical, [ch["delta_a"], ch["delta_b"]])
-    else:
-        detected = optical
-    return optical, detected, input_db
+    if src["mode"] == "pump":
+        params = SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"])
+        return params, channel, variance_to_db(pump_to_variances(params)[0])
+    spec = SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"])
+    return spec, channel, src["var_sqz_db"]
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    optical, detected, _ = _build_states(cfg)
+    spec, channel, _ = _resolve(cfg)
+    # the Reid (EPR) product is of the optical state, before detection, so
+    # only simulate holds detection noise out of the pipeline and adds it after
+    deltas = [channel.det_noise_a, channel.det_noise_b]
+    optical = make_epr_state(spec, replace(channel, det_noise_a=0.0, det_noise_b=0.0))
+    detected = detection_noise(optical, deltas) if any(deltas) else optical
     n = cfg["analysis"]["n_samples"] if cfg["analysis"]["worst_case"] else None
     report = secret_key_rate(detected, n_samples=n)
     direct_ab, opt_ab = epr_product(optical, "a_given_b")
@@ -303,23 +289,22 @@ def cmd_scan(args, cfg: dict) -> int:
 def _scan_row(cfg: dict, sweep: str, value: float) -> str:
     # cfg's sections are shared with every row: replace a section, never edit it
     point = dict(cfg)
-    extra_loss_b = 0.0
     if sweep == "sqz_db":
         point["source"] = {**cfg["source"], "mode": "measured", "var_sqz_db": -abs(value), "var_asqz_db": None}
     elif sweep == "nu_b":
-        extra_loss_b = value
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"--sweep nu_b adds loss to arm B, which must lie in [0, 1], got {value}")
+        point["channel"] = {**cfg["channel"], "nu_b": 1.0 - (1.0 - cfg["channel"]["nu_b"]) * (1.0 - value)}
     elif sweep == "sigma":
         point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
-    _, detected, input_db = _build_states(point, extra_loss_b=extra_loss_b)
+    spec, channel, input_db = _resolve(point)
     ana = point["analysis"]
-    report = secret_key_rate(detected, n_samples=ana["n_samples"] if ana["worst_case"] else None)
-    ch = point["channel"]
-    total_nu_b = 1.0 - (1.0 - ch["nu_b"]) * (1.0 - extra_loss_b)
+    report = secret_key_rate(make_epr_state(spec, channel), n_samples=ana["n_samples"] if ana["worst_case"] else None)
     cells = [
         _fmt(input_db),
-        _fmt(total_nu_b),
-        _fmt(ch["delta_b"]),
-        _fmt(ch["sigma_b"]),
+        _fmt(channel.loss_b),
+        _fmt(channel.det_noise_b),
+        _fmt(channel.phase_sigma_b),
         _fmt(report.mi),
         _fmt(report.holevo_a),
         _fmt(report.holevo_b),
@@ -331,9 +316,9 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> str:
 
 
 def cmd_sample(args, cfg: dict) -> int:
-    _, detected, _ = _build_states(cfg)
+    spec, channel, _ = _resolve(cfg)
     ds = sample_homodyne(
-        detected,
+        make_epr_state(spec, channel),
         CANONICAL_SETTINGS,
         n_per_setting=cfg["analysis"]["n_samples"],
         seed=cfg["analysis"]["seed"],

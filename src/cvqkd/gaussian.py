@@ -80,10 +80,13 @@ def covariance(entries) -> CovarianceMatrix:
         raise InvalidStateError(f"covariance matrix dimension must be a positive even number, got {dim}")
     if not np.all(np.isfinite(m)):
         raise InvalidStateError("covariance matrix contains non-finite entries")
-    asym = np.max(np.abs(m - m.T))
+    # halves first, so entries near the float maximum cannot overflow; for
+    # normal floats this is bit for bit (m - m.T) / 2 and (m + m.T) / 2
+    half = 0.5 * m
+    asym = 2.0 * float(np.max(np.abs(half - half.T)))  # a Python float overflows to inf silently
     if asym > SYMMETRY_TOL:
         raise InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
-    m = (m + m.T) / 2.0
+    m = half + half.T
     if np.any(np.diag(m) <= 0.0):
         raise InvalidStateError("covariance matrix diagonal must be strictly positive")
     m.flags.writeable = False

@@ -213,11 +213,12 @@ def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
     """Optical loss of nu per mode, vacuum admixture.
 
     nu may be a scalar (uniform loss) or a sequence with one value per
-    mode. Uniform loss is exactly the convex combination
-    (1 - nu) Gamma + nu Identity; per-mode loss applies
-    G Gamma G + (Identity - G^2) with G = diag over modes of
-    sqrt(1 - nu_i) on both quadratures, which reduces to the uniform
-    formula when all values coincide.
+    mode. One formula covers both: entry (i, j) of Gamma is scaled by
+    sqrt((1 - nu_i)(1 - nu_j)) and nu_i is added to the diagonal, with
+    nu_i repeated for both quadratures of a mode. Uniform loss is then
+    exactly the convex combination (1 - nu) Gamma + nu Identity, bit for
+    bit, because the square root of a correctly rounded square returns
+    its argument.
     """
     nus = _per_mode(nu, g.n_modes, "nu")
     if np.any(nus < 0.0) or np.any(nus > 1.0):
@@ -258,11 +259,9 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
 
 
 def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    if np.all(nus == nus[0]):
-        v = float(nus[0])
-        return (1.0 - v) * m + v * np.eye(len(m))
-    gdiag = np.repeat(np.sqrt(1.0 - nus), 2)
-    return np.outer(gdiag, gdiag) * m + np.diag(1.0 - gdiag * gdiag)
+    # sqrt(fl(x * x)) == x in binary64, so equal arms give (1 - nu) Gamma + nu I exactly
+    t = np.repeat(1.0 - nus, 2)
+    return np.sqrt(np.outer(t, t)) * m + np.diag(np.repeat(nus, 2))
 
 
 def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:

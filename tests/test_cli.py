@@ -139,6 +139,29 @@ def test_scan_extra_loss_sweep_composes_total_loss(capsys):
     assert all(b < a for a, b in zip(k, k[1:]))
 
 
+@pytest.mark.parametrize(
+    "source",
+    [{}, {"var_asqz_db": 17.5}, {"mode": "pump", "p_mw": 170.0}],
+    ids=["measured-value", "measured-pair", "pump"],
+)
+def test_scan_extra_loss_rows_match_simulate_at_their_total_loss(capsys, tmp_path, monkeypatch, source):
+    """A nu_b row is the state whose arm-B loss is the row's nu column."""
+    monkeypatch.setattr(cli, "_fmt", repr)  # full-precision cells
+    cfg = write_config(tmp_path, {"source": source, "channel": {"sigma_a": 0.05, "sigma_b": 0.1}})
+    rc, out, _ = run(capsys, "scan", "--config", cfg, "--sweep", "nu_b", "--from", "0", "--to", "0.3", "--steps", "7")
+    assert rc == 0
+    rows = scan_rows(out)
+    assert len(rows) == 7
+    for row in rows:
+        point = write_config(
+            tmp_path, {"source": source, "channel": {"sigma_a": 0.05, "sigma_b": 0.1, "nu_b": float(row[1])}}
+        )
+        rc, out, _ = run(capsys, "simulate", "--config", point)
+        report = json.loads(out)["report"]
+        for column, key in ((4, "mi"), (5, "holevo_a"), (6, "holevo_b"), (7, "k_nominal")):
+            assert float(row[column]) == pytest.approx(report[key], rel=1e-12, abs=1e-12), key
+
+
 def test_scan_phase_noise_sweep_lowers_rate(capsys):
     rc, out, _ = run(capsys, "scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", "3")
     assert rc == 0
@@ -153,6 +176,14 @@ def test_scan_rejects_too_few_steps(capsys):
     rc, _, err = run(capsys, "scan", "--sweep", "sigma", "--from", "0", "--to", "1", "--steps", "1")
     assert rc == 1
     assert "steps" in err
+
+
+@pytest.mark.parametrize("start", ["-0.01", "nan"])
+def test_scan_rejects_extra_loss_outside_unit_interval(capsys, start):
+    """-0.01 would still leave a total loss of 0.059 >= 0, but it is gain, not loss."""
+    rc, out, err = run(capsys, "scan", "--sweep", "nu_b", "--from", start, "--to", "0.1", "--steps", "3")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "[0, 1]" in err
 
 
 # ------------------------------------------------------- sample / reconstruct
@@ -270,6 +301,18 @@ def test_analyze_huge_entries_exit_one_without_numpy_warnings(capsys, tmp_path, 
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "overflow the symplectic invariants" in err
         assert "Warning" not in err
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_analyze_entries_near_float_max_name_their_size(capsys, tmp_path, worst_case):
+    """Symmetrizing 1.5e308 must not overflow to inf on the way to the error."""
+    path = tmp_path / "near_max.json"
+    path.write_text(json.dumps(covariance_to_json(covariance(np.eye(4) * 1.5e308))), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "analyze", *(["--worst-case"] if worst_case else []), str(path))
+    assert rc == 1 and out == ""
+    assert err == "error: covariance entries up to 1.5e+308 overflow the symplectic invariants\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "reconstruct"])

@@ -86,6 +86,27 @@ def test_covariance_symmetrizes_tiny_asymmetry():
     assert g.entries[0, 1] == g.entries[1, 0] == pytest.approx(2e-13, rel=1e-9)
 
 
+def test_covariance_symmetrizes_entries_near_float_max_without_overflow():
+    """RuntimeWarnings fail the suite, so no step may overflow on finite input."""
+    g = covariance(np.eye(4) * 1.5e308)
+    np.testing.assert_array_equal(g.entries, np.eye(4) * 1.5e308)
+    with pytest.raises(InvalidStateError, match=r"entries up to 1\.5e\+308 overflow"):
+        invariants(g)
+    m = np.eye(4) * 1.5e308
+    m[0, 1], m[1, 0] = 1.5e308, -1.5e308
+    with pytest.raises(InvalidStateError, match="asymmetry inf exceeds"):
+        covariance(m)
+
+
+def test_covariance_symmetrizes_like_the_plain_average():
+    """Halving first changes no bit for normal floats."""
+    rng = np.random.default_rng(17)
+    for scale in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+        a = rng.standard_normal((4, 4)) * scale
+        m = a + a.T + 8.0 * scale * np.eye(4) + np.triu(rng.uniform(-4e-13, 4e-13, (4, 4)), 1)
+        np.testing.assert_array_equal(covariance(m).entries, (m + m.T) / 2.0)
+
+
 def test_covariance_rejects_non_positive_diagonal():
     with pytest.raises(InvalidStateError):
         covariance(np.diag([1.0, 0.0]))

@@ -490,11 +490,12 @@ def _branch_ties(draw):
     return g
 
 
-_EDGE_STATES = st.one_of(
-    _williamson_states(st.floats(3.0, 16.0).map(lambda k: 1.0 + 10.0**-k)),  # near-pure
-    _branch_ties(),
-    _williamson_states(st.just(1.0)),  # on the physical boundary
-)
+_EDGE_GENERATORS = {
+    "near-pure": _williamson_states(st.floats(3.0, 16.0).map(lambda k: 1.0 + 10.0**-k)),
+    "branch-tie": _branch_ties(),
+    "boundary": _williamson_states(st.just(1.0)),  # on the physical boundary
+}
+_EDGE_STATES = st.one_of(*_EDGE_GENERATORS.values())
 
 
 @_PROPERTY_SETTINGS
@@ -515,6 +516,35 @@ def test_batched_kernel_matches_single_state_path_on_edge_regimes(states):
         want.update(d_plus=mid.d_plus, d_minus=mid.d_minus, d_a=mid.d_a, d_b=mid.d_b)
         for name, value in want.items():
             assert getattr(batch, name)[j] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("kind", list(_EDGE_GENERATORS))
+def test_formula_matches_oracles_in_normal_form_basis_on_edge_regimes(kind):
+    """The oracles condition in the basis they are given, where a rotated
+    state's measured quadratures are not the optimal ones, so both paths
+    are compared on the normal form. Either both raise a typed error or
+    they agree to 1e-9 (fixed before the first run)."""
+
+    @_PROPERTY_SETTINGS
+    @given(_EDGE_GENERATORS[kind])
+    def check(g):
+        inv = invariants(g)
+        nf = normal_form_matrix(normal_form(g))
+        try:
+            formula = [mutual_information(inv), holevo(inv, "A"), holevo(inv, "B")]
+        except CvqkdError:
+            formula = None
+        try:
+            mi_x, mi_p = mi_oracle(nf)
+            branch = 0 if mi_x >= mi_p else 1
+            oracle = [max(mi_x, mi_p), holevo_oracle(nf, "A")[branch], holevo_oracle(nf, "B")[branch]]
+        except CvqkdError:
+            oracle = None
+        assert (formula is None) == (oracle is None), (formula, oracle)
+        if formula is not None:
+            assert formula == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+    check()
 
 
 @st.composite

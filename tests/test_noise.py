@@ -167,13 +167,19 @@ def test_loss_channel_identity_and_full_replacement():
 
 
 def test_loss_channel_uniform_equals_per_mode():
+    """The one loss formula scales by sqrt((1 - v)(1 - v)), which must be
+    1 - v exactly, so equal arms are the convex combination bit for bit."""
     rng = np.random.default_rng(21)
-    g = random_normal_form_state(rng)
-    uniform = loss_channel(g, 0.3)
-    per_mode = loss_channel(g, [0.3, 0.3])
-    np.testing.assert_array_equal(uniform.entries, per_mode.entries)
-    expected = 0.7 * g.entries + 0.3 * np.eye(4)
-    np.testing.assert_allclose(uniform.entries, expected, rtol=1e-15)
+    eps = np.finfo(float).eps
+    ends = [0.0, 1.0, 0.3, 5e-324, 1e-300, eps / 2.0, eps, 1e-9, 0.5, 1.0 - eps, 1.0 - eps / 2.0, 1.0 - 1e-9]
+    values = ends + rng.uniform(0.0, 1.0, 10_000).tolist()
+    states = [random_normal_form_state(rng) for _ in range(4)]
+    states.append(apply_symplectic(states[0], np.kron(np.eye(2), rotation(0.7))))
+    for i, v in enumerate(values):
+        g = states[i % len(states)]
+        uniform = loss_channel(g, v)
+        np.testing.assert_array_equal(uniform.entries, loss_channel(g, [v, v]).entries)
+        np.testing.assert_array_equal(uniform.entries, (1.0 - v) * g.entries + v * np.eye(4))
 
 
 def test_loss_channel_single_arm():
