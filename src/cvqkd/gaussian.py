@@ -11,8 +11,10 @@ Conventions, used consistently across the package:
 The module provides constructors (vacuum, squeezed vacuum, tensor products),
 symplectic transformations and the balanced beam splitter, the physicality
 test, local symplectic invariants and the two-mode normal form, symplectic
-eigenvalues, Gaussian conditioning, the conditional-variance entanglement
-witness, the Wigner density, and JSON serialization.
+eigenvalues, Gaussian conditioning (one kernel, _conditioned, read by
+conditional_variance, epr_product and the key-rate oracles), the
+conditional-variance entanglement witness, the Wigner density, and JSON
+serialization.
 """
 
 from __future__ import annotations
@@ -319,15 +321,9 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
     _, _, _, disc, cx2, cp2, _ = _radicands(inv)
     if disc < -DEFAULT_TOL:
         raise NumericalDegeneracyError(f"normal form discriminant {disc:.3e} below -1e-9")
-    la = math.sqrt(inv.i1)
-    lb = math.sqrt(inv.i2)
-    cx = math.sqrt(max(cx2, 0.0))
-    cp_mag = math.sqrt(max(cp2, 0.0))
-    if inv.i3 == 0.0:
-        cp = 0.0
-    else:
-        cp = cp_mag if inv.i3 < 0.0 else -cp_mag
-    return NormalForm(lambda_a=la, lambda_b=lb, c_x=cx, c_p=cp)
+    cx, cp = math.sqrt(max(cx2, 0.0)), math.sqrt(max(cp2, 0.0))
+    cp = math.copysign(cp, -inv.i3) if inv.i3 != 0.0 else 0.0
+    return NormalForm(lambda_a=math.sqrt(inv.i1), lambda_b=math.sqrt(inv.i2), c_x=cx, c_p=cp)
 
 
 def normal_form_matrix(nf: NormalForm) -> CovarianceMatrix:
@@ -366,16 +362,12 @@ def conditional_variance(g: CovarianceMatrix, target: int, given: int) -> float:
     """Variance of one quadrature after conditioning on another.
 
     Plain one-dimensional Gaussian conditioning,
-    Var(target) - Cov(target, given)^2 / Var(given). Indices follow the
-    (X_1, P_1, X_2, P_2, ...) ordering.
+    Var(target) - Cov(target, given)^2 / Var(given), one entry of
+    _conditioned. Indices follow the (X_1, P_1, X_2, P_2, ...) ordering.
     """
     if target == given:
         raise InvalidArgumentError("target and given quadratures must differ")
-    m = g.entries
-    v_given = m[given, given]
-    if v_given <= 0.0:
-        raise InvalidStateError(f"variance of conditioning quadrature {given} is not positive: {v_given}")
-    return float(m[target, target] - m[target, given] ** 2 / v_given)
+    return float(_conditioned(g.entries, [given])[0, target, target])
 
 
 def epr_product(g: CovarianceMatrix, direction: str = "a_given_b") -> tuple[float, float]:
@@ -383,7 +375,8 @@ def epr_product(g: CovarianceMatrix, direction: str = "a_given_b") -> tuple[floa
 
     Returns (direct, optimized). The direct value multiplies the two
     conditional variances with X and P used as measured,
-    Var(X_t|X_c) * Var(P_t|P_c) for the stated direction. The optimized
+    Var(X_t|X_c) * Var(P_t|P_c) for the stated direction, read from
+    _conditioned on the two conditioning quadratures. The optimized
     value minimizes over local quadrature choices and equals i4/i2 when
     conditioning mode A on mode B and i4/i1 for the reverse. The state is
     EPR entangled when the optimized product is below 1.
@@ -394,12 +387,25 @@ def epr_product(g: CovarianceMatrix, direction: str = "a_given_b") -> tuple[floa
         raise InvalidArgumentError(f"direction must be 'a_given_b' or 'b_given_a', got {direction!r}")
     inv = invariants(g)
     if direction == "a_given_b":
-        direct = conditional_variance(g, 0, 2) * conditional_variance(g, 1, 3)
-        optimized = inv.i4 / inv.i2
-    else:
-        direct = conditional_variance(g, 2, 0) * conditional_variance(g, 3, 1)
-        optimized = inv.i4 / inv.i1
-    return float(direct), float(optimized)
+        cond = _conditioned(g.entries, slice(2, 4))
+        return float(cond[0, 0, 0] * cond[1, 1, 1]), float(inv.i4 / inv.i2)
+    cond = _conditioned(g.entries, slice(0, 2))
+    return float(cond[0, 2, 2] * cond[1, 3, 3]), float(inv.i4 / inv.i1)
+
+
+def _conditioned(m: np.ndarray, given=slice(None)) -> np.ndarray:
+    """The states left after one quadrature is measured, as one stack.
+
+    Slice j is the Schur complement m - m[:, k] m[k, :] / m[k, k] for the
+    j-th quadrature k of given (index list or slice, all by default), the
+    covariance conditioned on the outcome of k. m must be symmetric, as
+    every CovarianceMatrix is. A non-positive m[k, k] raises InvalidStateError.
+    """
+    var = m.diagonal()[given]
+    if not all(v > 0.0 for v in var.tolist()):
+        raise InvalidStateError(f"variances of the conditioning quadratures must be positive, got {var.tolist()}")
+    col = m[:, given].T  # col[j]: column k of m, equal to row k
+    return m - col[:, :, np.newaxis] * col[:, np.newaxis, :] / var[:, np.newaxis, np.newaxis]
 
 
 def wigner_density(g: CovarianceMatrix, xi) -> float:

@@ -8,7 +8,8 @@ purification). Both quantities are evaluated twice here, on purpose:
 * formula path: closed forms in the four symplectic invariants of the
   covariance matrix (mutual_information, holevo)
 * oracle path: first-principles Gaussian conditioning on the matrix itself
-  (mi_oracle, holevo_oracle)
+  (mi_oracle, holevo_oracle), by the one kernel gaussian._conditioned:
+  measuring q_B leaves Var(q_A|q_B) and A's block for chi with B measured
 
 The two must agree; the oracle path exists to pin down the formula path
 branch conventions. The formula quantities pick the quadrature branch with
@@ -54,16 +55,15 @@ from .gaussian import (
     _check_block_determinants,
     _check_symplectic_squares,
     _clamp,
+    _conditioned,
     _invariant_values,
     _physical,
     _radicands,
     _require_two_modes,
-    conditional_variance,
     invariants,
     normal_form,
     normal_form_matrix,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_from_invariants,
 )
 
 #: index pairs of the 10 independent entries of a symmetric 4x4 matrix
@@ -177,13 +177,11 @@ def mi_oracle(g: CovarianceMatrix) -> tuple[float, float]:
 
     Returns (mi_x, mi_p) with mi_q = 1/2 log2(Var(q_A) / Var(q_A | q_B)).
     max(mi_x, mi_p) is the validation target for mutual_information. The
-    value is symmetric in the conditioning direction.
+    value is symmetric in the conditioning direction. A conditional variance
+    that is not positive raises InvalidStateError.
     """
     _require_two_modes(g)
-    m = g.entries
-    mi_x = 0.5 * math.log2(m[0, 0] / conditional_variance(g, 0, 2))
-    mi_p = 0.5 * math.log2(m[1, 1] / conditional_variance(g, 1, 3))
-    return mi_x, mi_p
+    return _mi(g.entries, _conditioned(g.entries, slice(2, 4)))
 
 
 def holevo_intermediates(inv: SymplecticInvariants) -> HolevoIntermediates:
@@ -225,7 +223,9 @@ def holevo_oracle(g: CovarianceMatrix, direction: str) -> tuple[float, float]:
     """
     _require_two_modes(g)
     measured = 0 if _normalize_direction(direction) == "A" else 1
-    return _holevo_oracle(g.entries, measured, _joint_entropy(symplectic_eigenvalues(g)))
+    d_plus, d_minus = symplectic_eigenvalues(g)
+    cond = _conditioned(g.entries, slice(2 * measured, 2 * measured + 2))
+    return _chi(cond, measured, entropy_f(d_plus) + entropy_f(d_minus))
 
 
 def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyRateReport:
@@ -236,31 +236,28 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     and flagged. When n_samples is given the finite-statistics worst case
     is computed as well.
 
-    The invariants are computed once, and so is the joint entropy
-    S(E) = f(d_plus) + f(d_minus) that both oracle directions subtract from.
+    One formula evaluation gives the headline values and the oracle's
+    S(E) = f(d_plus) + f(d_minus); one _conditioned stack gives the rest.
     """
     _require_two_modes(g)
-    inv = invariants(g)
-    k_nominal, mi, chi_a, chi_b, inter = _formula_rate(inv)
-    mi_x, mi_p = mi_oracle(g)
-    s_e = _joint_entropy(symplectic_eigenvalues_from_invariants(inv))
-    chi_a_x, chi_a_p = _holevo_oracle(g.entries, 0, s_e)
-    chi_b_x, chi_b_p = _holevo_oracle(g.entries, 1, s_e)
+    f = _checked_formula(invariants(g))
+    cond = _conditioned(g.entries)
+    mi_x, mi_p = _mi(g.entries, cond[2:])
+    s_e = entropy_f(math.sqrt(max(f.dp2, 0.0))) + entropy_f(math.sqrt(max(f.dm2, 0.0)))
+    chi_a_x, chi_a_p = _chi(cond[:2], 0, s_e)
+    chi_b_x, chi_b_p = _chi(cond[2:], 1, s_e)
     k_branch_x = mi_x - max(chi_a_x, chi_b_x)
     k_branch_p = mi_p - max(chi_a_p, chi_b_p)
     k_worst = worst_case_key_rate(g, n_samples) if n_samples is not None else None
     return KeyRateReport(
-        mi=mi,
-        holevo_a=chi_a,
-        holevo_b=chi_b,
-        k_nominal=k_nominal,
-        no_key=k_nominal <= 0.0,
+        mi=float(f.mi),
+        holevo_a=float(f.chi_a),
+        holevo_b=float(f.chi_b),
+        k_nominal=float(f.k),
+        no_key=bool(f.k <= 0.0),
         mi_x=mi_x,
         mi_p=mi_p,
-        d_plus=inter.d_plus,
-        d_minus=inter.d_minus,
-        d_a=inter.d_a,
-        d_b=inter.d_b,
+        **vars(_intermediates(f)),
         k_branch_x=k_branch_x,
         k_branch_p=k_branch_p,
         k_two_basis=0.5 * (k_branch_x + k_branch_p),
@@ -317,45 +314,40 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     return WorstCaseBreakdown(
         corner_min=corner_min,
         candidate=candidate,
-        value=min(float(rates.min()), _formula_rate(invariants(g))[0]),
+        value=min(float(rates.min()), float(_checked_formula(invariants(g)).k)),
         n_corners_physical=n_physical,
     )
 
 
-def _joint_entropy(d: tuple[float, float]) -> float:
-    """S(E) = f(d_plus) + f(d_minus) of the symplectic eigenvalues d."""
-    return entropy_f(d[0]) + entropy_f(d[1])
+def _mi(m: np.ndarray, given_b: np.ndarray) -> tuple[float, float]:
+    """mi_oracle of the entries m, from given_b: m conditioned on x_B and on p_B."""
+    var_x, var_p = given_b[0, 0, 0], given_b[1, 1, 1]
+    if not (var_x > 0.0 and var_p > 0.0):
+        raise InvalidStateError(f"Var(x_A|x_B) = {var_x:.3e} and Var(p_A|p_B) = {var_p:.3e} must be positive")
+    return 0.5 * math.log2(m[0, 0] / var_x), 0.5 * math.log2(m[1, 1] / var_p)
 
 
-def _holevo_oracle(m: np.ndarray, measured: int, s_e: float) -> tuple[float, float]:
-    """holevo_oracle on the entries m, measured party 0 (A) or 1 (B), with
-    the joint entropy s_e given."""
-    other = 1 - measured
-    out = []
-    for quad in (0, 1):
-        idx = 2 * measured + quad
-        var = m[idx, idx]
-        if var <= 0.0:
-            raise InvalidStateError(f"variance of measured quadrature {idx} is not positive: {var}")
-        c = m[2 * other : 2 * other + 2, idx]
-        cond = m[2 * other : 2 * other + 2, 2 * other : 2 * other + 2] - np.outer(c, c) / var
-        det = float(cond[0, 0] * cond[1, 1] - cond[0, 1] * cond[1, 0])
-        out.append(s_e - entropy_f(math.sqrt(max(det, 0.0))))
-    return out[0], out[1]
+def _chi(cond: np.ndarray, measured: int, s_e: float) -> tuple[float, float]:
+    """holevo_oracle from cond, the entries conditioned on X and on P of the
+    measured party 0 (A) or 1 (B), with the joint entropy s_e given."""
+    o = 2 - 2 * measured  # the other party's block
+    b = cond[:, o : o + 2, o : o + 2]
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    return tuple(s_e - entropy_f(math.sqrt(max(d, 0.0))) for d in det.tolist())
 
 
-def _formula_rate(inv: SymplecticInvariants) -> tuple:
-    """(k_nominal, mi, chi_a, chi_b, intermediates), checked for the domain."""
+def _checked_formula(inv: SymplecticInvariants) -> _Formula:
+    """_formula of single-state invariants, checked for the domain."""
     f = _formula(inv)
     _check_mutual_information(f, inv)
     _check_intermediates(f, inv)
     _check_entropy_arguments(f.d_plus, f.d_minus, f.d_a, f.d_b)
-    return float(f.k), float(f.mi), float(f.chi_a), float(f.chi_b), _intermediates(f)
+    return f
 
 
-#: what _formula returns: q = i1*i2, the radicands, arg and the squared
-#: eigenvalues unclamped, then the clamped eigenvalues, mi, chi_a, chi_b and k
-_Formula = namedtuple("_Formula", "q sym_rad dm2 disc arg da2 db2 d_plus d_minus d_a d_b mi chi_a chi_b k")
+#: what _formula returns: the radicands, arg and the squared eigenvalues
+#: unclamped, then the clamped eigenvalues, mi, chi_a, chi_b and k
+_Formula = namedtuple("_Formula", "sym_rad dp2 dm2 disc arg da2 db2 d_plus d_minus d_a d_b mi chi_a chi_b k")
 
 
 def _formula(inv: SymplecticInvariants) -> _Formula:
@@ -377,7 +369,7 @@ def _formula(inv: SymplecticInvariants) -> _Formula:
     s_joint = _entropy(d_plus) + _entropy(d_minus)
     chi_a, chi_b = _zero_rounding_noise(s_joint - _entropy(d_a)), _zero_rounding_noise(s_joint - _entropy(d_b))
     k = np.minimum(mi - chi_a, mi - chi_b)
-    return _Formula(inv.i1 * inv.i2, sym_rad, dm2, disc, arg, da2, db2, d_plus, d_minus, d_a, d_b, mi, chi_a, chi_b, k)
+    return _Formula(sym_rad, dp2, dm2, disc, arg, da2, db2, d_plus, d_minus, d_a, d_b, mi, chi_a, chi_b, k)
 
 
 def _entropy(d):
@@ -398,9 +390,10 @@ def _intermediates(f: _Formula) -> HolevoIntermediates:
 
 def _check_mutual_information(f: _Formula, inv: SymplecticInvariants) -> None:
     _check_block_determinants(inv)
-    if f.disc / f.q < -DEFAULT_TOL:
+    radicand = f.disc / (inv.i1 * inv.i2)
+    if radicand < -DEFAULT_TOL:
         raise FormulaDomainError(
-            f"mutual information radicand is {f.disc / f.q:.3e}, negative beyond the rounding tolerance",
+            f"mutual information radicand is {radicand:.3e}, negative beyond the rounding tolerance",
             invariants=inv,
         )
     if f.arg <= 0.0:

@@ -222,7 +222,7 @@ def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
     """
     nus = _per_mode(nu, g.n_modes, "nu")
     if np.any(nus < 0.0) or np.any(nus > 1.0):
-        raise InvalidArgumentError(f"loss values must lie in [0, 1], got {list(nus)}")
+        raise InvalidArgumentError(f"loss values must lie in [0, 1], got {nus.tolist()}")
     return covariance(_loss(g.entries, nus))
 
 
@@ -230,7 +230,7 @@ def detection_noise(g: CovarianceMatrix, delta) -> CovarianceMatrix:
     """Additive electronic noise of delta per detector on both quadratures."""
     deltas = _per_mode(delta, g.n_modes, "delta")
     if np.any(deltas < 0.0):
-        raise InvalidArgumentError(f"detection noise must be non-negative, got {list(deltas)}")
+        raise InvalidArgumentError(f"detection noise must be non-negative, got {deltas.tolist()}")
     return covariance(_detection(g.entries, deltas))
 
 
@@ -247,7 +247,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
     """
     sigmas = _per_mode(sigma, g.n_modes, "sigma")
     if np.any(sigmas < 0.0):
-        raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {list(sigmas)}")
+        raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {sigmas.tolist()}")
     if np.all(sigmas == 0.0):
         return g
     return covariance(_phase_noise(g.entries, sigmas))
@@ -310,7 +310,7 @@ def phase_noise_monte_carlo(
         raise InvalidArgumentError(f"n_samples must be at least 1, got {n_samples}")
     sigmas = _per_mode(sigma, g.n_modes, "sigma")
     if np.any(sigmas < 0.0):
-        raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {list(sigmas)}")
+        raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {sigmas.tolist()}")
     rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(g.entries)
     z = rng.standard_normal((n_samples, g.dim)) @ chol.T

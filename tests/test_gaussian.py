@@ -505,6 +505,15 @@ def test_epr_product_equals_invariant_ratio():
         assert epr_product(g, "b_given_a")[1] == pytest.approx(inv.i4 / inv.i1, rel=1e-12)
 
 
+def test_epr_direct_equals_product_of_conditional_variances():
+    """Bit for bit: both read the same conditioning kernel."""
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        for g in (random_normal_form_state(rng), random_rotated_state(rng)):
+            assert epr_product(g, "a_given_b")[0] == conditional_variance(g, 0, 2) * conditional_variance(g, 1, 3)
+            assert epr_product(g, "b_given_a")[0] == conditional_variance(g, 2, 0) * conditional_variance(g, 3, 1)
+
+
 def test_epr_product_of_vacuum_is_one():
     assert epr_product(vacuum(2)) == (1.0, 1.0)
 

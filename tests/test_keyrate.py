@@ -122,6 +122,13 @@ def test_mutual_information_formula_value_on_reconstructed_example(reconstructed
     )
 
 
+def test_mi_oracle_rejects_non_positive_conditional_variance():
+    # Var(x_A|x_B) = 1 - 2**2 / 1 = -3: an indefinite matrix, not a state
+    g = covariance([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(InvalidStateError, match="must be positive"):
+        mi_oracle(g)
+
+
 def test_mi_oracle_on_reconstructed_example(reconstructed_example):
     mi_x, mi_p = mi_oracle(reconstructed_example)
     assert mi_x == pytest.approx(0.7984675711936159, rel=1e-12)
@@ -244,6 +251,24 @@ def test_pure_lossless_states_have_key_equal_to_mi():
         )
         report = secret_key_rate(g)
         assert report.k_nominal == pytest.approx(report.mi, abs=1e-9)
+
+
+def test_report_branch_detail_equals_public_oracles_bit_for_bit():
+    """secret_key_rate conditions once for all branches; mi_oracle and
+    holevo_oracle condition separately. Both must give the same floats, on
+    normal forms and on locally rotated copies of them."""
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        g = random_normal_form_state(rng)
+        s = np.zeros((4, 4))
+        s[0:2, 0:2] = rotation(float(rng.uniform(0.0, math.pi)))
+        s[2:4, 2:4] = rotation(float(rng.uniform(0.0, math.pi)))
+        for state in (g, apply_symplectic(g, s)):
+            report = secret_key_rate(state)
+            chi_a, chi_b = holevo_oracle(state, "A"), holevo_oracle(state, "B")
+            assert (report.mi_x, report.mi_p) == mi_oracle(state)
+            assert report.k_branch_x == report.mi_x - max(chi_a[0], chi_b[0])
+            assert report.k_branch_p == report.mi_p - max(chi_a[1], chi_b[1])
 
 
 # ------------------------------------------------------------------- worst case
@@ -568,6 +593,9 @@ def test_indefinite_matrices_raise_only_typed_errors(m):
         lambda: worst_case_breakdown(g, 10**4),
         lambda: normal_form(g),
         lambda: symplectic_eigenvalues(g),
+        lambda: mi_oracle(g),
+        lambda: holevo_oracle(g, "A"),
+        lambda: holevo_oracle(g, "B"),
     ):
         try:
             call()

@@ -297,6 +297,32 @@ def test_phase_monte_carlo_rejects_bad_sample_count():
         phase_noise_monte_carlo(vacuum(1), 0.1, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: loss_channel(vacuum(2), [0.0, -0.5]), "loss values must lie in [0, 1], got [0.0, -0.5]"),
+        (
+            lambda: detection_noise(vacuum(2), [-0.1, 0.0148]),
+            "detection noise must be non-negative, got [-0.1, 0.0148]",
+        ),
+        (
+            lambda: phase_noise_channel(vacuum(2), [0.0, -0.2]),
+            "phase noise sigma must be non-negative, got [0.0, -0.2]",
+        ),
+        (
+            lambda: phase_noise_monte_carlo(vacuum(2), [-0.3, 0.1], 10, seed=0),
+            "phase noise sigma must be non-negative, got [-0.3, 0.1]",
+        ),
+    ],
+    ids=["loss_channel", "detection_noise", "phase_noise_channel", "phase_noise_monte_carlo"],
+)
+def test_channel_range_errors_print_plain_floats(call, message):
+    """Under numpy 2 a list of numpy floats would print as [np.float64(0.0), ...]."""
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 # -------------------------------------------------------- calibration helpers
 
 
