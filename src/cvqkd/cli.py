@@ -47,6 +47,7 @@ from .noise import (
     pump_to_variances,
 )
 from .tomography import (
+    _MAX_ARRAY_BYTES,
     CANONICAL_SETTINGS,
     load_dataset,
     reconstruct,
@@ -229,8 +230,9 @@ def _apply_flag_overrides(cfg: dict, args) -> None:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         cfg["analysis"]["seed"] = args.seed
     if getattr(args, "n", None) is not None:
-        if args.n < 1:
-            raise ConfigError(f"--n must be a positive integer, got {args.n}")
+        # the rule of analysis.n_samples: a count beyond the float range overflows math.sqrt
+        if not 1 <= args.n <= sys.float_info.max:
+            raise ConfigError(f"--n must be a positive integer no larger than the float maximum, got {args.n}")
         cfg["analysis"]["n_samples"] = args.n
     if getattr(args, "worst_case", False):
         cfg["analysis"]["worst_case"] = True
@@ -278,7 +280,13 @@ def cmd_simulate(args, cfg: dict) -> int:
 def cmd_scan(args, cfg: dict) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be at least 2, got {args.steps}")
-    grid = np.linspace(args.sweep_start, args.sweep_stop, args.steps)
+    # numpy sizes an array in bytes by a signed pointer-sized integer, 8 bytes a grid point
+    if args.steps > _MAX_ARRAY_BYTES // 8:
+        raise ConfigError(f"--steps = {args.steps} is more grid points than a numpy array can hold")
+    try:
+        grid = np.linspace(args.sweep_start, args.sweep_stop, args.steps)
+    except MemoryError as exc:
+        raise ConfigError(f"--steps = {args.steps} grid points do not fit in memory") from exc
     lines = [",".join(SCAN_COLUMNS)]
     for value in grid:
         lines.append(_scan_row(cfg, args.sweep, float(value)))
@@ -365,10 +373,11 @@ def cmd_analyze(args, cfg: dict) -> int:
         g = result.gamma_hat
         n_default = result.n_min
     if not is_physical(g):
-        raise InvalidStateError(
-            f"{args.input}: covariance matrix is unphysical, its smallest symplectic "
-            f"eigenvalue is {symplectic_eigenvalues(g)[1]:.6g} < 1"
-        )
+        try:  # an indefinite matrix has no symplectic eigenvalues to name
+            detail = f", its smallest symplectic eigenvalue is {symplectic_eigenvalues(g)[1]:.6g} < 1"
+        except CvqkdError:
+            detail = ""
+        raise InvalidStateError(f"{args.input}: covariance matrix is unphysical{detail}")
     n = args.n if args.n is not None else n_default
     report = secret_key_rate(g, n_samples=n if cfg["analysis"]["worst_case"] else None)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)

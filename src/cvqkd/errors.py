@@ -19,11 +19,11 @@ class InvalidStateError(CvqkdError, ValueError):
 
 
 class NumericalDegeneracyError(CvqkdError, ArithmeticError):
-    """A discriminant or radicand is negative beyond the rounding tolerance.
+    """A radicand or squared symplectic eigenvalue is negative beyond rounding.
 
-    Small negatives (within 1e-9) are clamped to zero by the callers;
-    anything larger indicates a genuinely degenerate or corrupted input and
-    is reported through this error instead of being silently absorbed.
+    Negatives within the tolerance rule of gaussian.DEGENERACY_SNAP are
+    clamped to zero; anything larger indicates a genuinely degenerate or
+    corrupted input and is reported through this error instead.
     """
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    FormulaDomainError,
     InvalidArgumentError,
     InvalidStateError,
     NumericalDegeneracyError,
@@ -37,15 +39,15 @@ DEFAULT_TOL = 1e-9
 #: asymmetry tolerated on input matrices before symmetrizing
 SYMMETRY_TOL = 1e-12
 
-#: relative threshold below which a cancelling radicand is treated as zero.
-#: Pure states make some invariant radicands exactly zero; float evaluation
-#: leaves a residual of order machine-eps times the term magnitudes, and the
-#: square root amplifies that to ~1e-8, far above the 1e-9 accuracy the pure
-#: state quantities need. A radicand smaller than this fraction of its
-#: constituent terms is below evaluation resolution and is snapped to zero.
-#: Applied in one place, _snap, which the single-state functions and the
-#: batched key-rate kernel share.
-DEGENERACY_SNAP = 4e-12
+#: The one tolerance rule of the invariant formula, 16 eps. A quantity with
+#: a floor (0 for a radicand or a square, 1 for an entropy argument) is judged
+#: on its scale, the size of the terms that cancel in computing it
+#: (_radicands); rounding leaves a few eps times that. Within DEGENERACY_SNAP
+#: times its scale of the floor, a radicand is snapped to 0 (pure states make
+#: some exactly 0, and a root would amplify the residual) and anything else is
+#: clamped. Below the floor by more than DEFAULT_TOL plus that, it is an error
+#: naming the quantity (_judge, for single states).
+DEGENERACY_SNAP = 2.0**-48
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,17 +315,15 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
     lambda_a = sqrt(i1), lambda_b = sqrt(i2); c_x^2 and c_p^2 are the two
     roots of t^2 - (i4_prime/sqrt(i1*i2)) t + i3^2 = 0 with c_x taking the
     larger root, and c_p carries sign +1 when i3 < 0 (so that i3 = -c_x*c_p).
-    A discriminant below -1e-9 raises NumericalDegeneracyError; small
-    negative values are clamped to zero.
+    FormulaDomainError when the discriminant is negative beyond rounding
+    (the tolerance rule of DEGENERACY_SNAP).
     """
     inv = invariants(g)
     _check_block_determinants(inv)
-    _, _, _, disc, cx2, cp2, _ = _radicands(inv)
-    if disc < -DEFAULT_TOL:
-        raise NumericalDegeneracyError(f"normal form discriminant {disc:.3e} below -1e-9")
-    cx, cp = math.sqrt(max(cx2, 0.0)), math.sqrt(max(cp2, 0.0))
-    cp = math.copysign(cp, -inv.i3) if inv.i3 != 0.0 else 0.0
-    return NormalForm(lambda_a=math.sqrt(inv.i1), lambda_b=math.sqrt(inv.i2), c_x=cx, c_p=cp)
+    r = _radicands(inv)
+    _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, lambda msg: FormulaDomainError(msg, invariants=inv))
+    cp = math.copysign(_root(r.cp2), -inv.i3) if inv.i3 != 0.0 else 0.0
+    return NormalForm(lambda_a=_root(inv.i1), lambda_b=_root(inv.i2), c_x=_root(r.cx2), c_p=cp)
 
 
 def normal_form_matrix(nf: NormalForm) -> CovarianceMatrix:
@@ -344,13 +344,14 @@ def normal_form_matrix(nf: NormalForm) -> CovarianceMatrix:
 def symplectic_eigenvalues_from_invariants(inv: SymplecticInvariants) -> tuple[float, float]:
     """Symplectic eigenvalues (d_plus, d_minus) from the invariants.
 
-    d_pm = sqrt((Delta pm sqrt(Delta^2 - 4*i4)) / 2) with
-    Delta = i1 + i2 + 2*i3. Radicands below -1e-9 raise
-    NumericalDegeneracyError; smaller negatives are clamped.
+    d_pm^2 = (Delta pm sqrt(Delta^2 - 4*i4)) / 2 with Delta = i1 + i2 + 2*i3,
+    d_minus^2 taken as i4/d_plus^2. NumericalDegeneracyError when the radicand
+    or d_minus^2 is negative beyond rounding (the rule of DEGENERACY_SNAP).
     """
-    rad, hi, lo, *_ = _radicands(inv)
-    _check_symplectic_squares(rad, lo)
-    return math.sqrt(max(hi, 0.0)), math.sqrt(max(lo, 0.0))
+    r = _radicands(inv)
+    _judge("symplectic eigenvalue radicand", r.rad, 0.0, r.rad_scale)
+    _judge("squared smaller symplectic eigenvalue", r.dm2, 0.0, r.d_scale)
+    return r.d_plus, r.d_minus
 
 
 def symplectic_eigenvalues(g: CovarianceMatrix) -> tuple[float, float]:
@@ -460,35 +461,59 @@ def _clamp(x):
     return (x + abs(x)) / 2.0
 
 
+def _root(x):
+    """sqrt(max(x, 0)) for floats and arrays alike: the one square root of
+    the invariant formula. math.sqrt and np.sqrt both round correctly (C pow
+    does not), so a float and a stack give the same bits."""
+    return math.sqrt(_clamp(x)) if isinstance(x, float) else np.sqrt(_clamp(x))
+
+
+def _judge(what: str, value: float, floor: float, scale: float, error=NumericalDegeneracyError) -> None:
+    """The one tolerance rule on a single-state quantity: raise error(message)
+    when value is below floor by more than DEFAULT_TOL + DEGENERACY_SNAP *
+    scale, the rounding of the terms that cancel in it."""
+    tol = DEFAULT_TOL + DEGENERACY_SNAP * scale
+    if value < floor - tol:
+        raise error(f"{what} is {value:.10g}, {floor - value:.3g} below {floor:g}, beyond its rounding tolerance {tol:.2g}")
+
+
 def _check_block_determinants(inv: SymplecticInvariants) -> None:
     if inv.i1 <= 0.0 or inv.i2 <= 0.0:
         raise InvalidStateError(f"block determinants must be positive, got i1={inv.i1}, i2={inv.i2}")
 
 
-def _check_symplectic_squares(rad: float, lo: float) -> None:
-    if rad < -DEFAULT_TOL:
-        raise NumericalDegeneracyError(f"symplectic eigenvalue radicand {rad:.3e} below -1e-9")
-    if lo < -DEFAULT_TOL:
-        raise NumericalDegeneracyError(f"negative squared symplectic eigenvalue {lo:.3e}")
+#: what _radicands returns, for floats or arrays
+_Radicands = namedtuple("_Radicands", "rad rad_scale dm2 d_plus d_minus d_scale disc disc_scale cx2 cp2 s size")
 
 
-def _radicands(inv: SymplecticInvariants) -> tuple:
-    """The radicands of the invariant formulas and the squares they give.
+def _radicands(inv: SymplecticInvariants) -> _Radicands:
+    """The radicands of the invariant formulas, their scales, and the squares.
 
-    Returns (rad, d_plus^2, d_minus^2) of the symplectic eigenvalues, with
-    rad = Delta^2 - 4*i4, then (disc, c_x^2, c_p^2) of the correlation
-    quadratic t^2 - (i4'/s) t + i3^2 = 0, and s = sqrt(i1*i2). rad and disc
-    are snapped, and clamped only inside the roots. The invariants may be
-    floats or arrays; s reads 1 where i1*i2 <= 0, which callers reject.
+    d_plus^2 = (Delta + sqrt(rad))/2 and c_x^2 = (u + sqrt(disc))/2, with
+    u = i4'/s and s = sqrt(i1*i2), are the larger roots of t^2 - Delta t + i4
+    and t^2 - u t + i3^2; the smaller are the products over them, so nothing
+    cancels. Delta sums terms of size = |i1| + |i2| + 2|i3|, and u terms of
+    (|i1 i2| + i3^2 + |i4|)/s. d_scale, that of d_plus^2 and d_minus^2, adds
+    what the root of an unsnapped rad amplifies: the rounding of rad over
+    2 sqrt(rad). s reads 1 where i1*i2 <= 0 and a larger root 0 divides as 1;
+    only non-states reach either.
     """
+    size = abs(inv.i1) + abs(inv.i2) + 2.0 * abs(inv.i3)
     delta = inv.i1 + inv.i2 + 2.0 * inv.i3
-    rad = _snap(delta * delta - 4.0 * inv.i4, delta * delta + 4.0 * abs(inv.i4))
-    q = inv.i1 * inv.i2
-    s = _clamp(q) ** 0.5 + (q <= 0.0)
+    rad_scale = size * abs(delta) + 4.0 * abs(inv.i4)
+    rad = _snap(delta * delta - 4.0 * inv.i4, rad_scale)
+    rad_root = _root(rad)
+    dp2 = (delta + rad_root) / 2.0
+    dm2 = inv.i4 / (dp2 + (dp2 == 0.0))
+    d_scale = size + rad_scale * (rad > 0.0) / (2.0 * rad_root + (rad <= 0.0))
+    q, i3_sq = inv.i1 * inv.i2, inv.i3 * inv.i3
+    s = _root(q) + (q <= 0.0)
     u = inv.i4_prime / s
-    disc = _snap(u * u - 4.0 * inv.i3 * inv.i3, u * u + 4.0 * inv.i3 * inv.i3)
-    d_root, c_root = _clamp(rad) ** 0.5, _clamp(disc) ** 0.5
-    return rad, (delta + d_root) / 2.0, (delta - d_root) / 2.0, disc, (u + c_root) / 2.0, (u - c_root) / 2.0, s
+    disc_scale = (abs(q) + i3_sq + abs(inv.i4)) / s * abs(u) + 4.0 * i3_sq
+    disc = _snap(u * u - 4.0 * i3_sq, disc_scale)
+    cx2 = (u + _root(disc)) / 2.0
+    cp2 = i3_sq / (cx2 + (cx2 == 0.0))
+    return _Radicands(rad, rad_scale, dm2, _root(dp2), _root(dm2), d_scale, disc, disc_scale, cx2, cp2, s, size)
 
 
 def _require_two_modes(g: CovarianceMatrix) -> None:

@@ -18,10 +18,11 @@ report so a two-basis protocol rate can be read off as well.
 
 The formula path is one kernel from invariants, floats or arrays, shared
 by the single-state functions and the batched worst case, with one
-clamping policy: radicands are snapped by DEGENERACY_SNAP and clamped at 0,
-eigenvalues are clamped to >= 1 inside the entropies, and a non-positive
-mutual-information log argument rates +inf. The single-state functions
-raise typed errors on the kernel's unclamped values instead.
+tolerance rule (gaussian.DEGENERACY_SNAP), scaled by the terms that cancel:
+radicands are snapped and clamped at 0, entropy arguments clamped at 1, and
+a non-positive mutual-information log argument rates +inf. The single-state
+functions and the oracles raise typed errors naming the quantity instead,
+where it is below its floor beyond rounding (gaussian._judge).
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
@@ -53,17 +54,18 @@ from .gaussian import (
     NormalForm,
     SymplecticInvariants,
     _check_block_determinants,
-    _check_symplectic_squares,
     _clamp,
     _conditioned,
     _invariant_values,
+    _judge,
     _physical,
     _radicands,
+    _Radicands,
     _require_two_modes,
+    _root,
     invariants,
     normal_form,
     normal_form_matrix,
-    symplectic_eigenvalues,
 )
 
 #: index pairs of the 10 independent entries of a symmetric 4x4 matrix
@@ -153,9 +155,11 @@ def entropy_f(x: float) -> float:
 
     f(x) = (x+1)/2 log2((x+1)/2) - (x-1)/2 log2((x-1)/2), continuously
     extended by f(1) = 0. Values of x within 1e-9 below 1 are clamped to 1;
-    anything lower is rejected.
+    anything lower is rejected. A bare x has no scale, so the key-rate
+    functions judge their own arguments by gaussian._judge instead.
     """
-    _check_entropy_arguments(x)
+    if x < 1.0 - DEFAULT_TOL:
+        raise InvalidArgumentError(f"entropy_f needs x >= 1, got {x}")
     return float(_entropy(x))
 
 
@@ -167,9 +171,7 @@ def mutual_information(inv: SymplecticInvariants) -> float:
     which equals the larger of the two per-quadrature direct values
     (mi_oracle validates this). Zero for uncorrelated states.
     """
-    f = _formula(inv)
-    _check_mutual_information(f, inv)
-    return float(f.mi)
+    return float(_checked_formula(inv, ()).mi)
 
 
 def mi_oracle(g: CovarianceMatrix) -> tuple[float, float]:
@@ -192,9 +194,7 @@ def holevo_intermediates(inv: SymplecticInvariants) -> HolevoIntermediates:
     d_a^2 = i2 (1 - c_x^2/sqrt(i1 i2)) and d_b^2 = i1 (1 - c_x^2/sqrt(i1 i2)),
     which equals sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) and its mirror.
     """
-    f = _formula(inv)
-    _check_intermediates(f, inv)
-    return _intermediates(f)
+    return _intermediates(_checked_formula(inv, ()))
 
 
 def holevo(inv: SymplecticInvariants, direction: str) -> float:
@@ -204,10 +204,8 @@ def holevo(inv: SymplecticInvariants, direction: str) -> float:
     quantities of holevo_intermediates. Zero for pure joint states. The
     direction names the measured party, "A" or "B".
     """
-    f = _formula(inv)
-    _check_intermediates(f, inv)
     measured_a = _normalize_direction(direction) == "A"
-    _check_entropy_arguments(f.d_plus, f.d_minus, f.d_a if measured_a else f.d_b)
+    f = _checked_formula(inv, ("d_plus", "d_minus", "d_a" if measured_a else "d_b"))
     return float(f.chi_a if measured_a else f.chi_b)
 
 
@@ -219,13 +217,12 @@ def holevo_oracle(g: CovarianceMatrix, direction: str) -> tuple[float, float]:
     remaining state is conditionally pure, so S(E | outcome) equals the
     entropy f(sqrt(det)) of the other party's conditional 2x2 covariance
     block. Returns (chi_x, chi_p) for the measured quadrature X or P of the
-    party named by direction.
+    party named by direction. S(E) is secret_key_rate's, to the bit.
     """
     _require_two_modes(g)
     measured = 0 if _normalize_direction(direction) == "A" else 1
-    d_plus, d_minus = symplectic_eigenvalues(g)
     cond = _conditioned(g.entries, slice(2 * measured, 2 * measured + 2))
-    return _chi(cond, measured, entropy_f(d_plus) + entropy_f(d_minus))
+    return _chi(cond, measured, _checked_formula(invariants(g)))
 
 
 def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyRateReport:
@@ -243,9 +240,8 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     f = _checked_formula(invariants(g))
     cond = _conditioned(g.entries)
     mi_x, mi_p = _mi(g.entries, cond[2:])
-    s_e = entropy_f(math.sqrt(max(f.dp2, 0.0))) + entropy_f(math.sqrt(max(f.dm2, 0.0)))
-    chi_a_x, chi_a_p = _chi(cond[:2], 0, s_e)
-    chi_b_x, chi_b_p = _chi(cond[2:], 1, s_e)
+    chi_a_x, chi_a_p = _chi(cond[:2], 0, f)
+    chi_b_x, chi_b_p = _chi(cond[2:], 1, f)
     k_branch_x = mi_x - max(chi_a_x, chi_b_x)
     k_branch_p = mi_p - max(chi_a_p, chi_b_p)
     k_worst = worst_case_key_rate(g, n_samples) if n_samples is not None else None
@@ -327,27 +323,40 @@ def _mi(m: np.ndarray, given_b: np.ndarray) -> tuple[float, float]:
     return 0.5 * math.log2(m[0, 0] / var_x), 0.5 * math.log2(m[1, 1] / var_p)
 
 
-def _chi(cond: np.ndarray, measured: int, s_e: float) -> tuple[float, float]:
+def _chi(cond: np.ndarray, measured: int, f: _Formula) -> tuple[float, float]:
     """holevo_oracle from cond, the entries conditioned on X and on P of the
-    measured party 0 (A) or 1 (B), with the joint entropy s_e given."""
+    measured party 0 (A) or 1 (B), with S(E) and the scale of the entropy
+    arguments from the checked formula evaluation f."""
     o = 2 - 2 * measured  # the other party's block
     b = cond[:, o : o + 2, o : o + 2]
     det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    return tuple(s_e - entropy_f(math.sqrt(max(d, 0.0))) for d in det.tolist())
+    d_cond = [_root(d) for d in det.tolist()]
+    for quadrature, d in zip("XP", d_cond):
+        _judge(f"conditional symplectic eigenvalue given {quadrature}", d, 1.0, f.size, InvalidArgumentError)
+    return tuple(float(f.s_joint - _entropy(d)) for d in d_cond)
 
 
-def _checked_formula(inv: SymplecticInvariants) -> _Formula:
-    """_formula of single-state invariants, checked for the domain."""
+def _checked_formula(inv: SymplecticInvariants, entropy_args=("d_plus", "d_minus", "d_a", "d_b")) -> _Formula:
+    """_formula of single-state invariants, with the discriminant, the
+    symplectic radicand, d_minus^2 and the named entropy arguments judged by
+    gaussian._judge. d_a^2 = |i2| arg and d_b^2 = |i1| arg need no judging:
+    the block determinants and arg are checked to be positive."""
+    _check_block_determinants(inv)
     f = _formula(inv)
-    _check_mutual_information(f, inv)
-    _check_intermediates(f, inv)
-    _check_entropy_arguments(f.d_plus, f.d_minus, f.d_a, f.d_b)
+    _judge("correlation discriminant", f.disc, 0.0, f.disc_scale, lambda msg: FormulaDomainError(msg, invariants=inv))
+    if f.arg <= 0.0:
+        raise InvalidStateError(f"mutual information log argument {f.arg:.3e} is not positive")
+    _judge("symplectic eigenvalue radicand", f.rad, 0.0, f.rad_scale)
+    _judge("squared smaller symplectic eigenvalue", f.dm2, 0.0, f.d_scale)
+    for name in entropy_args:
+        scale = f.d_scale if name in ("d_plus", "d_minus") else f.size
+        _judge(f"entropy argument {name}", getattr(f, name), 1.0, scale, InvalidArgumentError)
     return f
 
 
-#: what _formula returns: the radicands, arg and the squared eigenvalues
-#: unclamped, then the clamped eigenvalues, mi, chi_a, chi_b and k
-_Formula = namedtuple("_Formula", "sym_rad dp2 dm2 disc arg da2 db2 d_plus d_minus d_a d_b mi chi_a chi_b k")
+#: what _formula returns: the fields of _Radicands, then the log argument,
+#: d_a, d_b, S(E) = f(d_plus) + f(d_minus), mi, chi_a, chi_b and k
+_Formula = namedtuple("_Formula", _Radicands._fields + ("arg", "d_a", "d_b", "s_joint", "mi", "chi_a", "chi_b", "k"))
 
 
 def _formula(inv: SymplecticInvariants) -> _Formula:
@@ -359,17 +368,16 @@ def _formula(inv: SymplecticInvariants) -> _Formula:
     Values less than 1e-12 below zero are reported as 0. Plain operators
     keep float inputs cheap.
     """
-    sym_rad, dp2, dm2, disc, cx2, _, s = _radicands(inv)
-    arg = 1.0 - cx2 / s
+    r = _radicands(inv)
+    arg = 1.0 - r.cx2 / r.s
     with np.errstate(divide="ignore"):  # log2(0) = -inf: arg <= 0 rates +inf
         mi = _zero_rounding_noise(-0.5 * np.log2(_clamp(arg)))
     # |i2| arg = sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) also where i1 and i2 are both negative
-    da2, db2 = abs(inv.i2) * arg, abs(inv.i1) * arg
-    d_plus, d_minus, d_a, d_b = _clamp(dp2) ** 0.5, _clamp(dm2) ** 0.5, _clamp(da2) ** 0.5, _clamp(db2) ** 0.5
-    s_joint = _entropy(d_plus) + _entropy(d_minus)
+    d_a, d_b = _root(abs(inv.i2) * arg), _root(abs(inv.i1) * arg)
+    s_joint = _entropy(r.d_plus) + _entropy(r.d_minus)
     chi_a, chi_b = _zero_rounding_noise(s_joint - _entropy(d_a)), _zero_rounding_noise(s_joint - _entropy(d_b))
     k = np.minimum(mi - chi_a, mi - chi_b)
-    return _Formula(sym_rad, dp2, dm2, disc, arg, da2, db2, d_plus, d_minus, d_a, d_b, mi, chi_a, chi_b, k)
+    return _Formula(*r, arg, d_a, d_b, s_joint, mi, chi_a, chi_b, k)
 
 
 def _entropy(d):
@@ -386,41 +394,6 @@ def _zero_rounding_noise(x):
 
 def _intermediates(f: _Formula) -> HolevoIntermediates:
     return HolevoIntermediates(*(float(d) for d in (f.d_plus, f.d_minus, f.d_a, f.d_b)))
-
-
-def _check_mutual_information(f: _Formula, inv: SymplecticInvariants) -> None:
-    _check_block_determinants(inv)
-    radicand = f.disc / (inv.i1 * inv.i2)
-    if radicand < -DEFAULT_TOL:
-        raise FormulaDomainError(
-            f"mutual information radicand is {radicand:.3e}, negative beyond the rounding tolerance",
-            invariants=inv,
-        )
-    if f.arg <= 0.0:
-        raise InvalidStateError(f"mutual information log argument {f.arg:.3e} is not positive")
-
-
-def _check_intermediates(f: _Formula, inv: SymplecticInvariants) -> None:
-    _check_symplectic_squares(f.sym_rad, f.dm2)
-    _check_block_determinants(inv)
-    if f.disc < -DEFAULT_TOL:
-        raise FormulaDomainError(
-            f"conditional symplectic eigenvalue radicand is {f.disc:.3e}, negative beyond the rounding tolerance",
-            invariants=inv,
-        )
-    for squared in (f.da2, f.db2):
-        if squared < -DEFAULT_TOL:
-            raise FormulaDomainError(
-                f"conditional symplectic eigenvalue squared is {squared:.3e}; "
-                "the input is outside the formula domain",
-                invariants=inv,
-            )
-
-
-def _check_entropy_arguments(*xs: float) -> None:
-    for x in xs:
-        if x < 1.0 - DEFAULT_TOL:
-            raise InvalidArgumentError(f"entropy_f needs x >= 1, got {x}")
 
 
 def _normalize_direction(direction: str) -> str:

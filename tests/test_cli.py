@@ -186,6 +186,37 @@ def test_scan_rejects_extra_loss_outside_unit_interval(capsys, start):
     assert err.startswith("error:") and "[0, 1]" in err
 
 
+def test_scan_rejects_more_steps_than_an_array_holds(capsys):
+    rc, out, err = run(capsys, "scan", "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", str(10**20))
+    assert rc == 1 and out == ""
+    assert err == f"error: --steps = {10**20} is more grid points than a numpy array can hold\n"
+
+
+def test_scan_grid_out_of_memory_is_config_error(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    rc, out, err = run(capsys, "scan", "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "1000")
+    assert rc == 1 and out == ""
+    assert err == "error: --steps = 1000 grid points do not fit in memory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate",), ("scan", "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "2"), ("analyze", "STATE")],
+    ids=["simulate", "scan", "analyze"],
+)
+def test_worst_case_count_beyond_float_range_exits_one(capsys, tmp_path, argv):
+    """analysis.n_samples in a config gets the same ConfigError."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(covariance_to_json(make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams()))))
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--worst-case", "--n", str(10**400))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: --n must be a positive integer no larger than the float maximum, got 1000")
+
+
 # ------------------------------------------------------- sample / reconstruct
 
 
@@ -285,6 +316,32 @@ def test_analyze_unphysical_covariance_names_symplectic_eigenvalue(capsys, tmp_p
     assert rc == 1 and out == ""
     assert "smallest symplectic eigenvalue is 0.93958" in err
     assert "entropy_f" not in err
+
+
+def test_analyze_indefinite_covariance_names_file(capsys, tmp_path):
+    """Its squared smaller symplectic eigenvalue is -1: there is none to name."""
+    path = tmp_path / "indefinite.json"
+    entries = [[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    path.write_text(json.dumps({"n_modes": 2, "entries": entries}), encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"error: {path}: covariance matrix is unphysical\n"
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0, 6.0])
+@pytest.mark.parametrize("worst_case", [False, True])
+def test_analyze_strongly_squeezed_pure_state(capsys, tmp_path, r, worst_case):
+    """A pure two-mode squeezed vacuum rates k = log2(cosh 2r), to the
+    resolution of its rounded entries, eps * cosh(2r)^2."""
+    lam = math.cosh(2.0 * r)
+    c = math.sqrt(lam * lam - 1.0)
+    path = tmp_path / "tmsv.json"
+    entries = [[lam, 0.0, c, 0.0], [0.0, lam, 0.0, -c], [c, 0.0, lam, 0.0], [0.0, -c, 0.0, lam]]
+    path.write_text(json.dumps({"n_modes": 2, "entries": entries}), encoding="utf-8")
+    rc, out, err = run(capsys, "analyze", *(["--worst-case"] if worst_case else []), str(path))
+    assert rc == 0 and err == ""
+    k, want = json.loads(out)["k_nominal"], math.log2(lam)
+    assert abs(k - want) <= max(1e-9 * want, 16.0 * sys.float_info.epsilon * lam * lam)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])

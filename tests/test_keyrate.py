@@ -50,7 +50,7 @@ from cvqkd.keyrate import (
     worst_case_breakdown,
     worst_case_key_rate,
 )
-from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
+from cvqkd.noise import ChannelParams, SqueezingSpec, detection_noise, loss_channel, make_epr_state
 
 from conftest import RECONSTRUCTED_EXAMPLE, random_normal_form_state
 
@@ -269,6 +269,20 @@ def test_report_branch_detail_equals_public_oracles_bit_for_bit():
             assert (report.mi_x, report.mi_p) == mi_oracle(state)
             assert report.k_branch_x == report.mi_x - max(chi_a[0], chi_b[0])
             assert report.k_branch_p == report.mi_p - max(chi_a[1], chi_b[1])
+
+
+def test_report_eigenvalues_equal_symplectic_eigenvalues_bit_for_bit():
+    """One square root for the report's d_plus, d_minus and the public
+    symplectic_eigenvalues, on normal forms and locally rotated copies."""
+    rng = np.random.default_rng(35)
+    for _ in range(400):
+        g = random_normal_form_state(rng)
+        s = np.zeros((4, 4))
+        s[0:2, 0:2] = rotation(float(rng.uniform(0.0, math.pi)))
+        s[2:4, 2:4] = rotation(float(rng.uniform(0.0, math.pi)))
+        for state in (g, apply_symplectic(g, s)):
+            report = secret_key_rate(state)
+            assert (report.d_plus, report.d_minus) == symplectic_eigenvalues(state)
 
 
 # ------------------------------------------------------------------- worst case
@@ -570,6 +584,78 @@ def test_formula_matches_oracles_in_normal_form_basis_on_edge_regimes(kind):
             assert formula == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     check()
+
+
+@st.composite
+def _strongly_squeezed_states(draw):
+    """Two-mode squeezed vacua up to r = 6 (local variance cosh 2r up to
+    8e4), with optional small loss and detection noise on each arm, in a
+    basis turned by local rotations and squeezers."""
+    g = tmsv(math.cosh(2.0 * draw(st.floats(0.0, 6.0))))
+    small = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
+    g = detection_noise(loss_channel(g, [draw(small), draw(small)]), [draw(small) / 2.0, draw(small) / 2.0])
+    return apply_symplectic(g, _local_symplectic(draw))
+
+
+@_PROPERTY_SETTINGS
+@given(_strongly_squeezed_states())
+def test_strongly_squeezed_states_rate_and_match_the_eigensolver(g):
+    """Rounding of strongly squeezed entries is never read as an unphysical
+    state, and d_plus^2, d_minus^2 match the eigenvalues of i Omega Gamma to
+    the resolution of a double root of t^2 - Delta t + i4: the square root of
+    16 eps times the terms that cancel in its discriminant."""
+    inv = invariants(g)
+    delta, size = inv.i1 + inv.i2 + 2.0 * inv.i3, abs(inv.i1) + abs(inv.i2) + 2.0 * abs(inv.i3)
+    resolution = 1e-9 + math.sqrt(16.0 * np.finfo(float).eps * (size * abs(delta) + 4.0 * abs(inv.i4)))
+    want = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(2) @ g.entries)))[::-2]
+    assert np.abs(np.square(symplectic_eigenvalues(g)) - np.square(want)).max() <= resolution
+    normal_form(g)
+    secret_key_rate(g)
+    mi_oracle(g)
+    holevo_oracle(g, "A")
+    holevo_oracle(g, "B")
+
+
+def test_pure_two_mode_squeezed_vacua_rate_up_to_r_6():
+    """k = log2(cosh 2r) (chi = 0 for a pure state) to 1e-9 relative, or to
+    16 eps cosh(2r)^2 where the rounded entries themselves differ from the
+    state by more."""
+    for r in np.arange(25) * 0.25:
+        lam = math.cosh(2.0 * r)
+        g = tmsv(lam)
+        report = secret_key_rate(g, 1e6)
+        want = math.log2(lam)
+        assert abs(report.k_nominal - want) <= max(1e-9 * want, 16.0 * np.finfo(float).eps * lam * lam), r
+        assert report.k_worst_case <= report.k_nominal
+        holevo_oracle(g, "A")
+        holevo_oracle(g, "B")
+        mi_oracle(g)
+        symplectic_eigenvalues(g)
+        normal_form(g)
+
+
+@pytest.mark.parametrize("excess", [1e-6, 1e-8])
+def test_tolerance_rule_still_rejects_states_rounding_cannot_explain(excess):
+    """Correlations of a lambda = 2 two-mode squeezed vacuum scaled by
+    1 + excess make d_plus = d_minus = 1 - 3 excess: an error far beyond
+    rounding, named as the quantity it is."""
+    m = tmsv(2.0).entries.copy()
+    m[0:2, 2:4] *= 1.0 + excess
+    m[2:4, 0:2] *= 1.0 + excess
+    g = covariance(m)
+    inv = invariants(g)
+    for call in (
+        lambda: secret_key_rate(g),
+        lambda: worst_case_key_rate(g, 1e6),
+        lambda: holevo_oracle(g, "A"),
+        lambda: holevo_oracle(g, "B"),
+        lambda: holevo(inv, "A"),
+        lambda: holevo(inv, "B"),
+    ):
+        with pytest.raises(InvalidArgumentError, match="entropy argument d_plus is 0.99999"):
+            call()
+    with pytest.raises(InvalidArgumentError, match="entropy argument d_minus is 0.939"):
+        holevo(invariants(covariance(RECONSTRUCTED_EXAMPLE)), "A")
 
 
 @st.composite
