@@ -239,8 +239,7 @@ def _apply_flag_overrides(cfg: dict, args) -> None:
 
 
 def _resolve(cfg: dict) -> tuple:
-    """(make_epr_state spec, ChannelParams, detected input squeezing in dB)
-    for the config."""
+    """(make_epr_state spec, ChannelParams) for the config."""
     src, ch = cfg["source"], cfg["channel"]
     channel = ChannelParams(
         epsilon=ch["epsilon"],
@@ -252,14 +251,12 @@ def _resolve(cfg: dict) -> tuple:
         phase_sigma_b=ch["sigma_b"],
     )
     if src["mode"] == "pump":
-        params = SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"])
-        return params, channel, variance_to_db(pump_to_variances(params)[0])
-    spec = SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"])
-    return spec, channel, src["var_sqz_db"]
+        return SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"]), channel
+    return SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"]), channel
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    spec, channel, _ = _resolve(cfg)
+    spec, channel = _resolve(cfg)
     # the Reid (EPR) product is of the optical state, before detection, so
     # only simulate holds detection noise out of the pipeline and adds it after
     deltas = [channel.det_noise_a, channel.det_noise_b]
@@ -305,9 +302,11 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> str:
         point["channel"] = {**cfg["channel"], "nu_b": 1.0 - (1.0 - cfg["channel"]["nu_b"]) * (1.0 - value)}
     elif sweep == "sigma":
         point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
-    spec, channel, input_db = _resolve(point)
+    spec, channel = _resolve(point)
     ana = point["analysis"]
     report = secret_key_rate(make_epr_state(spec, channel), n_samples=ana["n_samples"] if ana["worst_case"] else None)
+    # the input column: a pump spec's detected squeezing comes from its model
+    input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(pump_to_variances(spec)[0])
     cells = [
         _fmt(input_db),
         _fmt(channel.loss_b),
@@ -324,7 +323,7 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> str:
 
 
 def cmd_sample(args, cfg: dict) -> int:
-    spec, channel, _ = _resolve(cfg)
+    spec, channel = _resolve(cfg)
     ds = sample_homodyne(
         make_epr_state(spec, channel),
         CANONICAL_SETTINGS,

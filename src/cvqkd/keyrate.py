@@ -36,6 +36,7 @@ one call of the kernel.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -286,6 +287,9 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     _require_two_modes(g)
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
+    # an int beyond the float range would overflow math.sqrt; inf is the asymptotic limit
+    if n > sys.float_info.max and n != math.inf:
+        raise InvalidArgumentError(f"sample count must be at most the float maximum or inf, got {n}")
     t = 1.0 / math.sqrt(n)
     nf = normal_form(g)
     # the candidate: local noise up and correlations down by t in the normal form

@@ -15,17 +15,10 @@ squeezer-plus-beam-splitter source:
 The closed-form conditional-variance curve epr_theory and the end-to-end
 source constructor make_epr_state tie the pieces together.
 
-Loss accounting: detected squeezing is calibrated at a point that already
-includes a source-side loss epsilon. When a state is specified by measured
-variances, those variances enter the pipeline as-is and each arm picks up
-only the incremental loss (loss - epsilon)/(1 - epsilon) after the beam
-splitter, so the total per-arm loss equals the configured value. When the
-input is given as a pure squeezing parameter r, the full per-arm loss is
-applied directly. The two routes agree exactly whenever the measured pair
-is consistent with a pure source seen through epsilon, because a loss
-channel on the squeezed input commutes with the balanced beam splitter
-(its vacuum companion is a fixed point of loss) and losses compose. Both
-entry points are exposed through SqueezingSpec.
+Loss accounting, one rule: every input names its source variances before
+any loss, and each arm then takes its full configured loss. A detected
+figure v already contains the source-side loss epsilon, so it names the
+source variance (v - epsilon)/(1 - epsilon); see make_epr_state.
 """
 
 from __future__ import annotations
@@ -118,10 +111,10 @@ class SqueezingSpec:
     """Input squeezing, either as detected variances or as a pure parameter.
 
     var_sqz_db and var_asqz_db are detected variances in dB (negative for
-    squeezing below vacuum). When var_asqz_db is given the state is built
-    from the measured pair; when only var_sqz_db is given the pure
-    squeezing parameter r is inferred from it through the source-side loss
-    epsilon; r may also be supplied directly.
+    squeezing below vacuum). A pair names the source variances
+    (v - epsilon)/(1 - epsilon); var_sqz_db alone names the pure squeezing
+    parameter r inferred through the source-side loss epsilon; r may also
+    be supplied directly. Each arm then takes its full loss.
     """
 
     var_sqz_db: float | None = None
@@ -144,8 +137,8 @@ def pump_to_variances(params: SourceParams) -> tuple[float, float]:
     var_sqz  = 1 - eta * 4 sqrt(x) / ((1 + sqrt(x))^2 + 4 k^2)
     var_asqz = 1 + eta * 4 sqrt(x) / ((1 - sqrt(x))^2 + 4 k^2)
     The generated state is mixed (variance product >= 1) for every pump
-    power. Evaluation is allowed only up to 1.05 * p_th; a warning is
-    issued at or above threshold.
+    power. Evaluation is allowed up to 1.05 * p_th, except at p_th when
+    k = 0, where var_asqz diverges; at or above threshold it warns.
     """
     if params.p_mw is None:
         raise InvalidArgumentError("pump power p_mw is not set")
@@ -161,27 +154,23 @@ def pump_to_variances(params: SourceParams) -> tuple[float, float]:
             stacklevel=2,
         )
     s = math.sqrt(x)
-    k2 = 4.0 * params.k * params.k
-    denom_asqz = (1.0 - s) ** 2 + k2
+    denom_asqz = (1.0 - s) ** 2 + 4.0 * params.k * params.k
     if denom_asqz == 0.0:
-        raise ZeroDivisionError("pump model diverges at threshold when k = 0")
-    var_sqz = 1.0 - params.eta * 4.0 * s / ((1.0 + s) ** 2 + k2)
-    var_asqz = 1.0 + params.eta * 4.0 * s / denom_asqz
-    return var_sqz, var_asqz
+        raise InvalidArgumentError("pump model diverges at threshold when k = 0")
+    return _pump_sqz_variance(params, s), 1.0 + params.eta * 4.0 * s / denom_asqz
 
 
 def pump_for_target_squeezing(target_db: float, params: SourceParams) -> float:
     """Pump power that produces the requested detected squeezing.
 
-    target_db is the squeezed variance in dB (negative). Solved by
-    bisection on the monotone model within the valid power range, to an
-    accuracy of 1e-6 dB. An unachievable target raises OutOfRangeError
-    reporting the model's best value.
+    target_db is the squeezed variance in dB (negative). The squeezed
+    variance falls with pump power up to p_th (1 + 4 k^2), its minimum, so
+    the target is solved by bisection on the powers below that and below
+    the model's guard, to an accuracy of 1e-6 dB. An unachievable target
+    raises OutOfRangeError reporting the model's best value.
     """
-    hi = PUMP_GUARD_FACTOR * params.p_th_mw
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best_db = variance_to_db(_pump_sqz_variance(params, hi))
+    hi = params.p_th_mw * min(1.0 + 4.0 * params.k * params.k, PUMP_GUARD_FACTOR)
+    best_db = variance_to_db(_pump_sqz_variance(params, math.sqrt(hi / params.p_th_mw)))
     if target_db == 0.0:
         return 0.0
     if target_db > 0.0 or target_db < best_db:
@@ -191,22 +180,21 @@ def pump_for_target_squeezing(target_db: float, params: SourceParams) -> float:
             best=best_db,
         )
     lo = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            achieved = variance_to_db(_pump_sqz_variance(params, mid))
-            if abs(achieved - target_db) < 1e-6:
-                return mid
-            if achieved > target_db:
-                lo = mid
-            else:
-                hi = mid
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        achieved = variance_to_db(_pump_sqz_variance(params, math.sqrt(mid / params.p_th_mw)))
+        if abs(achieved - target_db) < 1e-6:
+            return mid
+        if achieved > target_db:
+            lo = mid
+        else:
+            hi = mid
     return mid
 
 
-def _pump_sqz_variance(params: SourceParams, p_mw: float) -> float:
-    return pump_to_variances(SourceParams(eta=params.eta, p_mw=p_mw, p_th_mw=params.p_th_mw, k=params.k))[0]
+def _pump_sqz_variance(params: SourceParams, s: float) -> float:
+    """The pump model's squeezed variance at s = sqrt(p/p_th)."""
+    return 1.0 - params.eta * 4.0 * s / ((1.0 + s) ** 2 + 4.0 * params.k * params.k)
 
 
 def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
@@ -373,84 +361,71 @@ def epr_theory(nu: float, r: float) -> float:
 def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatrix:
     """Two-mode entangled state of the full source-plus-channel pipeline.
 
-    spec is a SqueezingSpec (measured variances or pure r) or SourceParams
-    (pump model; its detected variances feed the measured-pair route). The
-    pipeline is: single-mode input, tensor with vacuum, balanced beam
-    splitter, per-arm optical loss, phase noise, detection noise.
-
-    Per-arm loss is the incremental value (loss - epsilon)/(1 - epsilon)
-    for measured inputs (epsilon is already inside the measured figure) and
-    the full configured loss for pure-r inputs.
-
-    The two-mode state is validated once: the stages run on a raw array
-    and only the result is wrapped by covariance(). It equals, bit for bit,
-    the composition of tensor, apply_symplectic, loss_channel,
-    phase_noise_channel and detection_noise.
+    spec, a SqueezingSpec or the pump model's SourceParams, names the
+    source variances before any loss: (e^-2r, e^2r) for a pure r or the r
+    that r_from_measured infers from one measured value, and
+    (v - epsilon)/(1 - epsilon) for each v of a measured or pump pair. Then
+    one pipeline, validated once: tensor with vacuum, balanced beam
+    splitter, the full per-arm loss, phase noise, detection noise, equal
+    bit for bit to tensor, apply_symplectic, loss_channel,
+    phase_noise_channel and detection_noise composed.
     """
     ch = channel if channel is not None else ChannelParams()
+    eps = ch.epsilon
     if isinstance(spec, SourceParams):
         vs, va = pump_to_variances(spec)
-        return _pipeline_from_measured(variance_to_db(vs), variance_to_db(va), ch)
-    if not isinstance(spec, SqueezingSpec):
+    elif not isinstance(spec, SqueezingSpec):
         raise InvalidArgumentError(f"spec must be SqueezingSpec or SourceParams, got {type(spec).__name__}")
-    if spec.var_asqz_db is not None:
-        return _pipeline_from_measured(spec.var_sqz_db, spec.var_asqz_db, ch)
-    r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, ch.epsilon)
-    return _pipeline(squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r)), ch.loss_a, ch.loss_b, ch)
-
-
-def _pipeline_from_measured(vs_db: float, va_db: float, ch: ChannelParams) -> CovarianceMatrix:
-    eps = ch.epsilon
-    vs = db_to_variance(vs_db)
-    va = db_to_variance(va_db)
+    elif spec.var_asqz_db is not None:
+        vs, va = db_to_variance(spec.var_sqz_db), db_to_variance(spec.var_asqz_db)
+    else:
+        r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
+        return _pipeline(squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r)), ch)
     if vs <= eps or va <= eps:
         raise InvalidArgumentError(
-            f"measured variances ({vs_db} dB, {va_db} dB) do not exceed epsilon = {eps}; "
+            f"measured variances {_pair_db(spec, vs, va)} do not exceed epsilon = {eps}; "
             "no source state is consistent with them"
         )
-    vs_src = (vs - eps) / (1.0 - eps)
-    va_src = (va - eps) / (1.0 - eps)
-    if vs_src * va_src < 1.0 - DEFAULT_TOL:
+    source = ((vs - eps) / (1.0 - eps), (va - eps) / (1.0 - eps))
+    if source[0] * source[1] < 1.0 - DEFAULT_TOL:
         warnings.warn(
-            f"measured pair ({vs_db} dB, {va_db} dB) implies a source variance product "
-            f"{vs_src * va_src:.6f} < 1 under epsilon = {eps}; the inferred source state "
+            f"measured pair {_pair_db(spec, vs, va)} implies a source variance product "
+            f"{source[0] * source[1]:.6f} < 1 under epsilon = {eps}; the inferred source state "
             "violates the uncertainty relation",
             stacklevel=2,
         )
-    nu_a = _incremental_loss(ch.loss_a, eps, "loss_a")
-    nu_b = _incremental_loss(ch.loss_b, eps, "loss_b")
-    return _pipeline(squeezed_vacuum(vs, va), nu_a, nu_b, ch)
+    for name, loss in (("loss_a", ch.loss_a), ("loss_b", ch.loss_b)):
+        if loss < eps:
+            raise InvalidArgumentError(
+                f"{name} = {loss} is smaller than the source-side epsilon = {eps}; "
+                "the measured-input route needs at least that much total loss per arm"
+            )
+    # not squeezed_vacuum, which would judge the product again and repeat the warning
+    return _pipeline(covariance(np.diag(source)), ch)
 
 
-def _incremental_loss(total: float, epsilon: float, name: str) -> float:
-    inc = (total - epsilon) / (1.0 - epsilon)
-    if inc < 0.0:
-        raise InvalidArgumentError(
-            f"{name} = {total} is smaller than the source-side epsilon = {epsilon}; "
-            "the measured-input route needs at least that much total loss per arm"
-        )
-    return inc
+def _pair_db(spec, vs: float, va: float) -> str:
+    # messages name a pair in dB: as configured, or the pump model's pair converted
+    if isinstance(spec, SourceParams):
+        return f"({variance_to_db(vs)} dB, {variance_to_db(va)} dB)"
+    return f"({spec.var_sqz_db} dB, {spec.var_asqz_db} dB)"
 
 
-def _pipeline(single_mode: CovarianceMatrix, nu_a: float, nu_b: float, ch: ChannelParams) -> CovarianceMatrix:
+def _pipeline(single_mode: CovarianceMatrix, ch: ChannelParams) -> CovarianceMatrix:
     """tensor with vacuum, _BEAMSPLITTER, loss, phase noise and detection
-    noise on one raw 4x4 array, validated once by the final covariance().
-
-    Each step's result is exactly symmetric, so the validation that the
-    public maps apply after every step would change nothing in between; the
-    channel values come checked from ChannelParams.
+    noise on one raw 4x4 array, kept exactly symmetric, on values that
+    ChannelParams checked; validated once by the final covariance(). Zero
+    loss or detection noise changes no entry; zero phase noise would round.
     """
     m = np.zeros((4, 4))
     m[:2, :2] = single_mode.entries
     m[2, 2] = m[3, 3] = 1.0
     m = _BEAMSPLITTER @ m @ _BEAMSPLITTER.T
     m = (m + m.T) / 2.0
-    if nu_a != 0.0 or nu_b != 0.0:
-        m = _loss(m, np.array([nu_a, nu_b], dtype=float))
+    m = _loss(m, np.array([ch.loss_a, ch.loss_b], dtype=float))
     if ch.phase_sigma_a != 0.0 or ch.phase_sigma_b != 0.0:
         m = _phase_noise(m, np.array([ch.phase_sigma_a, ch.phase_sigma_b], dtype=float))
-    if ch.det_noise_a != 0.0 or ch.det_noise_b != 0.0:
-        m = _detection(m, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
+    m = _detection(m, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
     return covariance(m)
 
 

@@ -599,13 +599,35 @@ def test_load_config_direct_error_type(tmp_path):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("module", ["cvqkd", "cvqkd.cli"])
-def test_python_dash_m_entry_points(module):
+def run_module(module, *argv):
+    """python -m module argv in a fresh process, on this checkout's cvqkd."""
     paths = [str(Path(cvqkd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "simulate"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("module", ["cvqkd", "cvqkd.cli"])
+def test_python_dash_m_entry_points(module):
+    proc = run_module(module, "simulate")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["k_nominal"] == pytest.approx(K_DEFAULT, rel=1e-12)
+
+
+def test_pump_model_divergence_exits_one_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 268.0, "k": 0.0}})
+    proc = run_module("cvqkd", "simulate", "--config", cfg)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: pump model diverges at threshold when k = 0\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample"])
+def test_pump_at_threshold_warns_once(tmp_path, command):
+    """The pump model is evaluated once per state, so its warning prints once."""
+    cfg = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 268.0}})
+    proc = run_module("cvqkd", command, "--config", cfg, "--n", "10", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("pump power 268.0 mW is at or above threshold") == 1, proc.stderr

@@ -2,6 +2,7 @@
 nominal and statistically-worst-case key rates."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -292,6 +293,17 @@ def test_worst_case_rejects_bad_sample_count():
     for n in (0, -1, math.nan):
         with pytest.raises(InvalidArgumentError):
             worst_case_key_rate(default_state(), n)
+
+
+def test_worst_case_rejects_sample_count_beyond_float_range():
+    """An int above the float maximum is a typed error, not an OverflowError
+    from the square root; the float maximum itself is still a count."""
+    g = default_state()
+    with pytest.raises(InvalidArgumentError, match="float maximum"):
+        worst_case_key_rate(g, 10**400)
+    with pytest.raises(InvalidArgumentError, match="float maximum"):
+        secret_key_rate(g, n_samples=10**400)
+    assert worst_case_key_rate(g, int(sys.float_info.max)) <= secret_key_rate(g).k_nominal
 
 
 def test_worst_case_increases_toward_nominal():

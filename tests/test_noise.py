@@ -1,5 +1,6 @@
 """Source model, loss and detection channels, phase noise, state assembly."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 import cvqkd.noise
 from cvqkd.errors import InvalidArgumentError, InvalidStateError, OutOfRangeError
 from cvqkd.gaussian import (
+    DEFAULT_TOL,
     apply_symplectic,
     balanced_beamsplitter,
     covariance,
@@ -122,7 +124,7 @@ def test_pump_guard_rejects_far_above_threshold():
 
 
 def test_pump_model_diverges_at_threshold_without_escape():
-    with pytest.raises(ZeroDivisionError), pytest.warns(UserWarning):
+    with pytest.raises(InvalidArgumentError, match="diverges"), pytest.warns(UserWarning):
         pump_to_variances(SourceParams(p_mw=268.0, k=0.0))
 
 
@@ -155,6 +157,30 @@ def test_pump_for_target_unachievable_reports_best():
     assert info.value.best == pytest.approx(-11.202208087734869, rel=1e-9)
     with pytest.raises(OutOfRangeError):
         pump_for_target_squeezing(1.0, SourceParams())
+
+
+@pytest.mark.parametrize("k", [0.05, 0.0])
+def test_pump_for_target_searches_up_to_the_variance_minimum(k):
+    """For k < sqrt(0.05)/2 the squeezed variance is lowest at p_th (1 + 4 k^2),
+    inside the 1.05 p_th guard; the best value and the search both reach it."""
+    params = SourceParams(k=k)
+    p_min = params.p_th_mw * (1.0 + 4.0 * k * k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        guard_db = variance_to_db(pump_to_variances(SourceParams(k=k, p_mw=1.05 * params.p_th_mw))[0])
+        if k > 0.0:
+            min_db = variance_to_db(pump_to_variances(SourceParams(k=k, p_mw=p_min))[0])
+        else:  # the anti-squeezed variance diverges at the minimum; the squeezed one is 1 - eta
+            min_db = variance_to_db(1.0 - params.eta)
+    with pytest.raises(OutOfRangeError) as info:
+        pump_for_target_squeezing(-13.0, params)
+    assert info.value.best == pytest.approx(min_db, rel=1e-12)
+    assert info.value.best < guard_db
+    target = (min_db + guard_db) / 2.0
+    p = pump_for_target_squeezing(target, params)
+    assert p < p_min
+    vs, _ = pump_to_variances(SourceParams(k=k, p_mw=p))
+    assert variance_to_db(vs) == pytest.approx(target, abs=1e-5)
 
 
 # -------------------------------------------------------------------- channels
@@ -430,6 +456,16 @@ def test_make_epr_state_warns_on_inconsistent_measured_pair():
         make_epr_state(SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=13.0), ChannelParams())
 
 
+def test_make_epr_state_warns_once_on_an_inconsistent_measured_pair():
+    """One warning whether or not the detected pair itself breaks the
+    uncertainty relation (16.6 dB does not, 5.0 dB does)."""
+    for asqz_db in (16.6, 5.0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_epr_state(SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=asqz_db), ChannelParams())
+        assert [str(w.message).split(" (")[0] for w in caught] == ["measured pair"], asqz_db
+
+
 def test_make_epr_state_rejects_variance_at_or_below_epsilon():
     with pytest.raises(InvalidArgumentError, match="epsilon"):
         make_epr_state(SqueezingSpec(var_sqz_db=-15.0, var_asqz_db=16.6), ChannelParams())
@@ -471,9 +507,10 @@ def test_make_epr_state_output_is_physical():
 # ------------------------------------------- one-pass pipeline, differential
 
 
-def _reference_pipeline(single_mode, nu_a, nu_b, ch):
+def _reference_pipeline(single_mode, ch):
     """make_epr_state's stages as the composition of the public maps, each
     result validated by covariance()."""
+    nu_a, nu_b = ch.loss_a, ch.loss_b
     g = tensor(single_mode, vacuum(1))
     g = apply_symplectic(g, balanced_beamsplitter())
     if nu_a != 0.0 or nu_b != 0.0:
@@ -541,12 +578,12 @@ def _differential_cases():
     return cases
 
 
-def _epr_state_outcome(spec, ch):
+def _epr_state_outcome(spec, ch, build=make_epr_state):
     """(entries or (error type, message), warnings as (text, category, file, line))."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = make_epr_state(spec, ch).entries
+            result = build(spec, ch).entries
         except Exception as exc:
             result = (type(exc), str(exc))
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
@@ -568,3 +605,71 @@ def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     assert len(errors) < len(cases) // 4
     assert {kind for kind, _ in errors} >= {InvalidArgumentError, InvalidStateError}
     assert sum(bool(w) for _, w in composed) >= 10
+
+
+# --------------------------------------- one source route, against two routes
+
+
+def _two_route_make_epr_state(spec, ch):
+    """The assembly make_epr_state replaced: a measured pair, or the pump
+    model's pair through dB and back, entered the pipeline as detected
+    variances and took the incremental loss (loss - epsilon)/(1 - epsilon)
+    per arm; a pure or inferred r took the full loss."""
+    if isinstance(spec, SourceParams):
+        vs, va = pump_to_variances(spec)
+        vs_db, va_db = variance_to_db(vs), variance_to_db(va)
+    elif spec.var_asqz_db is not None:
+        vs_db, va_db = spec.var_sqz_db, spec.var_asqz_db
+    else:
+        r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, ch.epsilon)
+        return _reference_pipeline(squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r)), ch)
+    eps = ch.epsilon
+    vs, va = db_to_variance(vs_db), db_to_variance(va_db)
+    if vs <= eps or va <= eps:
+        raise InvalidArgumentError(
+            f"measured variances ({vs_db} dB, {va_db} dB) do not exceed epsilon = {eps}; "
+            "no source state is consistent with them"
+        )
+    vs_src, va_src = (vs - eps) / (1.0 - eps), (va - eps) / (1.0 - eps)
+    if vs_src * va_src < 1.0 - DEFAULT_TOL:
+        warnings.warn(
+            f"measured pair ({vs_db} dB, {va_db} dB) implies a source variance product "
+            f"{vs_src * va_src:.6f} < 1 under epsilon = {eps}; the inferred source state "
+            "violates the uncertainty relation"
+        )
+    incremental = {}
+    for name, total in (("loss_a", ch.loss_a), ("loss_b", ch.loss_b)):
+        incremental[name] = (total - eps) / (1.0 - eps)
+        if incremental[name] < 0.0:
+            raise InvalidArgumentError(
+                f"{name} = {total} is smaller than the source-side epsilon = {eps}; "
+                "the measured-input route needs at least that much total loss per arm"
+            )
+    return _reference_pipeline(squeezed_vacuum(vs, va), dataclasses.replace(ch, **incremental))
+
+
+def test_make_epr_state_matches_the_two_route_assembly_it_replaced():
+    """Full loss on the source variances equals incremental loss on the
+    detected ones: r inputs bit for bit, detected pairs to rounding, with
+    the same errors and warnings. A detected pair no longer passes through
+    squeezed_vacuum, whose product warning repeated the route's own."""
+    compared = set()
+    for spec, ch in _differential_cases():
+        got, got_warnings = _epr_state_outcome(spec, ch)
+        want, want_warnings = _epr_state_outcome(spec, ch, build=_two_route_make_epr_state)
+        detected_pair = isinstance(spec, SourceParams) or spec.var_asqz_db is not None
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want, (spec, ch)
+        elif detected_pair:
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (spec, ch)
+            compared.add(type(spec).__name__ + " pair")
+        else:
+            assert np.array_equal(got, want), (spec, ch)
+            compared.add("r")
+        if not detected_pair:
+            assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings], (spec, ch)
+            continue
+        own = [text for text, *_ in want_warnings if not text.startswith("squeezed_vacuum(")]
+        assert [text for text, *_ in got_warnings] == own, (spec, ch)
+        assert {w[1] for w in got_warnings} == {w[1] for w in want_warnings}, (spec, ch)
+    assert compared == {"r", "SqueezingSpec pair", "SourceParams pair"}
