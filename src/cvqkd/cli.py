@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -42,9 +43,9 @@ from .noise import (
     ChannelParams,
     SourceParams,
     SqueezingSpec,
+    _pump_sqz_variance,
     detection_noise,
     make_epr_state,
-    pump_to_variances,
 )
 from .tomography import (
     _MAX_ARRAY_BYTES,
@@ -305,8 +306,11 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> str:
     spec, channel = _resolve(point)
     ana = point["analysis"]
     report = secret_key_rate(make_epr_state(spec, channel), n_samples=ana["n_samples"] if ana["worst_case"] else None)
-    # the input column: a pump spec's detected squeezing comes from its model
-    input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(pump_to_variances(spec)[0])
+    # the input column: a pump spec's detected squeezing comes from its model,
+    # whose power make_epr_state has checked and warned about; pump_to_variances would warn again
+    input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(
+        _pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw))
+    )
     cells = [
         _fmt(input_db),
         _fmt(channel.loss_b),

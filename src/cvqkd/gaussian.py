@@ -228,6 +228,15 @@ def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
     <= 0 is replaced by 1 before it divides, and a pivot that overflows to
     inf or NaN fails, so no numpy warning fires on any finite input.
 
+    The work runs one plane at a time: h[i, j] is entry (i, j) of every
+    matrix as one 1-D array, so each step makes small temporaries and no
+    (..., 2n, 2n) complex copy. Every entry goes through the arithmetic of
+    a whole-matrix elimination, so every decision is the same bit for bit:
+    dividing a complex number by a real pivot, numpy multiplies by the
+    pivot's reciprocal (Smith's method), which is this product. The lower
+    triangle is eliminated too, because (h[i, k] / p) h[k, j] and the
+    conjugate of (h[j, k] / p) h[k, i] round differently.
+
     Rounding in the pivots is about eps * ||Gamma||, so where that nears tol
     neither this test nor an eigensolver resolves the boundary. At the
     default tol = 1e-9, over the worst-case boxes of a two-mode squeezed
@@ -236,16 +245,50 @@ def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
     of the corners at r = 7 and on 10% at r = 8 (||Gamma|| = 4e6).
     """
     dim = stack.shape[-1]
-    h = stack + (1j * symplectic_form(dim // 2) + tol * np.eye(dim))
-    h = np.ascontiguousarray(h.transpose(-2, -1, *range(stack.ndim - 2)))  # h[i, j]: entry (i, j) of every matrix
-    ok = np.ones(stack.shape[:-2], dtype=bool)
+    planes = stack.reshape(-1, dim, dim).transpose(1, 2, 0)  # planes[i, j]: entry (i, j) of every matrix
+    shift = 1j * symplectic_form(dim // 2) + tol * np.eye(dim)
+    h = {(i, j): planes[i, j] + shift[i, j] for i in range(dim) for j in range(dim)}
+    ok = np.ones(planes.shape[-1], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(dim):
-            pivot = h[0, 0].real
+        for k in range(dim):
+            pivot = h[k, k].real
             ok &= pivot > 0.0
-            col = h[1:, 0] / np.where(ok, pivot, 1.0)
-            h = h[1:, 1:] - col[:, np.newaxis] * h[0, 1:]
-    return ok
+            scale = 1.0 / np.where(ok, pivot, 1.0)
+            for i in range(k + 1, dim):
+                col = h[i, k] * scale
+                for j in range(k + 1, dim):
+                    h[i, j] = h[i, j] - col * h[k, j]
+    return ok.reshape(stack.shape[:-2])
+
+
+def _screened_det(planes: np.ndarray) -> np.ndarray:
+    """Determinants of symmetric matrices given as entry planes planes[i, j].
+
+    Elimination without pivoting over the upper triangle, the determinant
+    being the product of the pivots: a few operations per plane in place of
+    one LAPACK factorization per matrix. It is valid only for matrices that
+    passed _physical. Gamma + i*Omega + tol*I > 0 gives Gamma > -tol*I, so
+    the pivots are those of a positive semidefinite matrix up to tol, and
+    elimination without pivoting is then as stable as a Cholesky
+    factorization. Like np.linalg.det's, the result is then the determinant
+    of a matrix within a few eps of each entry, so the two agree to
+    eps * cond(Gamma) relative. A matrix with a pivot that is not positive,
+    possible only within tol of the boundary, gets np.linalg.det instead.
+    """
+    dim = planes.shape[0]
+    a = {(i, j): planes[i, j] for i in range(dim) for j in range(i, dim)}
+    det, ok = a[0, 0], a[0, 0] > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(dim - 1):
+            for i in range(k + 1, dim):
+                ratio = a[k, i] / a[k, k]
+                for j in range(i, dim):
+                    a[i, j] = a[i, j] - ratio * a[k, j]
+            det = det * a[k + 1, k + 1]
+            ok &= a[k + 1, k + 1] > 0.0
+    if not ok.all():
+        det = np.where(ok, det, np.linalg.det(np.moveaxis(planes, (0, 1), (-2, -1))))
+    return det
 
 
 @dataclass(frozen=True)
@@ -274,7 +317,8 @@ def invariants(g: CovarianceMatrix) -> SymplecticInvariants:
     """
     _require_two_modes(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = SymplecticInvariants(*map(float, _invariant_values(g.entries)))
+        # np.linalg.det, not _screened_det: g need not have passed the physicality screen
+        inv = SymplecticInvariants(*map(float, _invariant_values(g.entries, np.linalg.det(g.entries))))
     delta = inv.i1 + inv.i2 + 2.0 * inv.i3  # Python floats overflow to inf without a warning
     if not math.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime):
         raise InvalidStateError(
@@ -283,13 +327,13 @@ def invariants(g: CovarianceMatrix) -> SymplecticInvariants:
     return inv
 
 
-def _invariant_values(m: np.ndarray) -> tuple:
-    """(i1, i2, i3, i4, i4') of a 4x4 matrix, or arrays of them for a stack."""
-    e = m.transpose(-2, -1, *range(m.ndim - 2))  # e[i, j]: entry (i, j) of every matrix
+def _invariant_values(e: np.ndarray, i4) -> tuple:
+    """(i1, i2, i3, i4, i4') of a 4x4 matrix, or arrays of them for a stack,
+    from its entries e[i, j] (the matrix itself, or entry planes) and its
+    determinant i4."""
     i1 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     i2 = e[2, 2] * e[3, 3] - e[2, 3] * e[3, 2]
     i3 = e[0, 2] * e[1, 3] - e[0, 3] * e[1, 2]
-    i4 = np.linalg.det(m)
     return i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4
 
 
@@ -318,7 +362,11 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
     FormulaDomainError when the discriminant is negative beyond rounding
     (the tolerance rule of DEGENERACY_SNAP).
     """
-    inv = invariants(g)
+    return _normal_form(invariants(g))
+
+
+def _normal_form(inv: SymplecticInvariants) -> NormalForm:
+    """normal_form from the invariants."""
     _check_block_determinants(inv)
     r = _radicands(inv)
     _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, lambda msg: FormulaDomainError(msg, invariants=inv))

@@ -28,9 +28,13 @@ worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
 rate is minimized over the 1024 corners of that uncertainty box, together
 with a closed-form candidate minimizer in the normal-form basis as a cross
-check. Corners and candidate form one (1025, 4, 4) stack, screened for
-physicality by one call of the pivot test gaussian._physical and rated by
-one call of the kernel.
+check. Corners and candidate are built as entry planes of shape
+(4, 4, 1025), plane (i, j) holding entry (i, j) of every matrix, from sign
+planes made once at import. One call of the pivot test gaussian._physical
+screens them plane by plane; the screened planes give i1, i2 and i3
+directly, and i4 comes from gaussian._screened_det, an elimination without
+pivoting that is valid only after the screen. One call of the kernel rates
+them.
 """
 
 from __future__ import annotations
@@ -59,13 +63,14 @@ from .gaussian import (
     _conditioned,
     _invariant_values,
     _judge,
+    _normal_form,
     _physical,
     _radicands,
     _Radicands,
     _require_two_modes,
     _root,
+    _screened_det,
     invariants,
-    normal_form,
     normal_form_matrix,
 )
 
@@ -75,12 +80,13 @@ INDEPENDENT_ENTRIES = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
 
-#: (1024, 4, 4) signs of the box corners: corner `mask` scales independent
-#: entry b and its mirror by 1 + t where bit b of mask is set, else by 1 - t
-_CORNER_SIGNS = np.zeros((2 ** len(INDEPENDENT_ENTRIES), 4, 4))
+#: (4, 4, 1024) sign planes of the box corners, entry-major: corner `mask`
+#: scales independent entry b and its mirror by 1 + t where bit b of mask is
+#: set (sign +1), else by 1 - t (sign -1)
+_CORNER_SIGNS = np.zeros((4, 4, 2 ** len(INDEPENDENT_ENTRIES)))
 _ROWS, _COLS = np.array(INDEPENDENT_ENTRIES).T
-_CORNER_SIGNS[:, _ROWS, _COLS] = _CORNER_SIGNS[:, _COLS, _ROWS] = np.where(
-    (np.arange(len(_CORNER_SIGNS))[:, np.newaxis] >> np.arange(len(_ROWS))) & 1, 1.0, -1.0
+_CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(
+    (np.arange(_CORNER_SIGNS.shape[-1]) >> np.arange(len(_ROWS))[:, np.newaxis]) & 1, 1.0, -1.0
 )
 
 
@@ -278,11 +284,18 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
-    The corners and the candidate are stacked, screened for physicality by
-    one pivot test of Gamma + i*Omega (gaussian._physical) and rated by one
-    vectorized kernel. DegenerateBoxError is raised when no corner is
-    physical, before any rate is computed; the normal form that the
-    candidate needs is built before that, so its own errors come first.
+    The corners and the candidate are built as (4, 4, 1025) entry planes,
+    screened for physicality by one pivot test of Gamma + i*Omega
+    (gaussian._physical) and rated by one vectorized kernel. The screened
+    matrices' i4 is the product of the pivots of an elimination without
+    pivoting (gaussian._screened_det), not one LAPACK call per matrix: a
+    matrix that passed the screen has Gamma > -tol*I, which makes that
+    elimination stable. It agrees with np.linalg.det to the backward error
+    of either, eps * cond(Gamma). The invariants of g are computed once, for
+    the normal form and for the closing nominal rate. DegenerateBoxError is
+    raised when no corner is physical, before any rate is computed; the
+    normal form that the candidate needs is built before that, so its own
+    errors come first.
     """
     _require_two_modes(g)
     if not n >= 1:
@@ -291,18 +304,23 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     if n > sys.float_info.max and n != math.inf:
         raise InvalidArgumentError(f"sample count must be at most the float maximum or inf, got {n}")
     t = 1.0 / math.sqrt(n)
-    nf = normal_form(g)
+    inv = invariants(g)
+    nf = _normal_form(inv)
     # the candidate: local noise up and correlations down by t in the normal form
     widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
-    stack = np.concatenate((g.entries * (1.0 + t * _CORNER_SIGNS), normal_form_matrix(widened).entries[np.newaxis]))
-    physical = _physical(stack, DEFAULT_TOL)
+    n_corners = _CORNER_SIGNS.shape[-1]
+    box = np.empty((4, 4, n_corners + 1))  # box[i, j]: entry (i, j) of every corner, then of the candidate
+    np.multiply(g.entries[:, :, np.newaxis], 1.0 + t * _CORNER_SIGNS, out=box[:, :, :n_corners])
+    box[:, :, n_corners] = normal_form_matrix(widened).entries
+    physical = _physical(box.transpose(2, 0, 1), DEFAULT_TOL)
     n_physical = int(np.count_nonzero(physical[:-1]))
     if n_physical == 0:
         raise DegenerateBoxError(
-            f"no physical matrix among the {len(_CORNER_SIGNS)} uncertainty-box corners at n = {n:g}",
+            f"no physical matrix among the {n_corners} uncertainty-box corners at n = {n:g}",
             n_samples=n,
         )
-    rates = _formula(SymplecticInvariants(*_invariant_values(stack[physical]))).k
+    screened = box[:, :, physical]
+    rates = _formula(SymplecticInvariants(*_invariant_values(screened, _screened_det(screened)))).k
     corner_min = float(rates[:n_physical].min())
     candidate = float(rates[n_physical]) if physical[-1] else None
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
@@ -314,7 +332,7 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     return WorstCaseBreakdown(
         corner_min=corner_min,
         candidate=candidate,
-        value=min(float(rates.min()), float(_checked_formula(invariants(g)).k)),
+        value=min(float(rates.min()), float(_checked_formula(inv).k)),
         n_corners_physical=n_physical,
     )
 

@@ -631,3 +631,16 @@ def test_pump_at_threshold_warns_once(tmp_path, command):
     proc = run_module("cvqkd", command, "--config", cfg, "--n", "10", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("pump power 268.0 mW is at or above threshold") == 1, proc.stderr
+
+
+def test_pump_at_threshold_scan_warns_only_from_the_model(tmp_path):
+    """scan reads its input column from the pump model without evaluating it
+    a second time, so the threshold warning comes once, from noise.py."""
+    cfg = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 268.0}})
+    proc = run_module("cvqkd", "scan", "--config", cfg, "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "3")
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1, proc.stderr
+    assert "pump power 268.0 mW is at or above threshold" in warned[0]
+    assert warned[0].split(":")[0].endswith("noise.py"), proc.stderr
+    assert len(proc.stdout.splitlines()) == 4

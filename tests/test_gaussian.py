@@ -10,6 +10,7 @@ from cvqkd.gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
     _physical,
+    _screened_det,
     apply_symplectic,
     balanced_beamsplitter,
     conditional_variance,
@@ -573,3 +574,20 @@ def test_json_rejects_mode_count_mismatch():
 def test_json_rejects_missing_fields():
     with pytest.raises(InvalidStateError):
         covariance_from_json({"entries": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_screened_determinant_matches_lapack_and_falls_back_off_the_pivots():
+    """The elimination's determinant of screened matrices agrees with
+    np.linalg.det to eps * cond; a matrix that passes the screen with a
+    zero pivot in Gamma (a zero variance, within tol of the boundary) gets
+    np.linalg.det itself, without a numpy warning."""
+    rng = np.random.default_rng(71)
+    stack = np.array([random_normal_form_state(rng).entries for _ in range(50)] + [tmsv(3.0).entries])
+    zero_variance = np.diag([0.0, 2e9, 1.0, 1.0])
+    assert _physical(zero_variance, DEFAULT_TOL)
+    stack = np.concatenate((stack, zero_variance[np.newaxis]))
+    want = np.linalg.det(stack)
+    got = _screened_det(stack.transpose(1, 2, 0))
+    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(stack[:-1]) * np.abs(want[:-1])
+    assert np.all(np.abs(got[:-1] - want[:-1]) <= bound)
+    assert got[-1] == want[-1] == 0.0

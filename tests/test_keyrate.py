@@ -25,6 +25,7 @@ from cvqkd.gaussian import (
     SymplecticInvariants,
     _invariant_values,
     _physical,
+    _screened_det,
     apply_symplectic,
     covariance,
     invariants,
@@ -37,9 +38,9 @@ from cvqkd.gaussian import (
     symplectic_form,
 )
 from cvqkd.keyrate import (
-    _CORNER_SIGNS,
     INDEPENDENT_ENTRIES,
     WorstCaseBreakdown,
+    _checked_formula,
     _formula,
     entropy_f,
     holevo,
@@ -486,13 +487,13 @@ def test_worst_case_batch_matches_corner_loop():
 def test_worst_case_undercut_warning_points_at_caller(monkeypatch):
     """A candidate below the corner minimum is a fault; force one by
     inflating lambda_a, which makes the candidate noisier than any corner."""
-    real_normal_form = cvqkd.keyrate.normal_form
+    real_normal_form = cvqkd.keyrate._normal_form
 
-    def inflated(g):
-        nf = real_normal_form(g)
+    def inflated(inv):
+        nf = real_normal_form(inv)
         return NormalForm(1.5 * nf.lambda_a, nf.lambda_b, nf.c_x, nf.c_p)
 
-    monkeypatch.setattr(cvqkd.keyrate, "normal_form", inflated)
+    monkeypatch.setattr(cvqkd.keyrate, "_normal_form", inflated)
     with pytest.warns(UserWarning, match="undercuts the corner minimum") as caught:
         worst_case_key_rate(default_state(-10.5), 10**6)
     assert caught[0].filename == __file__
@@ -554,7 +555,8 @@ _EDGE_STATES = st.one_of(*_EDGE_GENERATORS.values())
 def test_batched_kernel_matches_single_state_path_on_edge_regimes(states):
     """One clamping policy: a stack rated at once gives what each matrix
     gives on the single-state path, where DEGENERACY_SNAP matters most."""
-    batch = _formula(SymplecticInvariants(*_invariant_values(np.stack([g.entries for g in states]))))
+    stack = np.stack([g.entries for g in states])
+    batch = _formula(SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), np.linalg.det(stack))))
     for j, g in enumerate(states):
         inv = invariants(g)
         try:
@@ -707,10 +709,7 @@ def test_indefinite_matrices_raise_only_typed_errors(m):
 def _screens(g, n):
     """(pivot test, eigensolver criterion) on the box corners of g at n and
     on the closed-form candidate, the stack worst_case_breakdown screens."""
-    t = 1.0 / math.sqrt(n)
-    nf = normal_form(g)
-    widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
-    stack = np.concatenate((g.entries * (1.0 + t * _CORNER_SIGNS), normal_form_matrix(widened).entries[np.newaxis]))
+    stack = _box_stack(g, n)
     want = np.linalg.eigvalsh(stack + 1j * symplectic_form(2)).min(axis=-1) >= -DEFAULT_TOL
     return _physical(stack, DEFAULT_TOL), want
 
@@ -754,3 +753,163 @@ def test_corner_screen_matches_eigensolver_on_generator_states():
 def test_corner_screen_matches_eigensolver_on_edge_regimes(g, n):
     got, want = _screens(g, n)
     np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------ entry planes against the (1025, 4, 4) stack
+
+#: the corner signs as the (1024, 4, 4) stack that the entry planes replaced
+_STACK_SIGNS = np.zeros((2 ** len(INDEPENDENT_ENTRIES), 4, 4))
+_ROWS, _COLS = np.array(INDEPENDENT_ENTRIES).T
+_STACK_SIGNS[:, _ROWS, _COLS] = _STACK_SIGNS[:, _COLS, _ROWS] = np.where(
+    (np.arange(len(_STACK_SIGNS))[:, np.newaxis] >> np.arange(len(_ROWS))) & 1, 1.0, -1.0
+)
+
+
+def _box_stack(g, n):
+    """The box corners of g at n and the closed-form candidate as one
+    (1025, 4, 4) stack."""
+    t = 1.0 / math.sqrt(n)
+    nf = normal_form(g)
+    widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
+    return np.concatenate((g.entries * (1.0 + t * _STACK_SIGNS), normal_form_matrix(widened).entries[np.newaxis]))
+
+
+def _stack_physical(stack, tol):
+    """The pivot test as it ran before entry planes: one (..., 2n, 2n)
+    complex copy, transposed, and a shrinking copy per pivot."""
+    dim = stack.shape[-1]
+    h = stack + (1j * symplectic_form(dim // 2) + tol * np.eye(dim))
+    h = np.ascontiguousarray(h.transpose(-2, -1, *range(stack.ndim - 2)))
+    ok = np.ones(stack.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(dim):
+            pivot = h[0, 0].real
+            ok &= pivot > 0.0
+            col = h[1:, 0] / np.where(ok, pivot, 1.0)
+            h = h[1:, 1:] - col[:, np.newaxis] * h[0, 1:]
+    return ok
+
+
+def _elimination_det(stack):
+    return _screened_det(stack.transpose(1, 2, 0))
+
+
+def _stack_breakdown(g, n, det=np.linalg.det):
+    """worst_case_breakdown as assembled before entry planes: the (1025, 4, 4)
+    stack, screened by _stack_physical, with i4 = det(stack), by default one
+    LAPACK call per matrix."""
+    if not n >= 1:
+        raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
+    if n > sys.float_info.max and n != math.inf:
+        raise InvalidArgumentError(f"sample count must be at most the float maximum or inf, got {n}")
+    stack = _box_stack(g, n)
+    physical = _stack_physical(stack, DEFAULT_TOL)
+    n_physical = int(np.count_nonzero(physical[:-1]))
+    if n_physical == 0:
+        raise DegenerateBoxError(f"no physical matrix among the 1024 uncertainty-box corners at n = {n:g}", n_samples=n)
+    screened = stack[physical]
+    e = screened.transpose(1, 2, 0)
+    i1 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    i2 = e[2, 2] * e[3, 3] - e[2, 3] * e[3, 2]
+    i3 = e[0, 2] * e[1, 3] - e[0, 3] * e[1, 2]
+    i4 = det(screened)
+    rates = _formula(SymplecticInvariants(i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4)).k
+    corner_min = float(rates[:n_physical].min())
+    candidate = float(rates[n_physical]) if physical[-1] else None
+    if candidate is not None and candidate < corner_min - DEFAULT_TOL:
+        warnings.warn(
+            f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
+            f"minimum {corner_min:.9g}; corner enumeration may be too coarse"
+        )
+    nominal = float(_checked_formula(invariants(g)).k)
+    return WorstCaseBreakdown(corner_min, candidate, min(float(rates.min()), nominal), n_physical)
+
+
+def _captured(fn, g, n):
+    """(breakdown or error type and message, [(category, message) of each warning])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(g, n)
+        except CvqkdError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _near_pure_state(rng):
+    """L T diag(nu+, nu+, nu-, nu-) T^T L^T with nu- = 1 + 10^-k, k in [3, 16],
+    for a two-mode squeezer T and random local rotations and squeezers L."""
+    nu_plus, nu_minus = rng.uniform(1.0, 3.0), 1.0 + 10.0 ** -rng.uniform(3.0, 16.0)
+    r = rng.uniform(0.0, 2.0)
+    c, s = math.cosh(r), math.sinh(r)
+    local = np.zeros((4, 4))
+    for block in (slice(0, 2), slice(2, 4)):
+        local[block, block] = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ squeeze(rng.uniform(-0.7, 0.7))
+    sym = local @ np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+    m = sym @ np.diag([nu_plus, nu_plus, nu_minus, nu_minus]) @ sym.T
+    return covariance((m + m.T) / 2.0)
+
+
+def _differential_corpus():
+    """(family, state, n): seeded random channels at 3-13 dB, near-pure
+    states, pure two-mode squeezed vacua with r <= 6, huge but finite entries
+    and an unphysical reconstruction, for n from 1e2 to 1e12. Near-pure and
+    pure boxes, and channels at small n, have unphysical corners."""
+    rng = np.random.default_rng(1402)
+    cases = []
+    for _ in range(40):
+        eps = rng.uniform(0.0, 0.04)  # below the 13 dB variance 0.05
+        loss_a, loss_b = rng.uniform(eps, 0.5, 2)
+        delta_a, delta_b = rng.uniform(0.0, 0.1, 2)
+        sigma_a, sigma_b = rng.uniform(0.0, 0.2, 2)
+        channel = ChannelParams(eps, loss_a, loss_b, delta_a, delta_b, sigma_a, sigma_b)
+        g = make_epr_state(SqueezingSpec(var_sqz_db=-rng.uniform(3.0, 13.0)), channel)
+        cases.append(("channel", g, 10.0 ** rng.uniform(2.0, 12.0)))
+    for _ in range(40):
+        cases.append(("near-pure", _near_pure_state(rng), 10.0 ** rng.uniform(2.0, 12.0)))
+    for r in np.arange(0.0, 6.25, 0.5):
+        for k in range(2, 13, 2):
+            cases.append(("pure", tmsv(math.cosh(2.0 * r)), 10.0**k))
+    for scale in (1e20, 1e40, 1e60, 1e75):
+        for n in (1.0, 1e2, 1e6, 1e12):
+            cases.append(("huge", covariance(default_state().entries * scale), n))
+    for excess in (1e-7, 1e-5, 1e-3):  # over-correlated: unphysical, with physical corners that raise the noise
+        over = tmsv(2.0).entries.copy()
+        over[0:2, 2:4] *= 1.0 + excess
+        over[2:4, 0:2] *= 1.0 + excess
+        for n in (1e2, 1e6, 1e12):
+            cases.append(("unphysical", covariance(over), n))
+    cases.append(("unphysical", covariance(RECONSTRUCTED_EXAMPLE), 1e6))
+    return cases
+
+
+def test_entry_planes_match_the_stack_they_replaced():
+    """Bit-identical decisions and warnings, and the same rates: within 1e-12
+    absolute, or, where the rate turns a rounding of i4 into more than that,
+    from determinants that agree to their backward error eps * cond(Gamma)."""
+    eps = np.finfo(float).eps
+    conditioned = []
+    for family, g, n in _differential_corpus():
+        got, got_warnings = _captured(worst_case_breakdown, g, n)
+        want, want_warnings = _captured(_stack_breakdown, g, n)
+        assert got_warnings == want_warnings, (family, n)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.n_corners_physical == want.n_corners_physical
+        assert (got.candidate is None) == (want.candidate is None)
+        # the rates differ only through i4: the stack with the planes' determinant is bit for bit the same
+        assert got == _captured(lambda g, n: _stack_breakdown(g, n, _elimination_det), g, n)[0]
+        pairs = [(got.corner_min, want.corner_min), (got.value, want.value)]
+        if want.candidate is not None:
+            pairs.append((got.candidate, want.candidate))
+        if max(abs(a - b) for a, b in pairs) <= 1e-12:
+            continue
+        conditioned.append(family)
+        stack = _box_stack(g, n)
+        screened = stack[_stack_physical(stack, DEFAULT_TOL)]
+        i4_lapack, i4_planes = np.linalg.det(screened), _elimination_det(screened)
+        bound = 16.0 * eps * np.linalg.cond(screened) * np.abs(i4_lapack)
+        assert np.all(np.abs(i4_planes - i4_lapack) <= bound), (family, n)
+    # a channel state, however noisy, and scaled entries rate within 1e-12
+    assert set(conditioned) <= {"near-pure", "pure"}
