@@ -28,13 +28,17 @@ worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
 rate is minimized over the 1024 corners of that uncertainty box, together
 with a closed-form candidate minimizer in the normal-form basis as a cross
-check. Corners and candidate are built as entry planes of shape
-(4, 4, 1025), plane (i, j) holding entry (i, j) of every matrix, from sign
-planes made once at import. One call of the pivot test gaussian._physical
-screens them plane by plane; the screened planes give i1, i2 and i3
-directly, and i4 comes from gaussian._screened_det, an elimination without
-pivoting that is valid only after the screen. One call of the kernel rates
-them.
+check. A zero entry has no width, nor has any entry once 1/sqrt(N) is
+below rounding, so equal corners are built once, each with its weight: a
+general state has 1024 distinct corners, the model's states 64 (the single
+squeezed mode and the beam splitter leave four zero entries, the standard
+form) and N = inf one. Distinct corners and candidate are built as entry
+planes of shape (4, 4, distinct + 1), plane (i, j) holding entry (i, j) of
+every matrix, from sign planes made once at import. One call of the pivot
+test gaussian._physical screens them plane by plane; the screened planes
+give i1, i2 and i3 directly, and i4 comes from gaussian._screened_det, an
+elimination without pivoting that is valid only after the screen. One call
+of the kernel rates them.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .errors import (
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
-    NormalForm,
     SymplecticInvariants,
     _check_block_determinants,
     _clamp,
@@ -71,7 +74,6 @@ from .gaussian import (
     _root,
     _screened_det,
     invariants,
-    normal_form_matrix,
 )
 
 #: index pairs of the 10 independent entries of a symmetric 4x4 matrix
@@ -80,14 +82,17 @@ INDEPENDENT_ENTRIES = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
 
-#: (4, 4, 1024) sign planes of the box corners, entry-major: corner `mask`
-#: scales independent entry b and its mirror by 1 + t where bit b of mask is
-#: set (sign +1), else by 1 - t (sign -1)
-_CORNER_SIGNS = np.zeros((4, 4, 2 ** len(INDEPENDENT_ENTRIES)))
+#: (10, 1024) bits of the box corners: corner `mask` scales independent
+#: entry b and its mirror by 1 + t where bit b of mask is set, else by 1 - t
+_CORNER_BITS = (
+    (np.arange(2 ** len(INDEPENDENT_ENTRIES)) >> np.arange(len(INDEPENDENT_ENTRIES))[:, np.newaxis]) & 1
+).astype(bool)
+
+#: (4, 4, 1024) sign planes of the box corners, entry-major: +1 where the
+#: bit is set, else -1
+_CORNER_SIGNS = np.zeros((4, 4, _CORNER_BITS.shape[-1]))
 _ROWS, _COLS = np.array(INDEPENDENT_ENTRIES).T
-_CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(
-    (np.arange(_CORNER_SIGNS.shape[-1]) >> np.arange(len(_ROWS))[:, np.newaxis]) & 1, 1.0, -1.0
-)
+_CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(_CORNER_BITS, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -284,13 +289,23 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
-    The corners and the candidate are built as (4, 4, 1025) entry planes,
-    screened for physicality by one pivot test of Gamma + i*Omega
-    (gaussian._physical) and rated by one vectorized kernel. The screened
-    matrices' i4 is the product of the pivots of an elimination without
-    pivoting (gaussian._screened_det), not one LAPACK call per matrix: a
-    matrix that passed the screen has Gamma > -tol*I, which makes that
-    elimination stable. It agrees with np.linalg.det to the backward error
+    Only the distinct corners are built: an entry whose values g (1 + t) and
+    g (1 - t) compare equal (a zero entry, or every entry once t = 1/sqrt(n)
+    is below rounding, n = inf included) has no width, and of the corners
+    that differ only in such entries the one with their bits set stands for
+    all of them. With w entries of width there are 2^w distinct corners,
+    each of weight 2^(10 - w), and n_corners_physical is the weight times the
+    distinct physical count. Every matrix gets the same arithmetic per
+    element as in the full box, so the breakdown, warnings and errors are
+    those of all 1024 corners bit for bit. The distinct corners and the
+    candidate are built as (4, 4, 2^w + 1) entry planes, screened for
+    physicality by one pivot test of Gamma + i*Omega (gaussian._physical)
+    and rated by one vectorized kernel.
+
+    The screened matrices' i4 is the product of the pivots of an elimination
+    without pivoting (gaussian._screened_det), not one LAPACK call per
+    matrix: a matrix that passed the screen has Gamma > -tol*I, which makes
+    that elimination stable. It agrees with np.linalg.det to the backward error
     of either, eps * cond(Gamma). The invariants of g are computed once, for
     the normal form and for the closing nominal rate. DegenerateBoxError is
     raised when no corner is physical, before any rate is computed; the
@@ -306,20 +321,30 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     t = 1.0 / math.sqrt(n)
     inv = invariants(g)
     nf = _normal_form(inv)
-    # the candidate: local noise up and correlations down by t in the normal form
-    widened = NormalForm(nf.lambda_a * (1.0 + t), nf.lambda_b * (1.0 + t), nf.c_x * (1.0 - t), nf.c_p * (1.0 - t))
-    n_corners = _CORNER_SIGNS.shape[-1]
-    box = np.empty((4, 4, n_corners + 1))  # box[i, j]: entry (i, j) of every corner, then of the candidate
-    np.multiply(g.entries[:, :, np.newaxis], 1.0 + t * _CORNER_SIGNS, out=box[:, :, :n_corners])
-    box[:, :, n_corners] = normal_form_matrix(widened).entries
+    # entries with no width; the kept corners have their bits set
+    entries = g.entries[_ROWS, _COLS]
+    flat = entries * (1.0 + t) == entries * (1.0 - t)
+    weight = 2 ** int(np.count_nonzero(flat))
+    signs = _CORNER_SIGNS[:, :, _CORNER_BITS[flat].all(axis=0)]
+    n_distinct = signs.shape[-1]
+    box = np.empty((4, 4, n_distinct + 1))  # box[i, j]: entry (i, j) of every distinct corner, then of the candidate
+    np.multiply(g.entries[:, :, np.newaxis], 1.0 + t * signs, out=box[:, :, :n_distinct])
+    # the candidate: local noise up and correlations down by t in the normal
+    # form, every entry symmetrized as covariance() does, 0.5 x + 0.5 x
+    plane = box[:, :, n_distinct]
+    plane.fill(0.0)
+    plane[0, 0] = plane[1, 1] = _symmetrized(nf.lambda_a * (1.0 + t))
+    plane[2, 2] = plane[3, 3] = _symmetrized(nf.lambda_b * (1.0 + t))
+    plane[0, 2] = plane[2, 0] = _symmetrized(nf.c_x * (1.0 - t))
+    plane[1, 3] = plane[3, 1] = _symmetrized(-(nf.c_p * (1.0 - t)))
     physical = _physical(box.transpose(2, 0, 1), DEFAULT_TOL)
     n_physical = int(np.count_nonzero(physical[:-1]))
     if n_physical == 0:
         raise DegenerateBoxError(
-            f"no physical matrix among the {n_corners} uncertainty-box corners at n = {n:g}",
+            f"no physical matrix among the {_CORNER_SIGNS.shape[-1]} uncertainty-box corners at n = {n:g}",
             n_samples=n,
         )
-    screened = box[:, :, physical]
+    screened = box if physical.all() else box[:, :, physical]
     rates = _formula(SymplecticInvariants(*_invariant_values(screened, _screened_det(screened)))).k
     corner_min = float(rates[:n_physical].min())
     candidate = float(rates[n_physical]) if physical[-1] else None
@@ -333,8 +358,14 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
         corner_min=corner_min,
         candidate=candidate,
         value=min(float(rates.min()), float(_checked_formula(inv).k)),
-        n_corners_physical=n_physical,
+        n_corners_physical=weight * n_physical,
     )
+
+
+def _symmetrized(x: float) -> float:
+    """x as covariance() symmetrizes an entry: 0.5 x + 0.5 x, which is x
+    unless x is subnormal."""
+    return 0.5 * x + 0.5 * x
 
 
 def _mi(m: np.ndarray, given_b: np.ndarray) -> tuple[float, float]:
@@ -396,8 +427,11 @@ def _formula(inv: SymplecticInvariants) -> _Formula:
         mi = _zero_rounding_noise(-0.5 * np.log2(_clamp(arg)))
     # |i2| arg = sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) also where i1 and i2 are both negative
     d_a, d_b = _root(abs(inv.i2) * arg), _root(abs(inv.i1) * arg)
-    s_joint = _entropy(r.d_plus) + _entropy(r.d_minus)
-    chi_a, chi_b = _zero_rounding_noise(s_joint - _entropy(d_a)), _zero_rounding_noise(s_joint - _entropy(d_b))
+    d = (r.d_plus, r.d_minus, d_a, d_b)
+    # a stack takes its four entropies in one call; floats keep the scalar path
+    f_plus, f_minus, f_a, f_b = map(_entropy, d) if isinstance(d_a, float) else _entropy(np.stack(d))
+    s_joint = f_plus + f_minus
+    chi_a, chi_b = _zero_rounding_noise(s_joint - f_a), _zero_rounding_noise(s_joint - f_b)
     k = np.minimum(mi - chi_a, mi - chi_b)
     return _Formula(*r, arg, d_a, d_b, s_joint, mi, chi_a, chi_b, k)
 

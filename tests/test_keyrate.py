@@ -23,8 +23,11 @@ from cvqkd.gaussian import (
     DEGENERACY_SNAP,
     NormalForm,
     SymplecticInvariants,
+    _clamp,
     _invariant_values,
     _physical,
+    _radicands,
+    _root,
     _screened_det,
     apply_symplectic,
     covariance,
@@ -41,7 +44,9 @@ from cvqkd.keyrate import (
     INDEPENDENT_ENTRIES,
     WorstCaseBreakdown,
     _checked_formula,
+    _entropy,
     _formula,
+    _zero_rounding_noise,
     entropy_f,
     holevo,
     holevo_intermediates,
@@ -52,7 +57,7 @@ from cvqkd.keyrate import (
     worst_case_breakdown,
     worst_case_key_rate,
 )
-from cvqkd.noise import ChannelParams, SqueezingSpec, detection_noise, loss_channel, make_epr_state
+from cvqkd.noise import ChannelParams, SourceParams, SqueezingSpec, detection_noise, loss_channel, make_epr_state
 
 from conftest import RECONSTRUCTED_EXAMPLE, random_normal_form_state
 
@@ -794,10 +799,23 @@ def _elimination_det(stack):
     return _screened_det(stack.transpose(1, 2, 0))
 
 
+def _rates_one_entropy_at_a_time(inv):
+    """The batched _formula's k with its four entropies taken by four calls."""
+    r = _radicands(inv)
+    arg = 1.0 - r.cx2 / r.s
+    with np.errstate(divide="ignore"):
+        mi = _zero_rounding_noise(-0.5 * np.log2(_clamp(arg)))
+    d_a, d_b = _root(abs(inv.i2) * arg), _root(abs(inv.i1) * arg)
+    s_joint = _entropy(r.d_plus) + _entropy(r.d_minus)
+    chi_a, chi_b = _zero_rounding_noise(s_joint - _entropy(d_a)), _zero_rounding_noise(s_joint - _entropy(d_b))
+    return np.minimum(mi - chi_a, mi - chi_b)
+
+
 def _stack_breakdown(g, n, det=np.linalg.det):
-    """worst_case_breakdown as assembled before entry planes: the (1025, 4, 4)
-    stack, screened by _stack_physical, with i4 = det(stack), by default one
-    LAPACK call per matrix."""
+    """worst_case_breakdown as assembled before entry planes: all 1024 corners
+    and the candidate as one (1025, 4, 4) stack, screened by _stack_physical,
+    with i4 = det(stack), by default one LAPACK call per matrix, and the four
+    entropies of each rate taken one call each."""
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     if n > sys.float_info.max and n != math.inf:
@@ -813,7 +831,7 @@ def _stack_breakdown(g, n, det=np.linalg.det):
     i2 = e[2, 2] * e[3, 3] - e[2, 3] * e[3, 2]
     i3 = e[0, 2] * e[1, 3] - e[0, 3] * e[1, 2]
     i4 = det(screened)
-    rates = _formula(SymplecticInvariants(i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4)).k
+    rates = _rates_one_entropy_at_a_time(SymplecticInvariants(i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4))
     corner_min = float(rates[:n_physical].min())
     candidate = float(rates[n_physical]) if physical[-1] else None
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
@@ -913,3 +931,90 @@ def test_entry_planes_match_the_stack_they_replaced():
         assert np.all(np.abs(i4_planes - i4_lapack) <= bound), (family, n)
     # a channel state, however noisy, and scaled entries rate within 1e-12
     assert set(conditioned) <= {"near-pure", "pure"}
+
+
+# ------------------------------------------- distinct corners against all 1024
+
+
+def _with_zeros(rng, m, count):
+    """m with count of its off-diagonal entries and their mirrors set to 0.0
+    or -0.0, at random positions."""
+    m = m.copy()
+    off = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for k in rng.choice(len(off), size=count, replace=False):
+        i, j = off[k]
+        m[i, j] = m[j, i] = rng.choice([0.0, -0.0])
+    return covariance(m)
+
+
+def _distinct_corner_corpus():
+    """Model states from the four source routes with and without phase noise
+    and with equal and unequal arms (standard form, four exact zeros); general
+    states with 0 to 4 zero entries anywhere, some unphysical; over-correlated
+    unphysical states, whose boxes are degenerate at small n."""
+    rng = np.random.default_rng(1501)
+    sources = [SqueezingSpec(r=1.3), SqueezingSpec(var_sqz_db=-9.0),
+               SqueezingSpec(var_sqz_db=-8.0, var_asqz_db=14.0), SourceParams(p_mw=200.0)]
+    states = []
+    for spec in sources:
+        for loss_b, sigma in ((0.068, 0.0), (0.068, 0.1), (0.25, 0.0), (0.25, 0.05)):
+            channel = ChannelParams(loss_b=loss_b, phase_sigma_a=sigma, phase_sigma_b=2 * sigma)
+            states.append(make_epr_state(spec, channel))
+    model = list(states)
+    for count in range(5):
+        for base in model[::2]:
+            local = np.zeros((4, 4))
+            for block in (slice(0, 2), slice(2, 4)):
+                local[block, block] = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ squeeze(rng.uniform(-0.5, 0.5))
+            states.append(_with_zeros(rng, apply_symplectic(base, local).entries, count))
+    for excess in (1e-5, 1e-2):
+        over = tmsv(2.0).entries.copy()
+        over[0:2, 2:4] *= 1.0 + excess
+        over[2:4, 0:2] *= 1.0 + excess
+        states.append(covariance(over))
+    states.append(covariance(RECONSTRUCTED_EXAMPLE))
+    return [(g, n) for g in states for n in (1, 1e2, 1e6, 1e12, 1e33, math.inf)]
+
+
+def _hex(result):
+    """A breakdown with its floats in hex, so that -0.0 and 0.0 differ."""
+    if not isinstance(result, WorstCaseBreakdown):
+        return result
+    return tuple(x.hex() if isinstance(x, float) else x for x in vars(result).values())
+
+
+def test_distinct_corners_match_the_full_box():
+    """Rating each distinct corner once gives the breakdown of all 1024
+    corners bit for bit, with the same errors and warnings."""
+    seen, counts = set(), set()
+    for g, n in _distinct_corner_corpus():
+        got, got_warnings = _captured(worst_case_breakdown, g, n)
+        want, want_warnings = _captured(lambda g, n: _stack_breakdown(g, n, _elimination_det), g, n)
+        assert _hex(got) == _hex(want), (g.entries.tolist(), n)
+        assert got_warnings == want_warnings
+        seen.add(want[0] if isinstance(want, tuple) else "ok")
+        if isinstance(want, WorstCaseBreakdown):
+            counts.add("all" if want.n_corners_physical == 1024 else "some")
+    assert seen == {"ok", DegenerateBoxError, InvalidArgumentError, InvalidStateError}
+    assert counts == {"all", "some"}
+
+
+def test_worst_case_screens_each_distinct_corner_once(monkeypatch):
+    """A model state has four zero entries, so 64 distinct corners; a locally
+    rotated state has none, so all 1024; at n = inf every entry has zero
+    width, so one. Each stack adds the candidate."""
+    sizes = []
+    real_physical = cvqkd.keyrate._physical
+
+    def physical(stack, tol):
+        sizes.append(len(stack))
+        return real_physical(stack, tol)
+
+    monkeypatch.setattr(cvqkd.keyrate, "_physical", physical)
+    local = np.zeros((4, 4))
+    local[0:2, 0:2], local[2:4, 2:4] = rotation(0.3), rotation(-1.1)
+    rotated = apply_symplectic(default_state(), local)
+    worst_case_breakdown(default_state(), 10**6)
+    worst_case_breakdown(rotated, 10**6)
+    worst_case_breakdown(default_state(), math.inf)
+    assert sizes == [65, 1025, 2]
