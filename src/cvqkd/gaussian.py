@@ -76,22 +76,22 @@ def covariance(entries) -> CovarianceMatrix:
     here: marginally unphysical matrices occur naturally as statistical
     reconstructions and may still be stored and inspected.
     """
-    m = np.array(entries, dtype=float)
+    m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidStateError(f"covariance matrix must be square, got shape {m.shape}")
     dim = m.shape[0]
     if dim % 2 != 0 or dim == 0:
         raise InvalidStateError(f"covariance matrix dimension must be a positive even number, got {dim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidStateError("covariance matrix contains non-finite entries")
     # halves first, so entries near the float maximum cannot overflow; for
     # normal floats this is bit for bit (m - m.T) / 2 and (m + m.T) / 2
     half = 0.5 * m
-    asym = 2.0 * float(np.max(np.abs(half - half.T)))  # a Python float overflows to inf silently
+    asym = 2.0 * float(abs(half - half.T).max())  # a Python float overflows to inf silently
     if asym > SYMMETRY_TOL:
         raise InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
     m = half + half.T
-    if np.any(np.diag(m) <= 0.0):
+    if (m.diagonal() <= 0.0).any():
         raise InvalidStateError("covariance matrix diagonal must be strictly positive")
     m.flags.writeable = False
     return CovarianceMatrix(n_modes=dim // 2, entries=m)
@@ -112,20 +112,25 @@ def squeezed_vacuum(var_sqz: float, var_asqz: float) -> CovarianceMatrix:
     or when var_sqz*var_asqz < 1, which would violate the uncertainty
     relation; such matrices are representable but unphysical.
     """
+    return covariance(np.diag(_squeezed_variances(var_sqz, var_asqz)))
+
+
+def _squeezed_variances(var_sqz: float, var_asqz: float) -> list:
+    """squeezed_vacuum's checks and warnings, named at the caller's caller."""
     if var_sqz <= 0.0 or var_asqz <= 0.0:
         raise InvalidArgumentError(f"variances must be positive, got ({var_sqz}, {var_asqz})")
     if not (var_sqz <= 1.0 <= var_asqz):
         warnings.warn(
             f"squeezed_vacuum({var_sqz}, {var_asqz}): expected var_sqz <= 1 <= var_asqz",
-            stacklevel=2,
+            stacklevel=3,
         )
     if var_sqz * var_asqz < 1.0 - DEFAULT_TOL:
         warnings.warn(
             f"squeezed_vacuum({var_sqz}, {var_asqz}): variance product {var_sqz * var_asqz:.6f} < 1, "
             "state violates the uncertainty relation",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return covariance(np.diag([float(var_sqz), float(var_asqz)]))
+    return [float(var_sqz), float(var_asqz)]
 
 
 def db_to_variance(db: float) -> float:

@@ -33,10 +33,10 @@ from .errors import InvalidArgumentError, OutOfRangeError
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
+    _squeezed_variances,
     balanced_beamsplitter,
     covariance,
     db_to_variance,
-    squeezed_vacuum,
     variance_to_db,
 )
 
@@ -248,34 +248,33 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
 
 def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
     # sqrt(fl(x * x)) == x in binary64, so equal arms give (1 - nu) Gamma + nu I exactly
-    t = np.repeat(1.0 - nus, 2)
-    return np.sqrt(np.outer(t, t)) * m + np.diag(np.repeat(nus, 2))
+    t = (1.0 - nus).repeat(2)
+    return np.sqrt(t[:, np.newaxis] * t) * m + np.diag(nus.repeat(2))
 
 
 def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    return m + np.diag(np.repeat(deltas, 2))
+    return m + np.diag(deltas.repeat(2))
 
 
 def _phase_noise(m: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    n = len(sigmas)
-    out = np.empty_like(m)
-    for i in range(n):
-        for j in range(n):
-            blk = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            if i == j:
-                e2 = math.exp(-2.0 * sigmas[i] * sigmas[i])
-                mean = (blk[0, 0] + blk[1, 1]) / 2.0
-                dev = (blk[0, 0] - blk[1, 1]) / 2.0
-                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.array(
-                    [
-                        [mean + e2 * dev, e2 * blk[0, 1]],
-                        [e2 * blk[0, 1], mean - e2 * dev],
-                    ]
-                )
-            else:
+    # Python floats per entry, the 2x2 block arrays' operations. The factors keep
+    # math.exp (array np.exp differs on 4.8% of inputs on AVX-512 hardware) and
+    # numpy's scalar power on the sigmas (s * s differs on 0.1%, float ** raises)
+    x = m.tolist()
+    out = [row[:] for row in x]
+    for i, s in enumerate(sigmas):
+        p, q = 2 * i, 2 * i + 1
+        e2 = math.exp(-2.0 * s * s)
+        mean, dev = (x[p][p] + x[q][q]) / 2.0, (x[p][p] - x[q][q]) / 2.0
+        out[p][p], out[q][q] = mean + e2 * dev, mean - e2 * dev
+        out[p][q] = out[q][p] = e2 * x[p][q]
+        for j in range(len(sigmas)):
+            if j != i:
                 f = math.exp(-(sigmas[i] ** 2 + sigmas[j] ** 2) / 2.0)
-                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = f * blk
-    return (out + out.T) / 2.0
+                for r in (p, q):
+                    for c in (2 * j, 2 * j + 1):
+                        out[r][c] = f * x[r][c]
+    return np.array([[(a + b) / 2.0 for a, b in zip(row, col)] for row, col in zip(out, zip(*out))])
 
 
 def phase_noise_monte_carlo(
@@ -364,23 +363,39 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     spec, a SqueezingSpec or the pump model's SourceParams, names the
     source variances before any loss: (e^-2r, e^2r) for a pure r or the r
     that r_from_measured infers from one measured value, and
-    (v - epsilon)/(1 - epsilon) for each v of a measured or pump pair. Then
-    one pipeline, validated once: tensor with vacuum, balanced beam
-    splitter, the full per-arm loss, phase noise, detection noise, equal
-    bit for bit to tensor, apply_symplectic, loss_channel,
+    (v - epsilon)/(1 - epsilon) for each v of a measured or pump pair. Every
+    route but a pure r goes through epsilon, so each arm's loss must be at
+    least epsilon. Then one pipeline, validated once: tensor with vacuum,
+    balanced beam splitter, the full per-arm loss, phase noise, detection
+    noise, equal bit for bit to tensor, apply_symplectic, loss_channel,
     phase_noise_channel and detection_noise composed.
     """
     ch = channel if channel is not None else ChannelParams()
     eps = ch.epsilon
+    if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
+        r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
+        source = _squeezed_variances(math.exp(-2.0 * r), math.exp(2.0 * r))
+    else:
+        source = _detected_source(spec, eps)
+    if not isinstance(spec, SqueezingSpec) or spec.r is None:
+        for name, loss in (("loss_a", ch.loss_a), ("loss_b", ch.loss_b)):
+            if loss < eps:
+                raise InvalidArgumentError(
+                    f"{name} = {loss} is smaller than the source-side epsilon = {eps}; "
+                    "the measured-input route needs at least that much total loss per arm"
+                )
+    return _pipeline(*source, ch)
+
+
+def _detected_source(spec, eps: float) -> tuple[float, float]:
+    """The checked source variances (v - epsilon)/(1 - epsilon) of a measured
+    or pump pair; the one warning when their product is below 1."""
     if isinstance(spec, SourceParams):
         vs, va = pump_to_variances(spec)
     elif not isinstance(spec, SqueezingSpec):
         raise InvalidArgumentError(f"spec must be SqueezingSpec or SourceParams, got {type(spec).__name__}")
-    elif spec.var_asqz_db is not None:
-        vs, va = db_to_variance(spec.var_sqz_db), db_to_variance(spec.var_asqz_db)
     else:
-        r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
-        return _pipeline(squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r)), ch)
+        vs, va = db_to_variance(spec.var_sqz_db), db_to_variance(spec.var_asqz_db)
     if vs <= eps or va <= eps:
         raise InvalidArgumentError(
             f"measured variances {_pair_db(spec, vs, va)} do not exceed epsilon = {eps}; "
@@ -392,16 +407,9 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
             f"measured pair {_pair_db(spec, vs, va)} implies a source variance product "
             f"{source[0] * source[1]:.6f} < 1 under epsilon = {eps}; the inferred source state "
             "violates the uncertainty relation",
-            stacklevel=2,
+            stacklevel=3,
         )
-    for name, loss in (("loss_a", ch.loss_a), ("loss_b", ch.loss_b)):
-        if loss < eps:
-            raise InvalidArgumentError(
-                f"{name} = {loss} is smaller than the source-side epsilon = {eps}; "
-                "the measured-input route needs at least that much total loss per arm"
-            )
-    # not squeezed_vacuum, which would judge the product again and repeat the warning
-    return _pipeline(covariance(np.diag(source)), ch)
+    return source
 
 
 def _pair_db(spec, vs: float, va: float) -> str:
@@ -411,15 +419,14 @@ def _pair_db(spec, vs: float, va: float) -> str:
     return f"({spec.var_sqz_db} dB, {spec.var_asqz_db} dB)"
 
 
-def _pipeline(single_mode: CovarianceMatrix, ch: ChannelParams) -> CovarianceMatrix:
-    """tensor with vacuum, _BEAMSPLITTER, loss, phase noise and detection
-    noise on one raw 4x4 array, kept exactly symmetric, on values that
-    ChannelParams checked; validated once by the final covariance(). Zero
-    loss or detection noise changes no entry; zero phase noise would round.
-    """
+def _pipeline(vs: float, va: float, ch: ChannelParams) -> CovarianceMatrix:
+    """The source diag(vs, va) with vacuum, _BEAMSPLITTER, loss, phase noise
+    and detection noise on one raw 4x4 array, kept exactly symmetric, on values
+    make_epr_state and ChannelParams checked; validated once by the final
+    covariance(). Zero loss or detection noise changes no entry; zero phase
+    noise would round."""
     m = np.zeros((4, 4))
-    m[:2, :2] = single_mode.entries
-    m[2, 2] = m[3, 3] = 1.0
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = vs, va, 1.0, 1.0
     m = _BEAMSPLITTER @ m @ _BEAMSPLITTER.T
     m = (m + m.T) / 2.0
     m = _loss(m, np.array([ch.loss_a, ch.loss_b], dtype=float))

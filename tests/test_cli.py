@@ -624,6 +624,23 @@ def test_pump_model_divergence_exits_one_without_traceback(tmp_path):
     assert proc.stderr.endswith("error: pump model diverges at threshold when k = 0\n")
 
 
+@pytest.mark.parametrize(
+    "source",
+    [{"var_sqz_db": -11.1}, {"var_sqz_db": -11.1, "var_asqz_db": 16.6}, {"mode": "pump", "p_mw": 240.0}],
+    ids=["measured value", "measured pair", "pump"],
+)
+def test_arm_loss_below_epsilon_exits_one_without_traceback(tmp_path, source):
+    """Every source goes through epsilon, so each rejects an arm loss below it."""
+    cfg = write_config(tmp_path, {"source": source, "channel": {"nu_a": 0.01}})
+    proc = run_module("cvqkd", "simulate", "--config", cfg)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(
+        "error: loss_a = 0.01 is smaller than the source-side epsilon = 0.059; "
+        "the measured-input route needs at least that much total loss per arm\n"
+    ), proc.stderr
+
+
 @pytest.mark.parametrize("command", ["simulate", "sample"])
 def test_pump_at_threshold_warns_once(tmp_path, command):
     """The pump model is evaluated once per state, so its warning prints once."""

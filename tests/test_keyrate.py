@@ -416,6 +416,11 @@ def _snapped(rad, scale):
 
 
 def _reference_lenient_key_rate(matrix):
+    """The key rate of one corner, with the snap of the worst case before the
+    one tolerance rule: the symplectic radicand is snapped on the scale
+    Delta^2 + 4|i4| and the discriminant on u2 + v, not on the scales of
+    gaussian._radicands. The tests compare it with worst_case_breakdown to
+    1e-12 only, which the two scales do not tell apart on their states."""
     i1 = float(np.linalg.det(matrix[0:2, 0:2]))
     i2 = float(np.linalg.det(matrix[2:4, 2:4]))
     i3 = float(np.linalg.det(matrix[0:2, 2:4]))
@@ -574,6 +579,53 @@ def test_batched_kernel_matches_single_state_path_on_edge_regimes(states):
         want.update(d_plus=mid.d_plus, d_minus=mid.d_minus, d_a=mid.d_a, d_b=mid.d_b)
         for name, value in want.items():
             assert getattr(batch, name)[j] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+def _seeded_model_states(rng, count):
+    """count model states from the four source routes over random channels
+    (arm loss at least epsilon), each also with arm A rotated locally."""
+    states = []
+    for j in range(count):
+        eps = float(rng.uniform(0.0, 0.06))
+        ch = ChannelParams(
+            epsilon=eps,
+            loss_a=float(rng.uniform(eps, 0.3)),
+            loss_b=float(rng.uniform(eps, 0.3)),
+            det_noise_a=float(rng.uniform(0.0, 0.05)),
+            det_noise_b=float(rng.uniform(0.0, 0.05)),
+            phase_sigma_a=float(rng.uniform(0.0, 0.2)) * (j % 3 != 0),
+            phase_sigma_b=float(rng.uniform(0.0, 0.2)) * (j % 3 != 0),
+        )
+        sqz = float(rng.uniform(-12.0, -1.0))
+        spec = (
+            SqueezingSpec(r=float(rng.uniform(0.0, 2.5))),
+            SqueezingSpec(var_sqz_db=sqz),
+            SqueezingSpec(var_sqz_db=sqz, var_asqz_db=float(rng.uniform(-sqz, -sqz + 8.0))),
+            SourceParams(p_mw=float(rng.uniform(0.0, 265.0))),
+        )[j % 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # detected pairs that break the uncertainty relation
+            g = make_epr_state(spec, ch)
+        local = np.eye(4)
+        local[0:2, 0:2] = rotation(float(rng.uniform(0.0, 2.0 * math.pi)))
+        states += [g, apply_symplectic(g, local)]
+    return states
+
+
+def test_single_state_formula_equals_the_stacked_formula_bit_for_bit():
+    """Given the same i4, _formula on one state's float invariants and on a
+    stack's arrays of them agree in every field, bit for bit. This pins
+    np.log2 in _entropy: math.log2 differs from it on about 0.1% of inputs."""
+    states = _seeded_model_states(np.random.default_rng(2011), 1000)
+    stack = np.stack([g.entries for g in states])
+    i4 = np.linalg.det(stack)
+    stacked = _formula(SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), i4)))
+    for j, g in enumerate(states):
+        single = _formula(SymplecticInvariants(*map(float, _invariant_values(g.entries, float(i4[j])))))
+        got = np.array([float(v) for v in single])
+        want = np.array([v[j] for v in stacked])
+        assert got.tobytes() == want.tobytes(), (j, g.entries)
+    assert float(stacked.k.min()) < 0.0 < float(stacked.k.max())
 
 
 @pytest.mark.parametrize("kind", list(_EDGE_GENERATORS))

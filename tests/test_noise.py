@@ -289,6 +289,50 @@ def test_phase_noise_preserves_physicality():
         assert is_physical(phase_noise_channel(g, float(rng.uniform(0.0, 0.5))))
 
 
+def _reference_phase_noise(m, sigmas):
+    """The per-block loop that _phase_noise replaced: 2x2 block arrays."""
+    n = len(sigmas)
+    out = np.empty_like(m)
+    for i in range(n):
+        for j in range(n):
+            blk = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+            if i == j:
+                e2 = math.exp(-2.0 * sigmas[i] * sigmas[i])
+                mean = (blk[0, 0] + blk[1, 1]) / 2.0
+                dev = (blk[0, 0] - blk[1, 1]) / 2.0
+                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.array(
+                    [
+                        [mean + e2 * dev, e2 * blk[0, 1]],
+                        [e2 * blk[0, 1], mean - e2 * dev],
+                    ]
+                )
+            else:
+                f = math.exp(-(sigmas[i] ** 2 + sigmas[j] ** 2) / 2.0)
+                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = f * blk
+    return (out + out.T) / 2.0
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_phase_noise_equals_the_block_loop_bit_for_bit(n_modes):
+    """The float arithmetic of _phase_noise is the block loop's, entry by
+    entry, for sigma = 0 on one mode, unequal and large sigmas alike."""
+    rng = np.random.default_rng(40 + n_modes)
+    # thousands of sigmas: numpy's scalar power differs from s * s on about 0.1% of them
+    sigma_sets = [rng.uniform(0.0, 0.5, n_modes) for _ in range(3000)]
+    sigma_sets += [np.full(n_modes, s) for s in (0.05, 3.0, 30.0)]
+    sigma_sets += [np.where(np.arange(n_modes) == k, 0.0, rng.uniform(0.0, 0.5, n_modes)) for k in range(n_modes)]
+    sigma_sets += [rng.uniform(0.0, 40.0, n_modes) for _ in range(30)]
+    for j, sigmas in enumerate(sigma_sets):
+        for scale in (1e-3, 1.0, 1e3) if j % 100 == 0 or j >= 3000 else (1.0,):
+            a = rng.normal(size=(2 * n_modes, 2 * n_modes)) * scale
+            m = covariance(a @ a.T + np.eye(2 * n_modes)).entries
+            want = _reference_phase_noise(m, sigmas)
+            assert cvqkd.noise._phase_noise(m, sigmas).tobytes() == want.tobytes(), (sigmas, scale)
+            if sigmas.any():  # the public map returns its input unchanged at zero noise
+                got = phase_noise_channel(covariance(m), sigmas).entries
+                assert got.tobytes() == covariance(want).entries.tobytes(), (sigmas, scale)
+
+
 # ------------------------------------------------------------ monte carlo phase
 
 
@@ -477,6 +521,29 @@ def test_make_epr_state_rejects_arm_loss_below_source_loss():
         make_epr_state(SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6), ch)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SqueezingSpec(var_sqz_db=-11.1), SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6), SourceParams(p_mw=240.0)],
+    ids=["measured value", "measured pair", "pump"],
+)
+@pytest.mark.parametrize("arm", ["loss_a", "loss_b"])
+def test_every_route_through_epsilon_rejects_arm_loss_below_it(spec, arm):
+    """A detected figure already contains epsilon of loss, so every route
+    that infers a source through epsilon needs at least that much per arm,
+    with one message; a pure r does not go through epsilon."""
+    ch = dataclasses.replace(ChannelParams(), **{arm: 0.01})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the detected pair's own product warning
+        with pytest.raises(InvalidArgumentError) as raised:
+            make_epr_state(spec, ch)
+        assert is_physical(make_epr_state(spec, dataclasses.replace(ch, **{arm: ch.epsilon})))
+    assert str(raised.value) == (
+        f"{arm} = 0.01 is smaller than the source-side epsilon = 0.059; "
+        "the measured-input route needs at least that much total loss per arm"
+    )
+    assert is_physical(make_epr_state(SqueezingSpec(r=1.2), ch))
+
+
 def test_make_epr_state_rejects_unknown_spec_type():
     with pytest.raises(InvalidArgumentError):
         make_epr_state({"r": 1.0})
@@ -592,7 +659,8 @@ def _epr_state_outcome(spec, ch, build=make_epr_state):
 def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     cases = _differential_cases()
     one_pass = [_epr_state_outcome(spec, ch) for spec, ch in cases]
-    monkeypatch.setattr(cvqkd.noise, "_pipeline", _reference_pipeline)
+    # _pipeline takes the two source variances; the reference starts from their validated 2x2
+    monkeypatch.setattr(cvqkd.noise, "_pipeline", lambda vs, va, ch: _reference_pipeline(covariance(np.diag([vs, va])), ch))
     composed = [_epr_state_outcome(spec, ch) for spec, ch in cases]
     for (spec, ch), (got, got_warnings), (want, want_warnings) in zip(cases, one_pass, composed):
         if isinstance(want, tuple):
@@ -607,6 +675,30 @@ def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     assert sum(bool(w) for _, w in composed) >= 10
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SqueezingSpec(r=1.2), SqueezingSpec(var_sqz_db=-11.1), SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6),
+     SourceParams(p_mw=240.0)],
+    ids=["pure r", "measured value", "measured pair", "pump"],
+)
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_make_epr_state_validates_one_matrix(monkeypatch, spec, sigma):
+    """Every route hands its source variances to the pipeline as floats, so
+    one covariance() call validates the finished 4x4 and nothing else."""
+    calls = []
+
+    def counting(entries):
+        calls.append(np.shape(entries))
+        return covariance(entries)
+
+    monkeypatch.setattr(cvqkd.gaussian, "covariance", counting)
+    monkeypatch.setattr(cvqkd.noise, "covariance", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the detected pair's own product warning
+        make_epr_state(spec, ChannelParams(phase_sigma_a=sigma, phase_sigma_b=sigma / 2.0))
+    assert calls == [(4, 4)]
+
+
 # --------------------------------------- one source route, against two routes
 
 
@@ -614,7 +706,9 @@ def _two_route_make_epr_state(spec, ch):
     """The assembly make_epr_state replaced: a measured pair, or the pump
     model's pair through dB and back, entered the pipeline as detected
     variances and took the incremental loss (loss - epsilon)/(1 - epsilon)
-    per arm; a pure or inferred r took the full loss."""
+    per arm; a pure or inferred r took the full loss. An inferred r, which
+    goes through epsilon too, now needs at least epsilon of loss per arm,
+    the pair routes' rule with their message."""
     if isinstance(spec, SourceParams):
         vs, va = pump_to_variances(spec)
         vs_db, va_db = variance_to_db(vs), variance_to_db(va)
@@ -622,7 +716,14 @@ def _two_route_make_epr_state(spec, ch):
         vs_db, va_db = spec.var_sqz_db, spec.var_asqz_db
     else:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, ch.epsilon)
-        return _reference_pipeline(squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r)), ch)
+        single_mode = squeezed_vacuum(math.exp(-2.0 * r), math.exp(2.0 * r))
+        for name, total in (("loss_a", ch.loss_a), ("loss_b", ch.loss_b)):
+            if spec.r is None and total < ch.epsilon:
+                raise InvalidArgumentError(
+                    f"{name} = {total} is smaller than the source-side epsilon = {ch.epsilon}; "
+                    "the measured-input route needs at least that much total loss per arm"
+                )
+        return _reference_pipeline(single_mode, ch)
     eps = ch.epsilon
     vs, va = db_to_variance(vs_db), db_to_variance(va_db)
     if vs <= eps or va <= eps:
