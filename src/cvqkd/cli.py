@@ -38,7 +38,7 @@ from .gaussian import (
     symplectic_eigenvalues,
     variance_to_db,
 )
-from .keyrate import secret_key_rate
+from .keyrate import _stacked_rates, secret_key_rate
 from .noise import (
     ChannelParams,
     SourceParams,
@@ -94,6 +94,10 @@ SCAN_COLUMNS = (
     "k_worst_case",
     "n",
 )
+
+#: scan rates its rows in stacked passes of this many, which bounds the
+#: pass's transient memory
+_SCAN_CHUNK = 256
 
 #: config fields that may hold JSON null
 _NULLABLE = {("source", "var_sqz_db"), ("source", "var_asqz_db"), ("source", "p_mw")}
@@ -286,13 +290,35 @@ def cmd_scan(args, cfg: dict) -> int:
     except MemoryError as exc:
         raise ConfigError(f"--steps = {args.steps} grid points do not fit in memory") from exc
     lines = [",".join(SCAN_COLUMNS)]
-    for value in grid:
-        lines.append(_scan_row(cfg, args.sweep, float(value)))
+    for start in range(0, len(grid), _SCAN_CHUNK):
+        lines += _scan_chunk(cfg, args.sweep, grid[start : start + _SCAN_CHUNK].tolist())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _scan_row(cfg: dict, sweep: str, value: float) -> str:
+def _scan_chunk(cfg: dict, sweep: str, values: list) -> list:
+    """The CSV rows of consecutive grid values: each row's state built in grid
+    order, then all rated in one stacked pass (keyrate._stacked_rates)."""
+    ana = cfg["analysis"]
+    states, inputs = [], []
+    try:
+        for value in values:
+            g, cells = _scan_row(cfg, sweep, value)
+            states.append(g)
+            inputs.append(cells)
+    finally:
+        # also when a state fails: the rows before it are rated first, so
+        # their errors come before its own, as when each row is rated in turn
+        rates = _stacked_rates(states, ana["n_samples"] if ana["worst_case"] else None)
+    n = str(ana["n_samples"])
+    return [
+        ",".join([*cells, *map(_fmt, rate[:4]), _fmt(rate[4]) if rate[4] is not None else "", n])
+        for cells, rate in zip(inputs, rates)
+    ]
+
+
+def _scan_row(cfg: dict, sweep: str, value: float) -> tuple:
+    """The state at one grid value and its row's first four cells."""
     # cfg's sections are shared with every row: replace a section, never edit it
     point = dict(cfg)
     if sweep == "sqz_db":
@@ -304,26 +330,13 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> str:
     elif sweep == "sigma":
         point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
     spec, channel = _resolve(point)
-    ana = point["analysis"]
-    report = secret_key_rate(make_epr_state(spec, channel), n_samples=ana["n_samples"] if ana["worst_case"] else None)
+    g = make_epr_state(spec, channel)
     # the input column: a pump spec's detected squeezing comes from its model,
     # whose power make_epr_state has checked and warned about; pump_to_variances would warn again
     input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(
         _pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw))
     )
-    cells = [
-        _fmt(input_db),
-        _fmt(channel.loss_b),
-        _fmt(channel.det_noise_b),
-        _fmt(channel.phase_sigma_b),
-        _fmt(report.mi),
-        _fmt(report.holevo_a),
-        _fmt(report.holevo_b),
-        _fmt(report.k_nominal),
-        _fmt(report.k_worst_case) if report.k_worst_case is not None else "",
-        str(ana["n_samples"]),
-    ]
-    return ",".join(cells)
+    return g, [_fmt(input_db), _fmt(channel.loss_b), _fmt(channel.det_noise_b), _fmt(channel.phase_sigma_b)]
 
 
 def cmd_sample(args, cfg: dict) -> int:

@@ -45,8 +45,8 @@ SYMMETRY_TOL = 1e-12
 #: (_radicands); rounding leaves a few eps times that. Within DEGENERACY_SNAP
 #: times its scale of the floor, a radicand is snapped to 0 (pure states make
 #: some exactly 0, and a root would amplify the residual) and anything else is
-#: clamped. Below the floor by more than DEFAULT_TOL plus that, it is an error
-#: naming the quantity (_judge, for single states).
+#: clamped. Below the floor by more than DEFAULT_TOL plus that (_below_floor),
+#: it is an error naming the quantity (_judge, for single states).
 DEGENERACY_SNAP = 2.0**-48
 
 
@@ -137,7 +137,10 @@ def db_to_variance(db: float) -> float:
     """Convert a decibel value to a linear variance, v = 10^(db/10)."""
     if not math.isfinite(db):
         raise InvalidArgumentError(f"decibel value must be finite, got {db!r}")
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"decibel value {db!r} is a variance beyond the float range") from exc
 
 
 def variance_to_db(v: float) -> float:
@@ -450,16 +453,19 @@ def epr_product(g: CovarianceMatrix, direction: str = "a_given_b") -> tuple[floa
 def _conditioned(m: np.ndarray, given=slice(None)) -> np.ndarray:
     """The states left after one quadrature is measured, as one stack.
 
-    Slice j is the Schur complement m - m[:, k] m[k, :] / m[k, k] for the
-    j-th quadrature k of given (index list or slice, all by default), the
-    covariance conditioned on the outcome of k. m must be symmetric, as
-    every CovarianceMatrix is. A non-positive m[k, k] raises InvalidStateError.
+    m is one matrix or a (..., 2n, 2n) stack of them. Slice [..., j, :, :] is
+    the Schur complement m - m[:, k] m[k, :] / m[k, k] for the j-th
+    quadrature k of given (index list or slice, all by default), the
+    covariance conditioned on the outcome of k; a stack gets each matrix's
+    arithmetic bit for bit. m must be symmetric, as every CovarianceMatrix
+    is. A non-positive m[k, k] raises InvalidStateError, which a
+    CovarianceMatrix's positive diagonal never does.
     """
-    var = m.diagonal()[given]
-    if not all(v > 0.0 for v in var.tolist()):
+    var = m.diagonal(0, -2, -1)[..., given]
+    if not all(v > 0.0 for v in var.ravel().tolist()):
         raise InvalidStateError(f"variances of the conditioning quadratures must be positive, got {var.tolist()}")
-    col = m[:, given].T  # col[j]: column k of m, equal to row k
-    return m - col[:, :, np.newaxis] * col[:, np.newaxis, :] / var[:, np.newaxis, np.newaxis]
+    col = m[..., given].swapaxes(-1, -2)[..., np.newaxis]  # col[..., j, :, 0]: column k of m, equal to row k
+    return m[..., np.newaxis, :, :] - col * col.swapaxes(-1, -2) / var[..., np.newaxis, np.newaxis]
 
 
 def wigner_density(g: CovarianceMatrix, xi) -> float:
@@ -521,12 +527,17 @@ def _root(x):
     return math.sqrt(_clamp(x)) if isinstance(x, float) else np.sqrt(_clamp(x))
 
 
+def _below_floor(value, floor: float, scale):
+    """The one tolerance rule, for floats and arrays alike: value is below
+    floor by more than DEFAULT_TOL + DEGENERACY_SNAP * scale, the rounding of
+    the terms that cancel in it."""
+    return value < floor - (DEFAULT_TOL + DEGENERACY_SNAP * scale)
+
+
 def _judge(what: str, value: float, floor: float, scale: float, error=NumericalDegeneracyError) -> None:
-    """The one tolerance rule on a single-state quantity: raise error(message)
-    when value is below floor by more than DEFAULT_TOL + DEGENERACY_SNAP *
-    scale, the rounding of the terms that cancel in it."""
-    tol = DEFAULT_TOL + DEGENERACY_SNAP * scale
-    if value < floor - tol:
+    """Raise error(message) naming a single-state quantity that _below_floor rejects."""
+    if _below_floor(value, floor, scale):
+        tol = DEFAULT_TOL + DEGENERACY_SNAP * scale
         raise error(f"{what} is {value:.10g}, {floor - value:.3g} below {floor:g}, beyond its rounding tolerance {tol:.2g}")
 
 

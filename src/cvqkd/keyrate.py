@@ -24,6 +24,16 @@ a non-positive mutual-information log argument rates +inf. The single-state
 functions and the oracles raise typed errors naming the quantity instead,
 where it is below its floor beyond rounding (gaussian._judge).
 
+Many states at once, as scan's rows, are rated in one stacked pass
+(_stacked_rates): one np.linalg.det over the stack, the invariants from its
+entry planes, one formula call, and each check the single-state path makes
+as one mask over the rows, by the same comparisons on the same bits
+(gaussian._below_floor for the tolerance rule, and the oracle's conditional
+variances and eigenvalues from one gaussian._conditioned stack). A row that
+a check flags is rated by secret_key_rate itself, so every error is raised
+and worded in one place, and every other row rates as secret_key_rate
+rates it, bit for bit.
+
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
 rate is minimized over the 1024 corners of that uncertainty box, together
@@ -62,6 +72,7 @@ from .gaussian import (
     CovarianceMatrix,
     SymplecticInvariants,
     _check_block_determinants,
+    _below_floor,
     _clamp,
     _conditioned,
     _invariant_values,
@@ -274,6 +285,55 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     )
 
 
+def _stacked_rates(states: list, n_samples: float | None = None) -> list:
+    """(mi, holevo_a, holevo_b, k_nominal, k_worst_case) of secret_key_rate
+    for each two-mode state of a list, bit for bit, from one stacked pass.
+
+    The pass takes i4 from one np.linalg.det call over the stack (the same
+    LAPACK factorization per matrix as invariants()), the other invariants
+    from one _invariant_values call on the entry planes, and the rates from
+    one _formula call. Every check secret_key_rate makes is one mask over the
+    rows, with the same comparisons on the same bits: the overflow rule of
+    invariants(), the block determinants, the discriminant, the log argument,
+    the radicand, d_minus^2 and the four entropy arguments (_below_floor), and
+    the oracle's conditional variances and conditional eigenvalues on one
+    _conditioned stack. The states' diagonals are positive, as covariance()
+    checks, so _conditioned does not raise. A row that a check flags, or
+    whose rate is not finite, is rated by secret_key_rate itself, in list
+    order, so its error or its values are that function's. With n_samples,
+    every other row's worst case is one worst_case_key_rate call, in list
+    order too.
+    """
+    if not states:
+        return []
+    stack = np.stack([g.entries for g in states])
+    with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
+        inv = SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), np.linalg.det(stack)))
+        delta = inv.i1 + inv.i2 + 2.0 * inv.i3
+        flagged = ~np.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime)
+        flagged |= (inv.i1 <= 0.0) | (inv.i2 <= 0.0)
+        f = _formula(inv)
+        flagged |= _below_floor(f.disc, 0.0, f.disc_scale) | (f.arg <= 0.0)
+        flagged |= _below_floor(f.rad, 0.0, f.rad_scale) | _below_floor(f.dm2, 0.0, f.d_scale)
+        flagged |= _below_floor(f.d_plus, 1.0, f.d_scale) | _below_floor(f.d_minus, 1.0, f.d_scale)
+        flagged |= _below_floor(f.d_a, 1.0, f.size) | _below_floor(f.d_b, 1.0, f.size)
+        cond = np.moveaxis(_conditioned(stack), 0, -1)  # cond[k, i, j]: entry (i, j) given quadrature k, every row
+        var_x, var_p = _conditional_variances(cond[2:])
+        flagged |= ~((var_x > 0.0) & (var_p > 0.0))
+        for measured in (0, 1):
+            d_cond = _root(_conditional_dets(cond[2 * measured : 2 * measured + 2], measured))
+            flagged |= _below_floor(d_cond, 1.0, f.size).any(axis=0)
+        flagged |= ~np.isfinite(f.k)
+    rows = np.stack([f.mi, f.chi_a, f.chi_b, f.k], axis=1).tolist()
+    for j, (g, bad) in enumerate(zip(states, flagged.tolist())):
+        if bad:
+            r = secret_key_rate(g, n_samples)
+            rows[j] = [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
+        else:
+            rows[j].append(worst_case_key_rate(g, n_samples) if n_samples is not None else None)
+    return rows
+
+
 def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
     """Lowest key rate over the finite-statistics uncertainty box.
 
@@ -370,7 +430,7 @@ def _symmetrized(x: float) -> float:
 
 def _mi(m: np.ndarray, given_b: np.ndarray) -> tuple[float, float]:
     """mi_oracle of the entries m, from given_b: m conditioned on x_B and on p_B."""
-    var_x, var_p = given_b[0, 0, 0], given_b[1, 1, 1]
+    var_x, var_p = _conditional_variances(given_b)
     if not (var_x > 0.0 and var_p > 0.0):
         raise InvalidStateError(f"Var(x_A|x_B) = {var_x:.3e} and Var(p_A|p_B) = {var_p:.3e} must be positive")
     return 0.5 * math.log2(m[0, 0] / var_x), 0.5 * math.log2(m[1, 1] / var_p)
@@ -380,13 +440,29 @@ def _chi(cond: np.ndarray, measured: int, f: _Formula) -> tuple[float, float]:
     """holevo_oracle from cond, the entries conditioned on X and on P of the
     measured party 0 (A) or 1 (B), with S(E) and the scale of the entropy
     arguments from the checked formula evaluation f."""
-    o = 2 - 2 * measured  # the other party's block
-    b = cond[:, o : o + 2, o : o + 2]
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    d_cond = [_root(d) for d in det.tolist()]
+    d_cond = [_root(d) for d in _conditional_dets(cond, measured).tolist()]
     for quadrature, d in zip("XP", d_cond):
         _judge(f"conditional symplectic eigenvalue given {quadrature}", d, 1.0, f.size, InvalidArgumentError)
     return tuple(float(f.s_joint - _entropy(d)) for d in d_cond)
+
+
+# The two readers below take one state's entries conditioned on two
+# quadratures, cond[k, i, j], or a stack's with the rows on a last axis.
+
+
+def _conditional_variances(given_b: np.ndarray) -> tuple:
+    """Var(x_A|x_B) and Var(p_A|p_B), which _mi needs positive, from the
+    entries conditioned on x_B and on p_B."""
+    return given_b[0, 0, 0], given_b[1, 1, 1]
+
+
+def _conditional_dets(cond: np.ndarray, measured: int) -> np.ndarray:
+    """Determinants of the other party's block given X and given P of the
+    measured party 0 (A) or 1 (B), from the entries conditioned on those two;
+    _chi needs their roots, the conditional symplectic eigenvalues, >= 1."""
+    o = 2 - 2 * measured  # the other party's block
+    b = cond[:, o : o + 2, o : o + 2]
+    return b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
 
 
 def _checked_formula(inv: SymplecticInvariants, entropy_args=("d_plus", "d_minus", "d_a", "d_b")) -> _Formula:

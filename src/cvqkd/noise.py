@@ -374,7 +374,14 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     eps = ch.epsilon
     if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
-        source = _squeezed_variances(math.exp(-2.0 * r), math.exp(2.0 * r))
+        try:
+            variances = math.exp(-2.0 * r), math.exp(2.0 * r)
+        except OverflowError as exc:
+            figure = f"r = {r}" if spec.r is not None else (
+                f"var_sqz_db = {spec.var_sqz_db} dB under epsilon = {eps} implies r = {r:.6g}, which"
+            )
+            raise InvalidArgumentError(f"{figure} puts a source variance e^(-2r) or e^(2r) beyond the float range") from exc
+        source = _squeezed_variances(*variances)
     else:
         source = _detected_source(spec, eps)
     if not isinstance(spec, SqueezingSpec) or spec.r is None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,8 +19,9 @@ import cvqkd
 from cvqkd import cli
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError
-from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json
-from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
+from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json, variance_to_db
+from cvqkd.keyrate import secret_key_rate
+from cvqkd.noise import ChannelParams, SqueezingSpec, _pump_sqz_variance, make_epr_state
 from cvqkd.tomography import load_dataset
 
 from conftest import RECONSTRUCTED_EXAMPLE
@@ -200,6 +202,126 @@ def test_scan_grid_out_of_memory_is_config_error(capsys, monkeypatch):
     rc, out, err = run(capsys, "scan", "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "1000")
     assert rc == 1 and out == ""
     assert err == "error: --steps = 1000 grid points do not fit in memory\n"
+
+
+def _reference_scan_row(cfg: dict, sweep: str, value: float) -> str:
+    """One CSV row rated by its own secret_key_rate call: the per-row scan
+    that the stacked pass must reproduce byte for byte."""
+    point = dict(cfg)
+    if sweep == "sqz_db":
+        point["source"] = {**cfg["source"], "mode": "measured", "var_sqz_db": -abs(value), "var_asqz_db": None}
+    elif sweep == "nu_b":
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"--sweep nu_b adds loss to arm B, which must lie in [0, 1], got {value}")
+        point["channel"] = {**cfg["channel"], "nu_b": 1.0 - (1.0 - cfg["channel"]["nu_b"]) * (1.0 - value)}
+    elif sweep == "sigma":
+        point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
+    spec, channel = cli._resolve(point)
+    ana = point["analysis"]
+    report = secret_key_rate(make_epr_state(spec, channel), n_samples=ana["n_samples"] if ana["worst_case"] else None)
+    input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(
+        _pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw))
+    )
+    cells = [
+        cli._fmt(input_db),
+        cli._fmt(channel.loss_b),
+        cli._fmt(channel.det_noise_b),
+        cli._fmt(channel.phase_sigma_b),
+        cli._fmt(report.mi),
+        cli._fmt(report.holevo_a),
+        cli._fmt(report.holevo_b),
+        cli._fmt(report.k_nominal),
+        cli._fmt(report.k_worst_case) if report.k_worst_case is not None else "",
+        str(ana["n_samples"]),
+    ]
+    return ",".join(cells)
+
+
+def _reference_cmd_scan(args, cfg: dict) -> int:
+    """cmd_scan rating one row at a time, in grid order, for valid --steps."""
+    grid = np.linspace(args.sweep_start, args.sweep_stop, args.steps)
+    lines = [",".join(SCAN_COLUMNS)] + [_reference_scan_row(cfg, args.sweep, float(value)) for value in grid]
+    cli._emit("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+def run_scan_and_reference(capsys, monkeypatch, *argv):
+    """(exit code, stdout, stderr) of scan argv, and of the per-row reference."""
+    stacked = run(capsys, "scan", *argv)
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._DISPATCH, "scan", _reference_cmd_scan)
+        return stacked, run(capsys, "scan", *argv)
+
+
+_README_SWEEPS = {"sqz_db": ("4.5", "12"), "nu_b": ("0", "0.3"), "sigma": ("0", "0.2")}
+
+_SCAN_CONFIGS = {
+    "default": {},
+    "pump": {"source": {"mode": "pump", "p_mw": 200.0}},
+    "phase noise": {"channel": {"sigma_a": 0.05, "sigma_b": 0.1}},
+    "worst case": {"analysis": {"worst_case": True}},
+}
+
+
+@pytest.mark.parametrize("steps", [255, 256, 257, 2000])
+@pytest.mark.parametrize("config", list(_SCAN_CONFIGS))
+@pytest.mark.parametrize("sweep", list(_README_SWEEPS))
+def test_scan_equals_the_per_row_reference_byte_for_byte(capsys, monkeypatch, tmp_path, sweep, config, steps):
+    """Chunks of 256 rows, rated in one stacked pass each, print what rating
+    every row on its own prints, around and across chunk boundaries."""
+    cfg = write_config(tmp_path, _SCAN_CONFIGS[config])
+    start, stop = _README_SWEEPS[sweep]
+    stacked, reference = run_scan_and_reference(
+        capsys, monkeypatch, "--config", cfg, "--sweep", sweep, "--from", start, "--to", stop, "--steps", str(steps)
+    )
+    assert stacked[0] == 0 and len(stacked[1].splitlines()) == steps + 1
+    assert stacked == reference
+
+
+@pytest.mark.filterwarnings("ignore:closed-form worst-case candidate")  # near-pure rows, on both paths
+@pytest.mark.parametrize("worst_case", [False, True], ids=["nominal", "worst case"])
+@pytest.mark.parametrize(
+    "argv, channel, error",
+    [
+        (("sqz_db", "3000", "3200", "5"), {"epsilon": 0.0}, "error: covariance entries up to 4.66e+299 overflow"),
+        (("sqz_db", "0", "300", "600"), {"epsilon": 0.0}, "error: mutual information log argument"),
+        (("nu_b", "0", "1.5", "600"), {}, "error: --sweep nu_b adds loss to arm B"),
+    ],
+    ids=["rating error then state error in one chunk", "rating error in a later chunk", "state error in a later chunk"],
+)
+def test_scan_errors_come_in_the_per_row_reference_order(capsys, monkeypatch, tmp_path, argv, channel, error, worst_case):
+    """A state that cannot be built raises only after the rows before it in
+    its chunk are rated, so an earlier row's rating error wins, as row by row.
+    At 3000 dB row 0 overflows the invariants, and from 3100 dB the source
+    variances overflow while the state is built; the first row that fails at
+    0-300 dB is row 314, and at nu_b 0-1.5 row 400."""
+    cfg = write_config(tmp_path, {"channel": channel, "analysis": {"worst_case": worst_case}})
+    sweep, start, stop, steps = argv
+    stacked, reference = run_scan_and_reference(
+        capsys, monkeypatch, "--config", cfg, "--sweep", sweep, "--from", start, "--to", stop, "--steps", steps
+    )
+    assert stacked == reference
+    rc, out, err = stacked
+    assert rc == 1 and out == "" and err.startswith(error) and err.count("\n") == 1, err
+
+
+def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp_path):
+    """The stacked pass holds one chunk of states and rates at a time: a
+    2000-row scan peaks at most 0.3 MB above rating each row on its own."""
+    argv = ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", "2000", "--out", str(tmp_path / "s.csv")]
+
+    def peak_bytes():
+        main(argv)  # caches and lazy imports first
+        tracemalloc.start()
+        try:
+            main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stacked = peak_bytes()
+    monkeypatch.setitem(cli._DISPATCH, "scan", _reference_cmd_scan)
+    assert stacked <= peak_bytes() + 0.3e6
 
 
 @pytest.mark.parametrize(
@@ -622,6 +744,19 @@ def test_pump_model_divergence_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.endswith("error: pump model diverges at threshold when k = 0\n")
+
+
+def test_source_variance_beyond_the_float_range_exits_one_without_traceback(tmp_path):
+    """A lone measured value just above epsilon infers r = 368, whose e^(2r)
+    overflows: a typed error naming the figure, not an OverflowError."""
+    doc = {"source": {"var_sqz_db": -3200}, "channel": {"epsilon": 0.0, "nu_a": 0.0, "nu_b": 0.0}}
+    proc = run_module("cvqkd", "simulate", "--config", write_config(tmp_path, doc))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: var_sqz_db = -3200 dB under epsilon = 0.0 implies r = 368.414, which puts "
+        "a source variance e^(-2r) or e^(2r) beyond the float range\n"
+    ), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from cvqkd.errors import InvalidArgumentError, InvalidStateError
 from cvqkd.gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
+    _conditioned,
     _physical,
     _screened_det,
     apply_symplectic,
@@ -164,6 +165,8 @@ def test_db_conversion_round_trip():
 def test_db_conversion_rejects_bad_input():
     with pytest.raises(InvalidArgumentError):
         db_to_variance(math.inf)
+    with pytest.raises(InvalidArgumentError, match="decibel value 3200.0 is a variance beyond the float range"):
+        db_to_variance(3200.0)
     with pytest.raises(InvalidArgumentError):
         variance_to_db(0.0)
 
@@ -481,6 +484,16 @@ def test_conditional_variance_on_reconstructed_example(reconstructed_example):
     assert x_cond == pytest.approx(0.55 - 0.45**2 / 0.55, rel=1e-14)
     assert p_cond == pytest.approx(24.7 - 23.2**2 / 23.7, rel=1e-14)
     assert p_cond == pytest.approx(1.9894514767932456, rel=1e-13)
+
+
+@pytest.mark.parametrize("given", [slice(None), slice(2, 4), [1]], ids=["all", "B", "p_A"])
+def test_conditioned_stack_equals_each_matrix_bit_for_bit(given):
+    """A (..., 4, 4) stack is conditioned with each matrix's arithmetic."""
+    a = np.random.default_rng(17).normal(size=(3, 5, 4, 4))
+    stack = a @ a.swapaxes(-1, -2) + np.eye(4)
+    got = _conditioned(stack, given)
+    for idx in np.ndindex(stack.shape[:-2]):
+        assert got[idx].tobytes() == _conditioned(stack[idx], given).tobytes()
 
 
 def test_conditional_variance_rejects_same_quadrature():

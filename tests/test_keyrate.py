@@ -1,7 +1,9 @@
 """Information quantities: entropy kernel, mutual information, Holevo bound,
 nominal and statistically-worst-case key rates."""
 
+import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -46,6 +48,7 @@ from cvqkd.keyrate import (
     _checked_formula,
     _entropy,
     _formula,
+    _stacked_rates,
     _zero_rounding_noise,
     entropy_f,
     holevo,
@@ -626,6 +629,73 @@ def test_single_state_formula_equals_the_stacked_formula_bit_for_bit():
         want = np.array([v[j] for v in stacked])
         assert got.tobytes() == want.tobytes(), (j, g.entries)
     assert float(stacked.k.min()) < 0.0 < float(stacked.k.max())
+
+
+def test_stacked_det_equals_per_matrix_det_bit_for_bit():
+    """np.linalg.det factors each matrix of a stack as it factors a lone one,
+    so a stacked pass has invariants()'s i4, bit for bit."""
+    states = _seeded_model_states(np.random.default_rng(2011), 1000)
+    stacked = np.linalg.det(np.stack([g.entries for g in states]))
+    assert stacked.tobytes() == np.array([np.linalg.det(g.entries) for g in states]).tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [None, 1e6])
+def test_stacked_rates_equal_secret_key_rate_bit_for_bit(n_samples):
+    states = _seeded_model_states(np.random.default_rng(7), 300 if n_samples is None else 24)
+    got = _stacked_rates(states, n_samples)
+    reports = [secret_key_rate(g, n_samples) for g in states]
+    want = [[r.mi, r.holevo_a, r.holevo_b, r.k_nominal] for r in reports]
+    assert np.array([row[:4] for row in got]).tobytes() == np.array(want).tobytes()
+    assert [row[4] for row in got] == [r.k_worst_case for r in reports]
+    assert _stacked_rates([]) == []
+
+
+def test_stacked_rates_leave_flagged_rows_to_secret_key_rate():
+    """The first row a check flags raises secret_key_rate's own error, and
+    the stacked pass over rows that overflow warns about nothing. Too much
+    correlation puts d_minus below 1 where only that check sees it: the
+    conditional eigenvalues and d_a, d_b stay above 1."""
+    good = make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams())
+    below_vacuum = covariance(np.diag([0.5, 0.5, 1.0, 1.0]))
+    huge = covariance(1e200 * np.eye(4))
+    too_correlated = covariance([[3.2, 0, 3.3, 0], [0, 3.2, 0, 2.3], [3.3, 0, 4.7, 0], [0, 2.3, 0, 4.7]])
+    for bad in itertools.permutations([below_vacuum, huge, too_correlated]):
+        states = [good, *bad]
+        with pytest.raises(CvqkdError) as want:
+            secret_key_rate(states[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                _stacked_rates(states)
+
+
+def test_stacked_rates_flag_every_row_that_secret_key_rate_rejects():
+    """Nearly pure states, squeezed 40 to 140 dB with no loss and 1e-9 rad
+    of phase noise, fail four checks on scattered rows, the oracle's
+    conditional eigenvalue among them. Each failing state, stacked after all
+    the passing ones, raises its own error, and the passing ones rate as
+    secret_key_rate rates them."""
+    ch = ChannelParams(0.0, 0.0, 0.0, 0.0, 0.0, phase_sigma_a=1e-9, phase_sigma_b=1e-9)
+    passing, want, failing = [], [], []
+    for db in np.linspace(40.0, 140.0, 300):
+        g = make_epr_state(SqueezingSpec(var_sqz_db=-db), ch)
+        try:
+            r = secret_key_rate(g)
+        except CvqkdError as exc:
+            failing.append((g, exc))
+        else:
+            passing.append(g)
+            want.append([r.mi, r.holevo_a, r.holevo_b, r.k_nominal])
+    assert {str(exc).split(" is ")[0] for _, exc in failing} == {
+        "conditional symplectic eigenvalue given X",
+        "entropy argument d_plus",
+        "entropy argument d_minus",
+        "entropy argument d_a",
+    }
+    assert np.array([row[:4] for row in _stacked_rates(passing)]).tobytes() == np.array(want).tobytes()
+    for g, exc in failing:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _stacked_rates(passing + [g])
 
 
 @pytest.mark.parametrize("kind", list(_EDGE_GENERATORS))

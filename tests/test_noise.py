@@ -415,6 +415,25 @@ def test_r_from_measured_rejects_variance_below_loss_floor():
         r_from_measured(-15.0, 0.059)
 
 
+@pytest.mark.parametrize(
+    "spec, epsilon, message",
+    [
+        ({"r": 400.0}, 0.059, "r = 400.0 puts"),
+        ({"r": -400.0}, 0.059, "r = -400.0 puts"),
+        ({"var_sqz_db": -3200.0}, 0.0, "var_sqz_db = -3200.0 dB under epsilon = 0.0 implies r = 368.414, which puts"),
+        ({"var_sqz_db": 3200.0}, 0.059, "decibel value 3200.0 is a variance beyond the float range"),
+        ({"var_sqz_db": -11.1, "var_asqz_db": 3200.0}, 0.059, "decibel value 3200.0 is a variance beyond"),
+    ],
+    ids=["large r", "large negative r", "lone value near epsilon", "lone value", "anti-squeezed value"],
+)
+def test_make_epr_state_source_beyond_the_float_range_is_typed(spec, epsilon, message):
+    """Not a bare OverflowError from math.exp or a float power."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # negative r
+        with pytest.raises(InvalidArgumentError, match=message):
+            make_epr_state(SqueezingSpec(**spec), ChannelParams(epsilon=epsilon, loss_a=0.068, loss_b=0.068))
+
+
 def test_epr_theory_limits():
     assert epr_theory(0.3, 0.0) == pytest.approx(1.0, rel=1e-15)
     assert epr_theory(0.0, 30.0) == pytest.approx(0.0, abs=1e-8)
