@@ -52,18 +52,6 @@ class DegenerateBoxError(CvqkdError):
         self.n_samples = n_samples
 
 
-class OutOfRangeError(CvqkdError, ValueError):
-    """A requested target cannot be reached by the model.
-
-    Used by the pump-power inversion; carries the best value the model can
-    reach so the caller can report it.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class ProtocolIncompleteError(CvqkdError):
     """A dataset does not determine all covariance entries."""
 

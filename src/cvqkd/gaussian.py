@@ -13,8 +13,7 @@ symplectic transformations and the balanced beam splitter, the physicality
 test, local symplectic invariants and the two-mode normal form, symplectic
 eigenvalues, Gaussian conditioning (one kernel, _conditioned, read by
 conditional_variance, epr_product and the key-rate oracles), the
-conditional-variance entanglement witness, the Wigner density, and JSON
-serialization.
+conditional-variance entanglement witness, and JSON serialization.
 """
 
 from __future__ import annotations
@@ -70,13 +69,17 @@ class CovarianceMatrix:
 def covariance(entries) -> CovarianceMatrix:
     """Validate a matrix and wrap it as a CovarianceMatrix.
 
-    The matrix must be square with even dimension, symmetric up to an
-    absolute asymmetry of 1e-12 (it is then symmetrized exactly), and have a
-    strictly positive diagonal. Physicality is deliberately not enforced
-    here: marginally unphysical matrices occur naturally as statistical
-    reconstructions and may still be stored and inspected.
+    The entries must form a numeric array, square with even dimension,
+    symmetric up to an absolute asymmetry of 1e-12 (it is then symmetrized
+    exactly), and have a strictly positive diagonal. Physicality is
+    deliberately not enforced here: marginally unphysical matrices occur
+    naturally as statistical reconstructions and may still be stored and
+    inspected.
     """
-    m = np.asarray(entries, dtype=float)
+    try:
+        m = np.asarray(entries, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, non-numeric, or an int beyond the float range
+        raise InvalidStateError(f"covariance matrix entries are not a numeric array: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidStateError(f"covariance matrix must be square, got shape {m.shape}")
     dim = m.shape[0]
@@ -468,28 +471,6 @@ def _conditioned(m: np.ndarray, given=slice(None)) -> np.ndarray:
     return m[..., np.newaxis, :, :] - col * col.swapaxes(-1, -2) / var[..., np.newaxis, np.newaxis]
 
 
-def wigner_density(g: CovarianceMatrix, xi) -> float:
-    """Phase-space quasi-probability density at the point xi.
-
-    For the zero-mean Gaussian states handled here this is the normalized
-    multivariate Gaussian density with covariance Gamma, so it integrates
-    to one over phase space.
-    """
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    if x.shape[0] != g.dim:
-        raise InvalidArgumentError(f"phase-space point has length {x.shape[0]}, state needs {g.dim}")
-    sign, logdet = np.linalg.slogdet(g.entries)
-    if sign <= 0:
-        raise InvalidStateError("covariance matrix is singular or not positive definite")
-    try:
-        sol = np.linalg.solve(g.entries, x)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidStateError("covariance matrix is singular") from exc
-    quad = float(x @ sol)
-    log_norm = -0.5 * (g.dim * math.log(2.0 * math.pi) + logdet)
-    return float(math.exp(log_norm - 0.5 * quad))
-
-
 def covariance_to_json(g: CovarianceMatrix) -> dict:
     """Serializable document form, {"n_modes": n, "entries": [[...], ...]}."""
     return {"n_modes": g.n_modes, "entries": [[float(v) for v in row] for row in g.entries]}
@@ -505,7 +486,7 @@ def covariance_from_json(doc: dict) -> CovarianceMatrix:
         raise InvalidStateError("covariance document must contain 'n_modes' and 'entries'")
     g = covariance(doc["entries"])
     if g.n_modes != doc["n_modes"]:
-        raise InvalidStateError(f"declared n_modes {doc['n_modes']} does not match matrix of {g.n_modes} modes")
+        raise InvalidStateError(f"declared n_modes {doc['n_modes']!r} does not match matrix of {g.n_modes} modes")
     return g
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfRangeError
+from .errors import InvalidArgumentError, InvalidStateError
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
@@ -160,38 +160,6 @@ def pump_to_variances(params: SourceParams) -> tuple[float, float]:
     return _pump_sqz_variance(params, s), 1.0 + params.eta * 4.0 * s / denom_asqz
 
 
-def pump_for_target_squeezing(target_db: float, params: SourceParams) -> float:
-    """Pump power that produces the requested detected squeezing.
-
-    target_db is the squeezed variance in dB (negative). The squeezed
-    variance falls with pump power up to p_th (1 + 4 k^2), its minimum, so
-    the target is solved by bisection on the powers below that and below
-    the model's guard, to an accuracy of 1e-6 dB. An unachievable target
-    raises OutOfRangeError reporting the model's best value.
-    """
-    hi = params.p_th_mw * min(1.0 + 4.0 * params.k * params.k, PUMP_GUARD_FACTOR)
-    best_db = variance_to_db(_pump_sqz_variance(params, math.sqrt(hi / params.p_th_mw)))
-    if target_db == 0.0:
-        return 0.0
-    if target_db > 0.0 or target_db < best_db:
-        raise OutOfRangeError(
-            f"target squeezing {target_db} dB is outside the model range "
-            f"({best_db:.4f} dB at {hi:.6g} mW is the best achievable)",
-            best=best_db,
-        )
-    lo = 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        achieved = variance_to_db(_pump_sqz_variance(params, math.sqrt(mid / params.p_th_mw)))
-        if abs(achieved - target_db) < 1e-6:
-            return mid
-        if achieved > target_db:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def _pump_sqz_variance(params: SourceParams, s: float) -> float:
     """The pump model's squeezed variance at s = sqrt(p/p_th)."""
     return 1.0 - params.eta * 4.0 * s / ((1.0 + s) ** 2 + 4.0 * params.k * params.k)
@@ -291,7 +259,8 @@ def phase_noise_monte_carlo(
     Gaussian angle, and returns the raw empirical second-moment matrix.
     Deterministic for a given seed (base samples are drawn first, then the
     angles mode by mode). With return_std_errors=True also returns the
-    per-entry standard error matrix estimated from the sample.
+    per-entry standard error matrix estimated from the sample. A matrix
+    that is not positive definite raises InvalidStateError.
     """
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be at least 1, got {n_samples}")
@@ -299,7 +268,10 @@ def phase_noise_monte_carlo(
     if np.any(sigmas < 0.0):
         raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {sigmas.tolist()}")
     rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(g.entries)
+    try:
+        chol = np.linalg.cholesky(g.entries)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidStateError("covariance matrix is not positive definite, so it cannot be sampled") from exc
     z = rng.standard_normal((n_samples, g.dim)) @ chol.T
     x = np.empty_like(z)
     for i in range(g.n_modes):

@@ -41,6 +41,7 @@ from .errors import (
     DatasetParseError,
     EmptyDatasetError,
     InvalidArgumentError,
+    InvalidStateError,
     ProtocolIncompleteError,
 )
 from .gaussian import CovarianceMatrix, _require_two_modes, covariance
@@ -177,7 +178,8 @@ def sample_homodyne(
     the master seed (spawn key = setting index), so settings could be
     sampled in parallel without changing the data. Calibration is 1.0, the
     samples are already in vacuum units. A count too large for a numpy
-    array, or for memory, raises InvalidArgumentError.
+    array, or for memory, raises InvalidArgumentError; a setting whose
+    marginal covariance is not positive definite, InvalidStateError.
     """
     _require_two_modes(g)
     settings = tuple(settings)
@@ -199,7 +201,12 @@ def sample_homodyne(
     try:
         for idx, s in enumerate(settings):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-            chol = np.linalg.cholesky(marginal_covariance(g, s))
+            try:
+                chol = np.linalg.cholesky(marginal_covariance(g, s))
+            except np.linalg.LinAlgError as exc:
+                raise InvalidStateError(
+                    f"marginal covariance of setting {_fmt_setting(s)} is not positive definite"
+                ) from exc
             draws = rng.standard_normal((n_per_setting, 2)) @ chol.T
             ids.append(np.full(n_per_setting, idx, dtype=int))
             cols_a.append(draws[:, 0])

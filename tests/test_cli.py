@@ -796,3 +796,17 @@ def test_pump_at_threshold_scan_warns_only_from_the_model(tmp_path):
     assert "pump power 268.0 mW is at or above threshold" in warned[0]
     assert warned[0].split(":")[0].endswith("noise.py"), proc.stderr
     assert len(proc.stdout.splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], {"a": 1}],
+    ids=["ragged", "object"],
+)
+def test_analyze_entries_that_are_not_a_numeric_array_exit_one_without_traceback(tmp_path, entries):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"n_modes": 2, "entries": entries}), encoding="utf-8")
+    proc = run_module("cvqkd", "analyze", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: covariance matrix entries are not a numeric array: "), proc.stderr

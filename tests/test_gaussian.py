@@ -33,7 +33,6 @@ from cvqkd.gaussian import (
     tensor,
     vacuum,
     variance_to_db,
-    wigner_density,
 )
 
 from conftest import RECONSTRUCTED_EXAMPLE, random_normal_form_state
@@ -117,6 +116,21 @@ def test_covariance_rejects_non_positive_diagonal():
 def test_covariance_rejects_non_finite():
     with pytest.raises(InvalidStateError):
         covariance(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        {"a": 1},
+        [["a", 0.0], [0.0, 1.0]],
+        [[10**400, 0], [0, 1]],
+    ],
+    ids=["ragged", "object", "string", "int-beyond-float"],
+)
+def test_covariance_rejects_entries_that_are_not_a_numeric_array(entries):
+    with pytest.raises(InvalidStateError, match="entries are not a numeric array"):
+        covariance(entries)
 
 
 def test_covariance_entries_are_read_only():
@@ -544,30 +558,7 @@ def test_epr_product_rejects_unknown_direction():
         epr_product(vacuum(2), "sideways")
 
 
-# ---------------------------------------------------------------- wigner, json
-
-
-def test_wigner_density_normalization_at_origin():
-    assert wigner_density(vacuum(1), [0.0, 0.0]) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
-    assert wigner_density(vacuum(2), [0.0] * 4) == pytest.approx(1.0 / (4.0 * math.pi**2), rel=1e-12)
-
-
-def test_wigner_density_gaussian_falloff():
-    origin = wigner_density(vacuum(1), [0.0, 0.0])
-    assert wigner_density(vacuum(1), [1.0, 0.0]) == pytest.approx(origin * math.exp(-0.5), rel=1e-12)
-
-
-def test_wigner_density_integrates_to_one():
-    g = squeezed_vacuum(0.5, 2.0)
-    span = np.linspace(-8.0, 8.0, 161)
-    step = span[1] - span[0]
-    total = sum(wigner_density(g, [x, p]) for x in span for p in span) * step * step
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_wigner_density_rejects_wrong_point_length():
-    with pytest.raises(InvalidArgumentError):
-        wigner_density(vacuum(2), [0.0, 0.0])
+# ------------------------------------------------------------------------ json
 
 
 def test_json_round_trip_is_exact(reconstructed_example):
@@ -581,6 +572,9 @@ def test_json_rejects_mode_count_mismatch():
     doc = covariance_to_json(vacuum(2))
     doc["n_modes"] = 1
     with pytest.raises(InvalidStateError):
+        covariance_from_json(doc)
+    doc["n_modes"] = "2"
+    with pytest.raises(InvalidStateError, match="declared n_modes '2' does not match matrix of 2 modes"):
         covariance_from_json(doc)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cvqkd.noise
-from cvqkd.errors import InvalidArgumentError, InvalidStateError, OutOfRangeError
+from cvqkd.errors import InvalidArgumentError, InvalidStateError
 from cvqkd.gaussian import (
     DEFAULT_TOL,
     apply_symplectic,
@@ -34,7 +34,6 @@ from cvqkd.noise import (
     make_epr_state,
     phase_noise_channel,
     phase_noise_monte_carlo,
-    pump_for_target_squeezing,
     pump_to_variances,
     r_from_measured,
 )
@@ -131,56 +130,6 @@ def test_pump_model_diverges_at_threshold_without_escape():
 def test_pump_requires_power():
     with pytest.raises(InvalidArgumentError):
         pump_to_variances(SourceParams())
-
-
-def test_pump_for_target_zero_squeezing_is_zero_power():
-    assert pump_for_target_squeezing(0.0, SourceParams()) == 0.0
-
-
-def test_pump_for_target_round_trip():
-    p = pump_for_target_squeezing(-10.0, SourceParams())
-    vs, _ = pump_to_variances(SourceParams(p_mw=p))
-    assert variance_to_db(vs) == pytest.approx(-10.0, abs=1e-5)
-
-
-def test_pump_for_target_frozen_points():
-    assert pump_for_target_squeezing(-11.1, SourceParams()) == pytest.approx(
-        241.18244132995608, rel=1e-9
-    )
-    p = pump_for_target_squeezing(-11.2, SourceParams())
-    assert 250.0 < p < 285.0
-
-
-def test_pump_for_target_unachievable_reports_best():
-    with pytest.raises(OutOfRangeError) as info:
-        pump_for_target_squeezing(-12.5, SourceParams())
-    assert info.value.best == pytest.approx(-11.202208087734869, rel=1e-9)
-    with pytest.raises(OutOfRangeError):
-        pump_for_target_squeezing(1.0, SourceParams())
-
-
-@pytest.mark.parametrize("k", [0.05, 0.0])
-def test_pump_for_target_searches_up_to_the_variance_minimum(k):
-    """For k < sqrt(0.05)/2 the squeezed variance is lowest at p_th (1 + 4 k^2),
-    inside the 1.05 p_th guard; the best value and the search both reach it."""
-    params = SourceParams(k=k)
-    p_min = params.p_th_mw * (1.0 + 4.0 * k * k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        guard_db = variance_to_db(pump_to_variances(SourceParams(k=k, p_mw=1.05 * params.p_th_mw))[0])
-        if k > 0.0:
-            min_db = variance_to_db(pump_to_variances(SourceParams(k=k, p_mw=p_min))[0])
-        else:  # the anti-squeezed variance diverges at the minimum; the squeezed one is 1 - eta
-            min_db = variance_to_db(1.0 - params.eta)
-    with pytest.raises(OutOfRangeError) as info:
-        pump_for_target_squeezing(-13.0, params)
-    assert info.value.best == pytest.approx(min_db, rel=1e-12)
-    assert info.value.best < guard_db
-    target = (min_db + guard_db) / 2.0
-    p = pump_for_target_squeezing(target, params)
-    assert p < p_min
-    vs, _ = pump_to_variances(SourceParams(k=k, p_mw=p))
-    assert variance_to_db(vs) == pytest.approx(target, abs=1e-5)
 
 
 # -------------------------------------------------------------------- channels
@@ -365,6 +314,13 @@ def test_phase_monte_carlo_matches_closed_form():
 def test_phase_monte_carlo_rejects_bad_sample_count():
     with pytest.raises(InvalidArgumentError):
         phase_noise_monte_carlo(vacuum(1), 0.1, 0, seed=0)
+
+
+def test_phase_monte_carlo_rejects_an_indefinite_matrix():
+    """A positive diagonal does not make a matrix positive definite."""
+    g = covariance([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(InvalidStateError, match="not positive definite"):
+        phase_noise_monte_carlo(g, 0.1, 100, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,10 @@ from cvqkd.errors import (
     DatasetParseError,
     EmptyDatasetError,
     InvalidArgumentError,
+    InvalidStateError,
     ProtocolIncompleteError,
 )
-from cvqkd.gaussian import apply_symplectic, rotation, squeeze
+from cvqkd.gaussian import apply_symplectic, covariance, rotation, squeeze
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
 from cvqkd.tomography import (
     CANONICAL_SETTINGS,
@@ -127,6 +128,16 @@ def test_sample_homodyne_out_of_memory_is_a_typed_error(monkeypatch):
     g = default_state()
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorWithoutMemory())
     with pytest.raises(InvalidArgumentError, match="does not fit in memory"):
+        sample_homodyne(g, n_per_setting=4)
+
+
+def test_sample_homodyne_names_a_setting_it_cannot_sample():
+    """Setting (0, 0) reads [[1, 2], [2, 1]], which is indefinite."""
+    g = covariance([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(
+        InvalidStateError,
+        match=r"marginal covariance of setting \(theta_a=0, theta_b=0\) is not positive definite",
+    ):
         sample_homodyne(g, n_per_setting=4)
 
 
