@@ -298,7 +298,10 @@ def cmd_scan(args, cfg: dict) -> int:
 
 def _scan_chunk(cfg: dict, sweep: str, values: list) -> list:
     """The CSV rows of consecutive grid values: each row's state built in grid
-    order, then all rated in one stacked pass (keyrate._stacked_rates)."""
+    order, then all rated in one stacked pass (keyrate._stacked_rates), with
+    --worst-case every row's worst case too, in one pass of the worst-case
+    kernel. Each row's cells, errors and warnings are those of rating it on
+    its own, byte for byte and in grid order."""
     ana = cfg["analysis"]
     states, inputs = [], []
     try:

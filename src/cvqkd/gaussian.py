@@ -18,6 +18,7 @@ conditional-variance entanglement witness, and JSON serialization.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -240,9 +241,10 @@ def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
     inf or NaN fails, so no numpy warning fires on any finite input.
 
     The work runs one plane at a time: h[i, j] is entry (i, j) of every
-    matrix as one 1-D array, so each step makes small temporaries and no
-    (..., 2n, 2n) complex copy. Every entry goes through the arithmetic of
-    a whole-matrix elimination, so every decision is the same bit for bit:
+    matrix as one contiguous 1-D array of one (2n, 2n, matrices) complex
+    copy, and each step updates a plane in place, so the only temporaries
+    are single planes. Every entry goes through the arithmetic of a
+    whole-matrix elimination, so every decision is the same bit for bit:
     dividing a complex number by a real pivot, numpy multiplies by the
     pivot's reciprocal (Smith's method), which is this product. The lower
     triangle is eliminated too, because (h[i, k] / p) h[k, j] and the
@@ -257,8 +259,8 @@ def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
     """
     dim = stack.shape[-1]
     planes = stack.reshape(-1, dim, dim).transpose(1, 2, 0)  # planes[i, j]: entry (i, j) of every matrix
-    shift = 1j * symplectic_form(dim // 2) + tol * np.eye(dim)
-    h = {(i, j): planes[i, j] + shift[i, j] for i in range(dim) for j in range(dim)}
+    h = planes.astype(complex, order="C")
+    h += _hermitian_shift(dim, tol)  # as planes + shift: every entry cast to complex, then added
     ok = np.ones(planes.shape[-1], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(dim):
@@ -268,8 +270,17 @@ def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
             for i in range(k + 1, dim):
                 col = h[i, k] * scale
                 for j in range(k + 1, dim):
-                    h[i, j] = h[i, j] - col * h[k, j]
+                    h[i, j] -= col * h[k, j]
     return ok.reshape(stack.shape[:-2])
+
+
+@functools.lru_cache(maxsize=8)
+def _hermitian_shift(dim: int, tol: float) -> np.ndarray:
+    """i*Omega + tol*I of dimension dim, shaped (dim, dim, 1) to shift every
+    matrix's entry planes in _physical."""
+    shift = (1j * symplectic_form(dim // 2) + tol * np.eye(dim))[:, :, np.newaxis]
+    shift.flags.writeable = False
+    return shift
 
 
 def _screened_det(planes: np.ndarray) -> np.ndarray:
@@ -480,13 +491,23 @@ def covariance_from_json(doc: dict) -> CovarianceMatrix:
     """Parse the document form produced by covariance_to_json.
 
     Asymmetry up to 1e-12 is tolerated and symmetrized away; anything larger
-    is rejected.
+    is rejected. Entries and n_modes must be JSON numbers: numpy would read
+    the string "3" as 3.0 and true as 1.0, so strings and booleans are
+    rejected here, before covariance() sees them.
     """
     if not isinstance(doc, dict) or "n_modes" not in doc or "entries" not in doc:
         raise InvalidStateError("covariance document must contain 'n_modes' and 'entries'")
+    pending = [doc["entries"]]
+    while pending:  # every leaf of the nested lists, without recursion
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, (str, bool)):
+            raise InvalidStateError(f"covariance matrix entries are not a numeric array: {item!r} is not a JSON number")
     g = covariance(doc["entries"])
-    if g.n_modes != doc["n_modes"]:
-        raise InvalidStateError(f"declared n_modes {doc['n_modes']!r} does not match matrix of {g.n_modes} modes")
+    n_modes = doc["n_modes"]
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, float)) or g.n_modes != n_modes:
+        raise InvalidStateError(f"declared n_modes {n_modes!r} does not match matrix of {g.n_modes} modes")
     return g
 
 

@@ -42,17 +42,24 @@ check. A zero entry has no width, nor has any entry once 1/sqrt(N) is
 below rounding, so equal corners are built once, each with its weight: a
 general state has 1024 distinct corners, the model's states 64 (the single
 squeezed mode and the beam splitter leave four zero entries, the standard
-form) and N = inf one. Distinct corners and candidate are built as entry
-planes of shape (4, 4, distinct + 1), plane (i, j) holding entry (i, j) of
-every matrix, from sign planes made once at import. One call of the pivot
-test gaussian._physical screens them plane by plane; the screened planes
-give i1, i2 and i3 directly, and i4 comes from gaussian._screened_det, an
-elimination without pivoting that is valid only after the screen. One call
-of the kernel rates them.
+form) and N = inf one. One kernel, _worst_boxes, rates the boxes of any
+number of states in one pass: every state's distinct corners, then one
+candidate per state, as entry planes of shape (4, 4, distinct + states),
+plane (i, j) holding entry (i, j) of every matrix. One call of the pivot
+test gaussian._physical screens them; the screened planes give i1, i2 and
+i3 directly, and i4 comes from gaussian._screened_det, an elimination
+without pivoting that is valid only after the screen. One formula call
+rates them, and segmented reductions give each state's corner minimum and
+physical count. worst_case_breakdown is its one-state caller, and
+_stacked_rates calls it once for all unflagged rows of a scan chunk; each
+row's worst case, error and warnings are those of worst_case_key_rate on
+that row alone, bit for bit and in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 import warnings
@@ -70,6 +77,7 @@ from .errors import (
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
+    NormalForm,
     SymplecticInvariants,
     _check_block_determinants,
     _below_floor,
@@ -93,17 +101,20 @@ INDEPENDENT_ENTRIES = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
 
-#: (10, 1024) bits of the box corners: corner `mask` scales independent
-#: entry b and its mirror by 1 + t where bit b of mask is set, else by 1 - t
-_CORNER_BITS = (
-    (np.arange(2 ** len(INDEPENDENT_ENTRIES)) >> np.arange(len(INDEPENDENT_ENTRIES))[:, np.newaxis]) & 1
-).astype(bool)
+#: the corner masks of the box: corner `mask` scales independent entry b and
+#: its mirror by 1 + t where bit b of mask is set, else by 1 - t
+_CORNER_MASKS = np.arange(2 ** len(INDEPENDENT_ENTRIES))
+
+#: bit b of a row's flat code is set when independent entry b has no width
+_ENTRY_BITS = 1 << np.arange(len(INDEPENDENT_ENTRIES))
 
 #: (4, 4, 1024) sign planes of the box corners, entry-major: +1 where the
 #: bit is set, else -1
-_CORNER_SIGNS = np.zeros((4, 4, _CORNER_BITS.shape[-1]))
+_CORNER_SIGNS = np.zeros((4, 4, len(_CORNER_MASKS)))
 _ROWS, _COLS = np.array(INDEPENDENT_ENTRIES).T
-_CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(_CORNER_BITS, 1.0, -1.0)
+_CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(
+    (_CORNER_MASKS & _ENTRY_BITS[:, np.newaxis]) != 0, 1.0, -1.0
+)
 
 
 @dataclass(frozen=True)
@@ -300,9 +311,17 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     _conditioned stack. The states' diagonals are positive, as covariance()
     checks, so _conditioned does not raise. A row that a check flags, or
     whose rate is not finite, is rated by secret_key_rate itself, in list
-    order, so its error or its values are that function's. With n_samples,
-    every other row's worst case is one worst_case_key_rate call, in list
-    order too.
+    order, so its error or its values are that function's.
+
+    With n_samples, the worst cases of all other rows are one call of
+    _worst_boxes, the kernel worst_case_breakdown calls for one state. Each
+    row's candidate takes its normal form from the pass's invariants and
+    radicands, by _normal_form's arithmetic, and its closing nominal rate is
+    the row's k. The rows are then walked in list order, so a flagged row's
+    error, a DegenerateBoxError and an undercut warning come in the order
+    that one worst_case_key_rate call per row gives, and every value is that
+    call's, bit for bit. An n_samples that worst_case_key_rate rejects
+    raises before the walk when any row is unflagged.
     """
     if not states:
         return []
@@ -325,12 +344,25 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
             flagged |= _below_floor(d_cond, 1.0, f.size).any(axis=0)
         flagged |= ~np.isfinite(f.k)
     rows = np.stack([f.mi, f.chi_a, f.chi_b, f.k], axis=1).tolist()
+    boxes = None
+    if n_samples is not None and not flagged.all():
+        # _normal_form of every good row, whose checks the masks above have made
+        good = ~flagged
+        i3 = inv.i3[good]
+        c_p = np.where(i3 != 0.0, np.copysign(_root(f.cp2[good]), -i3), 0.0)
+        nf = NormalForm(_root(inv.i1[good]), _root(inv.i2[good]), _root(f.cx2[good]), c_p)
+        boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples))
+    good_row = 0
     for j, (g, bad) in enumerate(zip(states, flagged.tolist())):
         if bad:
             r = secret_key_rate(g, n_samples)
             rows[j] = [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
+        elif boxes is None:
+            rows[j].append(None)
         else:
-            rows[j].append(worst_case_key_rate(g, n_samples) if n_samples is not None else None)
+            _judge_box(boxes, good_row, n_samples, stacklevel=3)
+            rows[j].append(min(boxes.low[good_row], rows[j][3]))
+            good_row += 1
     return rows
 
 
@@ -349,77 +381,141 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
-    Only the distinct corners are built: an entry whose values g (1 + t) and
-    g (1 - t) compare equal (a zero entry, or every entry once t = 1/sqrt(n)
-    is below rounding, n = inf included) has no width, and of the corners
-    that differ only in such entries the one with their bits set stands for
-    all of them. With w entries of width there are 2^w distinct corners,
-    each of weight 2^(10 - w), and n_corners_physical is the weight times the
-    distinct physical count. Every matrix gets the same arithmetic per
-    element as in the full box, so the breakdown, warnings and errors are
-    those of all 1024 corners bit for bit. The distinct corners and the
-    candidate are built as (4, 4, 2^w + 1) entry planes, screened for
-    physicality by one pivot test of Gamma + i*Omega (gaussian._physical)
-    and rated by one vectorized kernel.
-
-    The screened matrices' i4 is the product of the pivots of an elimination
-    without pivoting (gaussian._screened_det), not one LAPACK call per
-    matrix: a matrix that passed the screen has Gamma > -tol*I, which makes
-    that elimination stable. It agrees with np.linalg.det to the backward error
-    of either, eps * cond(Gamma). The invariants of g are computed once, for
-    the normal form and for the closing nominal rate. DegenerateBoxError is
-    raised when no corner is physical, before any rate is computed; the
-    normal form that the candidate needs is built before that, so its own
-    errors come first.
+    The one-state caller of _worst_boxes, the kernel that rates the boxes of
+    a whole scan chunk too (_stacked_rates). The invariants of g are
+    computed once, for the normal form and for the closing nominal rate.
+    DegenerateBoxError is raised when no corner is physical; the normal form
+    that the candidate needs is built before that, so its own errors come
+    first, and the nominal rate's checks come last.
     """
     _require_two_modes(g)
+    t = _half_width(n)
+    inv = invariants(g)
+    boxes = _worst_boxes(g.entries[:, :, np.newaxis], _normal_form(inv), t)
+    _judge_box(boxes, 0, n, stacklevel=4)
+    return WorstCaseBreakdown(
+        corner_min=boxes.corner_min[0],
+        candidate=boxes.candidate[0],
+        value=min(boxes.low[0], float(_checked_formula(inv).k)),
+        n_corners_physical=boxes.n_physical[0],
+    )
+
+
+def _half_width(n: float) -> float:
+    """t = 1/sqrt(n), the relative half-width of the box at n samples."""
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     # an int beyond the float range would overflow math.sqrt; inf is the asymptotic limit
     if n > sys.float_info.max and n != math.inf:
         raise InvalidArgumentError(f"sample count must be at most the float maximum or inf, got {n}")
-    t = 1.0 / math.sqrt(n)
-    inv = invariants(g)
-    nf = _normal_form(inv)
-    # entries with no width; the kept corners have their bits set
-    entries = g.entries[_ROWS, _COLS]
-    flat = entries * (1.0 + t) == entries * (1.0 - t)
-    weight = 2 ** int(np.count_nonzero(flat))
-    signs = _CORNER_SIGNS[:, :, _CORNER_BITS[flat].all(axis=0)]
-    n_distinct = signs.shape[-1]
-    box = np.empty((4, 4, n_distinct + 1))  # box[i, j]: entry (i, j) of every distinct corner, then of the candidate
-    np.multiply(g.entries[:, :, np.newaxis], 1.0 + t * signs, out=box[:, :, :n_distinct])
-    # the candidate: local noise up and correlations down by t in the normal
-    # form, every entry symmetrized as covariance() does, 0.5 x + 0.5 x
-    plane = box[:, :, n_distinct]
+    return 1.0 / math.sqrt(n)
+
+
+#: what _worst_boxes returns, one list entry per state: the least rate of
+#: its physical corners (inf when none is), its candidate's rate (None when
+#: the candidate is unphysical), the least of the two, and how many of its
+#: 1024 corners are physical
+_Boxes = namedtuple("_Boxes", "corner_min candidate low n_physical")
+
+
+def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float) -> _Boxes:
+    """The uncertainty boxes of matrices given as entry planes planes[i, j],
+    shape (4, 4, rows), at relative half-width t, in one pass.
+
+    Only the distinct corners are built: an entry whose values g (1 + t) and
+    g (1 - t) compare equal (a zero entry, or every entry once t is below
+    rounding, n = inf included) has no width, and of the corners that differ
+    only in such entries the one with their bits set stands for all of them.
+    With w entries of width a row has 2^w distinct corners, each of weight
+    2^(10 - w), and its n_physical is the weight times its distinct physical
+    count. Every row's distinct corners, then one candidate per row (local
+    noise up and correlations down by t in the normal form nf, floats or
+    arrays over the rows), are laid out as one (4, 4, distinct + rows) array
+    of entry planes, with the per-element arithmetic of the full box,
+    g (1 + t s), so each row's result is that of its 1024 corners bit for bit.
+
+    One pivot test of Gamma + i*Omega (gaussian._physical) screens the
+    array, and one kernel call rates the physical matrices. Their i4 is the
+    product of the pivots of an elimination without pivoting
+    (gaussian._screened_det), not one LAPACK call per matrix: a matrix that
+    passed the screen has Gamma > -tol*I, which makes that elimination
+    stable. It agrees with np.linalg.det to the backward error of either,
+    eps * cond(Gamma). Segmented reductions over each row's corners give its
+    minimum and its physical count.
+    """
+    box, counts = _box_planes(planes, nf, t)
+    starts = list(itertools.accumulate(counts, initial=0))  # each row's first corner
+    n_corners = starts.pop()
+    physical = _physical(box.transpose(2, 0, 1), DEFAULT_TOL)
+    all_physical = bool(physical.all())
+    if not all_physical:
+        box = box[:, :, physical]
+    inv = SymplecticInvariants(*_invariant_values(box, _screened_det(box)))
+    del box  # freed before the formula's temporaries are made, which lowers the peak
+    rates = _formula(inv).k
+    if not all_physical:  # an unphysical matrix bounds nothing
+        rates, rated = np.full(len(physical), np.inf), rates
+        rates[physical] = rated
+    corner_min, candidate = np.minimum.reduceat(rates[:n_corners], starts), rates[n_corners:]
+    n_physical = np.add.reduceat(physical[:n_corners], starts, dtype=np.intp).tolist()
+    return _Boxes(
+        corner_min.tolist(),
+        [c if ok else None for c, ok in zip(candidate.tolist(), physical[n_corners:].tolist())],
+        np.minimum(corner_min, candidate).tolist(),
+        [m * (len(_CORNER_MASKS) // c) for m, c in zip(n_physical, counts)],
+    )
+
+
+def _box_planes(planes: np.ndarray, nf: NormalForm, t: float) -> tuple:
+    """(box, counts) for _worst_boxes: box[i, j] holds entry (i, j) of every
+    row's distinct corners, then of every row's candidate, and counts[r] is
+    the number of distinct corners of row r."""
+    rows = planes.shape[-1]
+    entries = planes[_ROWS, _COLS]
+    codes = (_ENTRY_BITS @ (entries * (1.0 + t) == entries * (1.0 - t))).tolist()
+    factors = {code: 1.0 + t * _distinct_signs(code) for code in set(codes)}
+    counts = [factors[code].shape[-1] for code in codes]
+    n_corners = sum(counts)
+    box = np.empty((4, 4, n_corners + rows))
+    corners = box[:, :, :n_corners]
+    np.concatenate([factors[code] for code in codes], axis=2, out=corners)
+    np.multiply(np.repeat(planes, counts, axis=2), corners, out=corners)
+    # the candidates, every entry symmetrized as covariance() does, 0.5 x + 0.5 x
+    plane = box[:, :, n_corners:]
     plane.fill(0.0)
     plane[0, 0] = plane[1, 1] = _symmetrized(nf.lambda_a * (1.0 + t))
     plane[2, 2] = plane[3, 3] = _symmetrized(nf.lambda_b * (1.0 + t))
     plane[0, 2] = plane[2, 0] = _symmetrized(nf.c_x * (1.0 - t))
     plane[1, 3] = plane[3, 1] = _symmetrized(-(nf.c_p * (1.0 - t)))
-    physical = _physical(box.transpose(2, 0, 1), DEFAULT_TOL)
-    n_physical = int(np.count_nonzero(physical[:-1]))
-    if n_physical == 0:
+    return box, counts
+
+
+@functools.lru_cache(maxsize=64)
+def _distinct_signs(code: int) -> np.ndarray:
+    """The sign planes of the distinct corners when the entries of the set
+    bits of code have no width: the corners with all of those bits set. At
+    most 128 KB each, and a model state's 8 KB."""
+    signs = _CORNER_SIGNS[:, :, (_CORNER_MASKS & code) == code]
+    signs.flags.writeable = False
+    return signs
+
+
+def _judge_box(boxes: _Boxes, row: int, n: float, stacklevel: int) -> None:
+    """Raise DegenerateBoxError when no corner of the box is physical, and
+    warn, stacklevel frames up, when its candidate undercuts the corner
+    minimum by more than DEFAULT_TOL."""
+    if boxes.n_physical[row] == 0:
         raise DegenerateBoxError(
-            f"no physical matrix among the {_CORNER_SIGNS.shape[-1]} uncertainty-box corners at n = {n:g}",
+            f"no physical matrix among the {len(_CORNER_MASKS)} uncertainty-box corners at n = {n:g}",
             n_samples=n,
         )
-    screened = box if physical.all() else box[:, :, physical]
-    rates = _formula(SymplecticInvariants(*_invariant_values(screened, _screened_det(screened)))).k
-    corner_min = float(rates[:n_physical].min())
-    candidate = float(rates[n_physical]) if physical[-1] else None
+    candidate, corner_min = boxes.candidate[row], boxes.corner_min[row]
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
         warnings.warn(
             f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
             f"minimum {corner_min:.9g}; corner enumeration may be too coarse",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return WorstCaseBreakdown(
-        corner_min=corner_min,
-        candidate=candidate,
-        value=min(float(rates.min()), float(_checked_formula(inv).k)),
-        n_corners_physical=weight * n_physical,
-    )
 
 
 def _symmetrized(x: float) -> float:

@@ -810,3 +810,37 @@ def test_analyze_entries_that_are_not_a_numeric_array_exit_one_without_traceback
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: covariance matrix entries are not a numeric array: "), proc.stderr
+
+
+_IDENTITY = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"n_modes": 2, "entries": [["3", "0", "2.8", "0"], ["0", "3", "0", "-2.8"],
+                                       ["2.8", "0", "3", "0"], ["0", "-2.8", "0", "3"]]},
+            "covariance matrix entries are not a numeric array: '3' is not a JSON number",
+        ),
+        (
+            {"n_modes": 2, "entries": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            "covariance matrix entries are not a numeric array: True is not a JSON number",
+        ),
+        (
+            {"n_modes": True, "entries": [[True, False], [False, True]]},
+            "covariance matrix entries are not a numeric array: True is not a JSON number",
+        ),
+        ({"n_modes": True, "entries": _IDENTITY}, "declared n_modes True does not match matrix of 2 modes"),
+        ({"n_modes": "2", "entries": _IDENTITY}, "declared n_modes '2' does not match matrix of 2 modes"),
+    ],
+    ids=["string-entries", "boolean-entry", "boolean-document", "boolean-n-modes", "string-n-modes"],
+)
+def test_analyze_rejects_json_strings_and_booleans_without_traceback(tmp_path, doc, message):
+    """numpy reads "3" as 3.0 and true as 1.0; a covariance document holds
+    numbers only, so these exit 1 with a typed error."""
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_module("cvqkd", "analyze", "--worst-case", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n", proc.stderr

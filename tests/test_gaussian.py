@@ -1,6 +1,7 @@
 """Covariance-matrix core: constructors, symplectics, invariants, witnesses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -575,6 +576,22 @@ def test_json_rejects_mode_count_mismatch():
         covariance_from_json(doc)
     doc["n_modes"] = "2"
     with pytest.raises(InvalidStateError, match="declared n_modes '2' does not match matrix of 2 modes"):
+        covariance_from_json(doc)
+
+
+@pytest.mark.parametrize("leaf", ["1", "1.0", True, False])
+def test_json_rejects_entries_that_are_strings_or_booleans(leaf):
+    doc = covariance_to_json(vacuum(2))
+    doc["entries"][3][2] = doc["entries"][2][3] = leaf
+    with pytest.raises(InvalidStateError, match=re.escape(f"{leaf!r} is not a JSON number")):
+        covariance_from_json(doc)
+
+
+@pytest.mark.parametrize("n_modes", [True, False, "2", None, [2]])
+def test_json_rejects_a_mode_count_that_is_not_a_number(n_modes):
+    doc = covariance_to_json(vacuum(1))
+    doc["n_modes"] = n_modes
+    with pytest.raises(InvalidStateError, match=re.escape(f"declared n_modes {n_modes!r} does not match")):
         covariance_from_json(doc)
 
 

@@ -1140,3 +1140,113 @@ def test_worst_case_screens_each_distinct_corner_once(monkeypatch):
     worst_case_breakdown(rotated, 10**6)
     worst_case_breakdown(default_state(), math.inf)
     assert sizes == [65, 1025, 2]
+
+
+# ------------------------------------- stacked worst case against one call a row
+
+
+def _locally_rotated(g, theta_a, theta_b):
+    local = np.zeros((4, 4))
+    local[0:2, 0:2], local[2:4, 2:4] = rotation(theta_a), rotation(theta_b)
+    return apply_symplectic(g, local)
+
+
+def _distinct_corner_mix():
+    """Model states from the four source routes, with and without phase
+    noise (standard form: 64 distinct corners), each followed by a copy with
+    arm A rotated by 0.3 rad (arm B's block stays diagonal, one zero entry:
+    512) and one with arm B rotated by -1.1 rad too (no zero entry: 1024)."""
+    sources = [SqueezingSpec(r=1.3), SqueezingSpec(var_sqz_db=-9.0),
+               SqueezingSpec(var_sqz_db=-8.0, var_asqz_db=14.0), SourceParams(p_mw=200.0)]
+    states = []
+    for spec in sources:
+        for sigma in (0.0, 0.05):
+            g = make_epr_state(spec, ChannelParams(loss_b=0.25, phase_sigma_a=sigma, phase_sigma_b=2 * sigma))
+            states += [g, _locally_rotated(g, 0.3, 0.0), _locally_rotated(g, 0.3, -1.1)]
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 1e2, 1e6, 1e12, 1e33, math.inf])
+def test_stacked_worst_case_equals_worst_case_breakdown_bit_for_bit(monkeypatch, n):
+    """One screen over every row's distinct corners and candidate, and each
+    row's k_worst_case is worst_case_breakdown's value bit for bit, with the
+    same warnings. From n = 1e33 on no entry has width: one corner a row."""
+    states = _distinct_corner_mix()
+    want, want_warnings = _captured(lambda states, n: [worst_case_breakdown(g, n).value for g in states], states, n)
+    sizes = []
+    real_physical = cvqkd.keyrate._physical
+
+    def physical(stack, tol):
+        sizes.append(len(stack))
+        return real_physical(stack, tol)
+
+    monkeypatch.setattr(cvqkd.keyrate, "_physical", physical)
+    got, got_warnings = _captured(_stacked_rates, states, n)
+    assert [row[4].hex() for row in got] == [value.hex() for value in want]
+    assert got_warnings == want_warnings
+    distinct = (64, 512, 1024) if n < 1e33 else (1, 1, 1)
+    assert sizes == [len(states) // 3 * (sum(distinct) + 3)]
+
+
+def _stretched_near_pure_state():
+    """Two-mode squeezed (r = 4.2), then both modes squeezed by e^-2.2, from
+    thermal noise 1 - 4e-8: d_minus is within the formula's tolerance of 1,
+    so secret_key_rate rates it, but the local squeezers stretch the
+    unphysical direction of Gamma + i*Omega beyond the screen's 1e-9."""
+    c, s = math.cosh(4.2), math.sinh(4.2)
+    two_mode = np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+    local = np.zeros((4, 4))
+    local[0:2, 0:2] = local[2:4, 2:4] = squeeze(-2.2)
+    sym = local @ two_mode
+    m = (1.0 - 4e-8) * sym @ sym.T
+    return covariance((m + m.T) / 2.0)
+
+
+def test_stacked_worst_case_raises_a_degenerate_box_in_row_order():
+    """At n = inf the stretched state's one corner is unphysical. After good
+    rows the stacked pass raises the single call's DegenerateBoxError; a
+    flagged row before it raises its own error first, and one after it
+    does not get the chance."""
+    degenerate = _stretched_near_pure_state()
+    secret_key_rate(degenerate)
+    with pytest.raises(DegenerateBoxError) as want:
+        worst_case_key_rate(degenerate, math.inf)
+    flagged = covariance(np.diag([0.5, 0.5, 1.0, 1.0]))
+    with pytest.raises(CvqkdError) as flagged_error:
+        secret_key_rate(flagged, math.inf)
+    good = [default_state(), default_state(-9.0)]
+    assert _captured(_stacked_rates, good, math.inf)[0] == [
+        [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, math.inf) for g in good)
+    ]
+    for rows, error in (
+        ([*good, degenerate], want.value),
+        ([*good, degenerate, flagged], want.value),
+        ([*good, flagged, degenerate], flagged_error.value),
+    ):
+        assert _captured(_stacked_rates, rows, math.inf) == ((type(error), str(error)), [])
+
+
+def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one():
+    """scan's epsilon = 0 sqz_db sweep from 0 to 300 dB in 600 steps: its
+    strongly squeezed rows warn that the candidate undercuts the corner
+    minimum, and a later row's mutual information log argument is not
+    positive. Rated in one stacked pass, the rows before it give the values
+    and warnings of one secret_key_rate call a row, in the same order, and
+    with it the same error after the same warnings."""
+    channel = ChannelParams(epsilon=0.0)
+    states = [make_epr_state(SqueezingSpec(var_sqz_db=-db), channel) for db in np.linspace(0.0, 300.0, 600).tolist()]
+
+    def one_by_one(states, n):
+        return [secret_key_rate(g, n).k_worst_case for g in states]
+
+    want, want_warnings = _captured(one_by_one, states, 1e6)
+    assert want == (InvalidStateError, "mutual information log argument -8.882e-16 is not positive")
+    assert len(want_warnings) > 10 and all("undercuts the corner minimum" in m for _, m in want_warnings)
+    count = next(j for j, g in enumerate(states) if _captured(one_by_one, [g], 1e6)[0] == want)
+    rated, rated_warnings = _captured(one_by_one, states[:count], 1e6)
+    assert rated_warnings == want_warnings
+    got, got_warnings = _captured(_stacked_rates, states[:count], 1e6)
+    assert [row[4].hex() for row in got] == [value.hex() for value in rated]
+    assert got_warnings == want_warnings
+    assert _captured(_stacked_rates, states[: count + 1], 1e6) == (want, want_warnings)
+    assert _captured(_stacked_rates, states, 1e6) == (want, want_warnings)
