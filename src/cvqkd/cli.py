@@ -280,6 +280,11 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_scan(args, cfg: dict) -> int:
+    for flag, bound in (("--from", args.sweep_start), ("--to", args.sweep_stop)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"{flag} must be a finite number, got {bound!r}")
+    if not math.isfinite(args.sweep_stop - args.sweep_start):  # np.linspace would overflow on the span
+        raise ConfigError(f"--from {args.sweep_start!r} to --to {args.sweep_stop!r} spans more than the float range")
     if args.steps < 2:
         raise ConfigError(f"--steps must be at least 2, got {args.steps}")
     # numpy sizes an array in bytes by a signed pointer-sized integer, 8 bytes a grid point

@@ -30,26 +30,18 @@ class NumericalDegeneracyError(CvqkdError, ArithmeticError):
 class FormulaDomainError(CvqkdError, ArithmeticError):
     """An invariant-form expression left its real domain.
 
-    Carries the offending invariants so the caller can see what was fed in.
-    Signals an unphysical or pathological input rather than a rounding issue.
+    Signals an unphysical or pathological input rather than a rounding issue;
+    the message names the quantity and how far it is below its floor.
     """
-
-    def __init__(self, message, invariants=None):
-        super().__init__(message)
-        self.invariants = invariants
 
 
 class DegenerateBoxError(CvqkdError):
     """No physical matrix was found in a finite-sample uncertainty box.
 
-    Carries the sample count that produced the box. Unreachable for physical
-    inputs (one corner of the box is always physical, see worst_case_key_rate),
-    kept as a defensive guard for callers that bypass the physicality check.
+    Unreachable for physical inputs (one corner of the box is always
+    physical, see worst_case_key_rate), kept as a defensive guard for callers
+    that bypass the physicality check. The message names the sample count.
     """
-
-    def __init__(self, message, n_samples=None):
-        super().__init__(message)
-        self.n_samples = n_samples
 
 
 class ProtocolIncompleteError(CvqkdError):

@@ -391,7 +391,7 @@ def _normal_form(inv: SymplecticInvariants) -> NormalForm:
     """normal_form from the invariants."""
     _check_block_determinants(inv)
     r = _radicands(inv)
-    _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, lambda msg: FormulaDomainError(msg, invariants=inv))
+    _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, FormulaDomainError)
     cp = math.copysign(_root(r.cp2), -inv.i3) if inv.i3 != 0.0 else 0.0
     return NormalForm(lambda_a=_root(inv.i1), lambda_b=_root(inv.i2), c_x=_root(r.cx2), c_p=cp)
 
@@ -411,22 +411,17 @@ def normal_form_matrix(nf: NormalForm) -> CovarianceMatrix:
     )
 
 
-def symplectic_eigenvalues_from_invariants(inv: SymplecticInvariants) -> tuple[float, float]:
-    """Symplectic eigenvalues (d_plus, d_minus) from the invariants.
+def symplectic_eigenvalues(g: CovarianceMatrix) -> tuple[float, float]:
+    """Symplectic eigenvalues (d_plus, d_minus) of a two-mode state.
 
     d_pm^2 = (Delta pm sqrt(Delta^2 - 4*i4)) / 2 with Delta = i1 + i2 + 2*i3,
     d_minus^2 taken as i4/d_plus^2. NumericalDegeneracyError when the radicand
     or d_minus^2 is negative beyond rounding (the rule of DEGENERACY_SNAP).
     """
-    r = _radicands(inv)
+    r = _radicands(invariants(g))
     _judge("symplectic eigenvalue radicand", r.rad, 0.0, r.rad_scale)
     _judge("squared smaller symplectic eigenvalue", r.dm2, 0.0, r.d_scale)
     return r.d_plus, r.d_minus
-
-
-def symplectic_eigenvalues(g: CovarianceMatrix) -> tuple[float, float]:
-    """Symplectic eigenvalues of a two-mode state, largest first."""
-    return symplectic_eigenvalues_from_invariants(invariants(g))
 
 
 def conditional_variance(g: CovarianceMatrix, target: int, given: int) -> float:

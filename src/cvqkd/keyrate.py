@@ -118,23 +118,6 @@ _CORNER_SIGNS[_ROWS, _COLS] = _CORNER_SIGNS[_COLS, _ROWS] = np.where(
 
 
 @dataclass(frozen=True)
-class HolevoIntermediates:
-    """Symplectic-eigenvalue-like quantities entering the Holevo bound.
-
-    d_plus and d_minus are the symplectic eigenvalues of the joint state;
-    d_a and d_b are the conditional symplectic eigenvalues of the state
-    remaining after the other party's homodyne measurement in the
-    better-information quadrature. All are >= 1 for physical states, up to
-    rounding.
-    """
-
-    d_plus: float
-    d_minus: float
-    d_a: float
-    d_b: float
-
-
-@dataclass(frozen=True)
 class KeyRateReport:
     """Full key-rate summary for one covariance matrix.
 
@@ -142,7 +125,9 @@ class KeyRateReport:
     values, with k_nominal = min(mi - holevo_a, mi - holevo_b); negative
     rates are reported as-is and flagged through no_key. The per-quadrature
     branch detail (mi_x, mi_p, k_branch_x, k_branch_p and their average
-    k_two_basis) comes from the conditioning oracle. k_worst_case and
+    k_two_basis) comes from the conditioning oracle. d_plus and d_minus are
+    the joint symplectic eigenvalues, d_a and d_b the conditional ones after
+    the other party measures the better quadrature. k_worst_case and
     n_samples are filled only when a finite sample count was supplied.
     """
 
@@ -220,23 +205,12 @@ def mi_oracle(g: CovarianceMatrix) -> tuple[float, float]:
     return _mi(g.entries, _conditioned(g.entries, slice(2, 4)))
 
 
-def holevo_intermediates(inv: SymplecticInvariants) -> HolevoIntermediates:
-    """The d quantities feeding the Holevo bound, from the invariants.
-
-    d_plus, d_minus are the symplectic eigenvalues. The conditional
-    eigenvalues use the larger root c_x^2 of the correlation quadratic,
-    d_a^2 = i2 (1 - c_x^2/sqrt(i1 i2)) and d_b^2 = i1 (1 - c_x^2/sqrt(i1 i2)),
-    which equals sqrt(i2/i1) (sqrt(i1 i2) - c_x^2) and its mirror.
-    """
-    return _intermediates(_checked_formula(inv, ()))
-
-
 def holevo(inv: SymplecticInvariants, direction: str) -> float:
     """Holevo bound on Eve's information about one party's outcomes, bits.
 
     chi(direction) = f(d_plus) + f(d_minus) - f(d_direction) with the d
-    quantities of holevo_intermediates. Zero for pure joint states. The
-    direction names the measured party, "A" or "B".
+    quantities of KeyRateReport. Zero for pure joint states. The direction
+    names the measured party, "A" or "B".
     """
     measured_a = _normalize_direction(direction) == "A"
     f = _checked_formula(inv, ("d_plus", "d_minus", "d_a" if measured_a else "d_b"))
@@ -287,7 +261,10 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
         no_key=bool(f.k <= 0.0),
         mi_x=mi_x,
         mi_p=mi_p,
-        **vars(_intermediates(f)),
+        d_plus=float(f.d_plus),
+        d_minus=float(f.d_minus),
+        d_a=float(f.d_a),
+        d_b=float(f.d_b),
         k_branch_x=k_branch_x,
         k_branch_p=k_branch_p,
         k_two_basis=0.5 * (k_branch_x + k_branch_p),
@@ -505,10 +482,7 @@ def _judge_box(boxes: _Boxes, row: int, n: float, stacklevel: int) -> None:
     warn, stacklevel frames up, when its candidate undercuts the corner
     minimum by more than DEFAULT_TOL."""
     if boxes.n_physical[row] == 0:
-        raise DegenerateBoxError(
-            f"no physical matrix among the {len(_CORNER_MASKS)} uncertainty-box corners at n = {n:g}",
-            n_samples=n,
-        )
+        raise DegenerateBoxError(f"no physical matrix among the {len(_CORNER_MASKS)} uncertainty-box corners at n = {n:g}")
     candidate, corner_min = boxes.candidate[row], boxes.corner_min[row]
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
         warnings.warn(
@@ -568,7 +542,7 @@ def _checked_formula(inv: SymplecticInvariants, entropy_args=("d_plus", "d_minus
     the block determinants and arg are checked to be positive."""
     _check_block_determinants(inv)
     f = _formula(inv)
-    _judge("correlation discriminant", f.disc, 0.0, f.disc_scale, lambda msg: FormulaDomainError(msg, invariants=inv))
+    _judge("correlation discriminant", f.disc, 0.0, f.disc_scale, FormulaDomainError)
     if f.arg <= 0.0:
         raise InvalidStateError(f"mutual information log argument {f.arg:.3e} is not positive")
     _judge("symplectic eigenvalue radicand", f.rad, 0.0, f.rad_scale)
@@ -620,10 +594,6 @@ def _entropy(d):
 def _zero_rounding_noise(x):
     """x with values less than 1e-12 below zero set to 0."""
     return x * ((x >= 0.0) | (x <= -1e-12)) + 0.0
-
-
-def _intermediates(f: _Formula) -> HolevoIntermediates:
-    return HolevoIntermediates(*(float(d) for d in (f.d_plus, f.d_minus, f.d_a, f.d_b)))
 
 
 def _normalize_direction(direction: str) -> str:

@@ -67,9 +67,9 @@ class SourceParams:
             raise InvalidArgumentError(f"eta must be in (0, 1], got {self.eta}")
         if not (self.p_th_mw > 0.0):
             raise InvalidArgumentError(f"p_th_mw must be positive, got {self.p_th_mw}")
-        if self.p_mw is not None and self.p_mw < 0.0:
+        if self.p_mw is not None and not self.p_mw >= 0.0:
             raise InvalidArgumentError(f"p_mw must be non-negative, got {self.p_mw}")
-        if self.k < 0.0:
+        if not self.k >= 0.0:
             raise InvalidArgumentError(f"k must be non-negative, got {self.k}")
 
 
@@ -102,7 +102,7 @@ class ChannelParams:
                 raise InvalidArgumentError(f"{name} must be in [0, 1], got {v}")
         for name in ("det_noise_a", "det_noise_b", "phase_sigma_a", "phase_sigma_b"):
             v = getattr(self, name)
-            if v < 0.0:
+            if not v >= 0.0:
                 raise InvalidArgumentError(f"{name} must be non-negative, got {v}")
 
 
@@ -225,9 +225,9 @@ def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _phase_noise(m: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    # Python floats per entry, the 2x2 block arrays' operations. The factors keep
-    # math.exp (array np.exp differs on 4.8% of inputs on AVX-512 hardware) and
-    # numpy's scalar power on the sigmas (s * s differs on 0.1%, float ** raises)
+    # Python floats per entry, the 2x2 block arrays' operations: math.exp and C pow keep the factors' bits (array
+    # np.exp differs on 4.8% of inputs on AVX-512 hardware, s * s on 0.1%), and every factor is 0 past sigma = 39,
+    sigmas = [min(s, 1e100) for s in sigmas.tolist()]  # so this cap keeps them too, and float ** cannot overflow
     x = m.tolist()
     out = [row[:] for row in x]
     for i, s in enumerate(sigmas):

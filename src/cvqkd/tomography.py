@@ -84,7 +84,7 @@ class HomodyneDataset:
     setting_ids[i] names the setting of record i as an index into settings.
     calib_a and calib_b are the vacuum variances of the two detectors in
     raw units (1.0 for synthetic, already-normalized data); they must be
-    positive by the time the dataset is reconstructed.
+    positive and finite by the time the dataset is reconstructed.
     """
 
     settings: tuple
@@ -231,11 +231,12 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
     their 15 moments; other declared settings are ignored, and the
     redundant (45, 45) cross moment is checked against the fit, with a
     warning beyond 5 standard errors. Any other setting list is fitted from
-    all its moments and must determine all 10 entries.
+    all its moments and must determine all 10 entries. Moments or fitted
+    values that overflow the float range raise InvalidArgumentError.
     """
-    if ds.calib_a <= 0.0 or ds.calib_b <= 0.0:
+    if not (0.0 < ds.calib_a < math.inf and 0.0 < ds.calib_b < math.inf):
         raise CalibrationError(
-            f"vacuum calibration variances must be positive, got calib_a={ds.calib_a}, calib_b={ds.calib_b}"
+            f"vacuum calibration variances must be positive and finite, got calib_a={ds.calib_a}, calib_b={ds.calib_b}"
         )
     stats = _per_setting_moments(ds)
     canonical_idx = _match_canonical(ds.settings)
@@ -264,7 +265,13 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
         )
     solution, *_ = np.linalg.lstsq(design[fit], values[fit], rcond=None)
     # first-order error propagation, one independent error per fitted equation
-    param_se = np.sqrt(np.linalg.pinv(design[fit]) ** 2 @ errors[fit] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of moments near the float maximum
+        param_se = np.sqrt(np.linalg.pinv(design[fit]) ** 2 @ errors[fit] ** 2)
+    if not (np.isfinite(solution).all() and np.isfinite(param_se).all()):
+        raise InvalidArgumentError(
+            "the fitted entries or their standard errors overflow the float range; "
+            f"second moments reach {np.abs(values).max():.3g} in vacuum units"
+        )
     gamma = np.zeros((4, 4))
     se = np.zeros((4, 4))
     rows, cols = zip(*_LSQ_POSITIONS)
@@ -538,33 +545,39 @@ class _SettingMoments:
 
 
 def _per_setting_moments(ds: HomodyneDataset) -> list:
-    """Mean-subtracted second moments per setting, in vacuum units."""
-    norm_a = ds.samples_a / math.sqrt(ds.calib_a)
-    norm_b = ds.samples_b / math.sqrt(ds.calib_b)
+    """Mean-subtracted second moments per setting, in vacuum units. A setting whose
+    moments overflow (a sample of 1e200, a calibration of 1e-320) is an InvalidArgumentError."""
     out = []
-    for idx in range(len(ds.settings)):
-        mask = ds.setting_ids == idx
-        n = int(mask.sum())
-        if n == 0:
-            out.append(None)
-            continue
-        if n < 2:
-            raise ProtocolIncompleteError(
-                f"setting {idx} {_fmt_setting(ds.settings[idx])} has {n} record(s); "
-                "at least 2 are needed to estimate moments"
-            )
-        a = norm_a[mask]
-        b = norm_b[mask]
-        da = a - a.mean()
-        db = b - b.mean()
-        out.append(
-            _SettingMoments(
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged per setting below
+        norm_a = ds.samples_a / math.sqrt(ds.calib_a)
+        norm_b = ds.samples_b / math.sqrt(ds.calib_b)
+        for idx in range(len(ds.settings)):
+            mask = ds.setting_ids == idx
+            n = int(mask.sum())
+            if n == 0:
+                out.append(None)
+                continue
+            if n < 2:
+                raise ProtocolIncompleteError(
+                    f"setting {idx} {_fmt_setting(ds.settings[idx])} has {n} record(s); "
+                    "at least 2 are needed to estimate moments"
+                )
+            a = norm_a[mask]
+            b = norm_b[mask]
+            da = a - a.mean()
+            db = b - b.mean()
+            m = _SettingMoments(
                 n=n,
                 var_a=float(da @ da) / (n - 1),
                 var_b=float(db @ db) / (n - 1),
                 cov=float(da @ db) / (n - 1),
             )
-        )
+            if not all(map(math.isfinite, (m.var_a, m.var_b, m.cov))):
+                raise InvalidArgumentError(
+                    f"second moments of setting {idx} {_fmt_setting(ds.settings[idx])} overflow the float "
+                    f"range; samples reach {max(abs(a).max(), abs(b).max()):.3g} in vacuum units"
+                )
+            out.append(m)
     return out
 
 

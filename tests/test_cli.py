@@ -180,12 +180,40 @@ def test_scan_rejects_too_few_steps(capsys):
     assert "steps" in err
 
 
-@pytest.mark.parametrize("start", ["-0.01", "nan"])
-def test_scan_rejects_extra_loss_outside_unit_interval(capsys, start):
-    """-0.01 would still leave a total loss of 0.059 >= 0, but it is gain, not loss."""
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        pytest.param("-0.01", "adds loss to arm B, which must lie in [0, 1], got -0.01", id="-0.01"),
+        pytest.param("nan", "--from must be a finite number, got nan", id="nan"),
+    ],
+)
+def test_scan_rejects_extra_loss_outside_unit_interval(capsys, start, message):
+    """-0.01 would still leave a total loss of 0.059 >= 0, but it is gain, not
+    loss; nan is no bound at all, rejected before the grid is built."""
     rc, out, err = run(capsys, "scan", "--sweep", "nu_b", "--from", start, "--to", "0.1", "--steps", "3")
     assert rc == 1 and out == ""
-    assert err.startswith("error:") and "[0, 1]" in err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("sweep", ["sqz_db", "nu_b", "sigma"])
+@pytest.mark.parametrize(
+    "start, stop, message",
+    [
+        ("0", "inf", "--to must be a finite number, got inf"),
+        ("inf", "0.1", "--from must be a finite number, got inf"),
+        ("-inf", "0.1", "--from must be a finite number, got -inf"),
+        ("0", "nan", "--to must be a finite number, got nan"),
+        ("-1e308", "1e308", "--from -1e+308 to --to 1e+308 spans more than the float range"),
+    ],
+    ids=["to-inf", "from-inf", "from-minus-inf", "to-nan", "span"],
+)
+def test_scan_rejects_non_finite_bounds(capsys, sweep, start, stop, message):
+    """A non-finite bound, or span, is named before np.linspace would warn on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "scan", "--sweep", sweep, f"--from={start}", f"--to={stop}", "--steps", "3")
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_scan_rejects_more_steps_than_an_array_holds(capsys):
@@ -394,6 +422,32 @@ def test_analyze_dataset_worst_case_uses_n_override(capsys, tmp_path):
     report = json.loads(out)
     assert report["n_samples"] == 2000
     assert report["k_worst_case"] is not None
+
+
+@pytest.mark.parametrize(
+    "line, value, message",
+    [
+        (0, "# calib_a=nan", "vacuum calibration variances must be positive and finite, got calib_a=nan, calib_b=1.0"),
+        (1, "# calib_b=inf", "vacuum calibration variances must be positive and finite, got calib_a=1.0, calib_b=inf"),
+        (0, "# calib_a=1e-320", "second moments of setting 0 (theta_a=0, theta_b=0) overflow the float range"),
+        (3, "0,0.0,0.0,1e200,0.5", "second moments of setting 0 (theta_a=0, theta_b=0) overflow the float range"),
+        (3, "0,0.0,0.0,1e150,0.5", "the fitted entries or their standard errors overflow the float range"),
+    ],
+    ids=["calib-nan", "calib-inf", "calib-tiny", "sample-1e200", "sample-1e150"],
+)
+def test_analyze_non_finite_calibration_or_overflowing_moments_exit_one(capsys, tmp_path, line, value, message):
+    """A calibration must be positive and finite, and moments that overflow
+    name their setting: exit 1 with one error line, no numpy warning."""
+    data = tmp_path / "records.csv"
+    run(capsys, "sample", "--n", "100", "--out", str(data))
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[line] = value
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "analyze", "--worst-case", str(data))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_analyze_reports_unphysical_reconstruction(capsys, tmp_path):

@@ -29,7 +29,6 @@ from cvqkd.gaussian import (
     squeeze,
     squeezed_vacuum,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_from_invariants,
     symplectic_form,
     tensor,
     vacuum,
@@ -471,12 +470,6 @@ def test_symplectic_eigenvalues_of_pure_states_are_exactly_one():
 
 def test_symplectic_eigenvalues_of_vacuum():
     assert symplectic_eigenvalues(vacuum(2)) == (1.0, 1.0)
-
-
-def test_symplectic_eigenvalues_from_invariants_agree_with_matrix_path():
-    rng = np.random.default_rng(15)
-    g = random_rotated_state(rng)
-    assert symplectic_eigenvalues_from_invariants(invariants(g)) == symplectic_eigenvalues(g)
 
 
 def test_symplectic_eigenvalues_of_reconstructed_example(reconstructed_example):

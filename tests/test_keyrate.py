@@ -52,7 +52,6 @@ from cvqkd.keyrate import (
     _zero_rounding_noise,
     entropy_f,
     holevo,
-    holevo_intermediates,
     holevo_oracle,
     mi_oracle,
     mutual_information,
@@ -153,8 +152,6 @@ def test_mutual_information_rejects_bad_invariants():
     both_negative = SymplecticInvariants(i1=-0.074, i2=-0.094, i3=1.986, i4=2.766, i4_prime=-4.887)
     with pytest.raises(InvalidStateError, match="block determinants"):
         mutual_information(both_negative)
-    with pytest.raises(InvalidStateError, match="block determinants"):
-        holevo_intermediates(both_negative)
     with pytest.raises(FormulaDomainError):
         mutual_information(SymplecticInvariants(1.0, 1.0, 0.9, 0.81, 1.0))
 
@@ -164,7 +161,7 @@ def test_mutual_information_rejects_bad_invariants():
 
 def test_holevo_frozen_intermediates_at_operating_point():
     inv = invariants(default_state(-10.5))
-    mid = holevo_intermediates(inv)
+    mid = _checked_formula(inv, ())
     assert mid.d_plus == pytest.approx(1.8134089901304846, rel=1e-12)
     assert mid.d_minus == pytest.approx(1.0147999999999995, rel=1e-12)
     assert mid.d_a == pytest.approx(1.0515180083163203, rel=1e-12)
@@ -386,7 +383,7 @@ def _reference_breakdown(g, n):
         n_physical += 1
         corner_min = min(corner_min, _reference_lenient_key_rate(corner))
     if n_physical == 0:
-        raise DegenerateBoxError(f"no physical corner at n = {n:g}", n_samples=n)
+        raise DegenerateBoxError(f"no physical corner at n = {n:g}")
     nf = normal_form(g)
     shift = np.array(
         [
@@ -404,7 +401,7 @@ def _reference_breakdown(g, n):
             warnings.warn(f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
                           f"minimum {corner_min:.9g}; corner enumeration may be too coarse")
     inv = invariants(g)
-    inter = holevo_intermediates(inv)
+    inter = _checked_formula(inv, ())
     s_joint = entropy_f(inter.d_plus) + entropy_f(inter.d_minus)
     nominal = mutual_information(inv) - s_joint + min(entropy_f(inter.d_a), entropy_f(inter.d_b))
     value = min(corner_min, nominal)
@@ -574,7 +571,7 @@ def test_batched_kernel_matches_single_state_path_on_edge_regimes(states):
         inv = invariants(g)
         try:
             mi = mutual_information(inv)
-            mid = holevo_intermediates(inv)
+            mid = _checked_formula(inv, ())
             chi_a, chi_b = holevo(inv, "A"), holevo(inv, "B")
         except CvqkdError:
             continue
@@ -946,7 +943,7 @@ def _stack_breakdown(g, n, det=np.linalg.det):
     physical = _stack_physical(stack, DEFAULT_TOL)
     n_physical = int(np.count_nonzero(physical[:-1]))
     if n_physical == 0:
-        raise DegenerateBoxError(f"no physical matrix among the 1024 uncertainty-box corners at n = {n:g}", n_samples=n)
+        raise DegenerateBoxError(f"no physical matrix among the 1024 uncertainty-box corners at n = {n:g}")
     screened = stack[physical]
     e = screened.transpose(1, 2, 0)
     i1 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]

@@ -67,6 +67,10 @@ def test_source_params_validation():
         SourceParams(p_mw=-1.0)
     with pytest.raises(InvalidArgumentError):
         SourceParams(k=-0.1)
+    # NaN fails every range check, with the message of its field
+    for name in ("p_mw", "k"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be non-negative, got nan$"):
+            SourceParams(**{name: math.nan})
 
 
 def test_channel_params_validation():
@@ -78,6 +82,9 @@ def test_channel_params_validation():
         ChannelParams(det_noise_b=-0.01)
     with pytest.raises(InvalidArgumentError):
         ChannelParams(phase_sigma_a=-0.2)
+    for name in ("det_noise_a", "det_noise_b", "phase_sigma_a", "phase_sigma_b"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be non-negative, got nan$"):
+            ChannelParams(**{name: math.nan})
 
 
 def test_squeezing_spec_validation():
@@ -280,6 +287,22 @@ def test_phase_noise_equals_the_block_loop_bit_for_bit(n_modes):
             if sigmas.any():  # the public map returns its input unchanged at zero noise
                 got = phase_noise_channel(covariance(m), sigmas).entries
                 assert got.tobytes() == covariance(want).entries.tobytes(), (sigmas, scale)
+
+
+@pytest.mark.parametrize("sigma", [1e160, 1e200])
+def test_phase_noise_whose_square_overflows_dephases_fully_without_warnings(sigma):
+    """Every factor is exactly 0 from sigma ~ 39 on, so a sigma whose square
+    overflows gives the sigma -> inf entries, bit for bit those of sigma = 50,
+    with no numpy overflow warning (RuntimeWarnings fail the suite)."""
+    spec = SqueezingSpec(var_sqz_db=-11.1)
+    g = make_epr_state(spec, ChannelParams())
+    m = g.entries
+    mean_a, mean_b = (m[0, 0] + m[1, 1]) / 2.0, (m[2, 2] + m[3, 3]) / 2.0
+    want = covariance(np.diag([mean_a, mean_a, mean_b, mean_b])).entries
+    np.testing.assert_array_equal(phase_noise_channel(g, sigma).entries, want)  # -0.0 where a factor scales a negative
+    assert phase_noise_channel(g, [0.0, sigma]).entries.tobytes() == phase_noise_channel(g, [0.0, 50.0]).entries.tobytes()
+    got = make_epr_state(spec, ChannelParams(phase_sigma_a=sigma, phase_sigma_b=sigma)).entries
+    assert got.tobytes() == make_epr_state(spec, ChannelParams(phase_sigma_a=50.0, phase_sigma_b=50.0)).entries.tobytes()
 
 
 # ------------------------------------------------------------ monte carlo phase
@@ -612,7 +635,7 @@ def _differential_cases():
         (SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6), ChannelParams(loss_a=0.01)),
         (SourceParams(p_mw=275.0), ChannelParams()),
         (SqueezingSpec(var_sqz_db=-11.1), ChannelParams(det_noise_a=math.inf)),
-        (SqueezingSpec(var_sqz_db=-11.1), ChannelParams(phase_sigma_b=math.nan)),
+        (SqueezingSpec(var_sqz_db=-11.1), ChannelParams(phase_sigma_b=math.inf)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -460,15 +460,16 @@ def test_reconstruct_matches_two_path_reference():
 
 def test_reconstruct_rejects_bad_calibration():
     ds = sample_homodyne(default_state(), n_per_setting=4, seed=0)
-    bad = HomodyneDataset(
-        settings=ds.settings,
-        setting_ids=ds.setting_ids,
-        samples_a=ds.samples_a,
-        samples_b=ds.samples_b,
-        calib_a=0.0,
-    )
-    with pytest.raises(CalibrationError):
-        reconstruct(bad)
+    for calib in (0.0, math.nan, math.inf):
+        bad = HomodyneDataset(
+            settings=ds.settings,
+            setting_ids=ds.setting_ids,
+            samples_a=ds.samples_a,
+            samples_b=ds.samples_b,
+            calib_a=calib,
+        )
+        with pytest.raises(CalibrationError, match="must be positive and finite"):
+            reconstruct(bad)
 
 
 def test_calibration_rescales_raw_samples():
