@@ -47,14 +47,7 @@ from .noise import (
     detection_noise,
     make_epr_state,
 )
-from .tomography import (
-    _MAX_ARRAY_BYTES,
-    CANONICAL_SETTINGS,
-    load_dataset,
-    reconstruct,
-    sample_homodyne,
-    save_dataset,
-)
+from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
 
 DEFAULT_CONFIG = {
     "source": {
@@ -348,22 +341,21 @@ def _scan_row(cfg: dict, sweep: str, value: float) -> tuple:
 
 
 def cmd_sample(args, cfg: dict) -> int:
+    # save_dataset(sample_homodyne(...)) byte for byte, each block of records
+    # written as it is drawn, so memory stays bounded in --n
     spec, channel = _resolve(cfg)
-    ds = sample_homodyne(
+    blocks = _sample_blocks(
         make_epr_state(spec, channel),
         CANONICAL_SETTINGS,
-        n_per_setting=cfg["analysis"]["n_samples"],
-        seed=cfg["analysis"]["seed"],
+        cfg["analysis"]["n_samples"],
+        cfg["analysis"]["seed"],
     )
-    if args.out is None:
-        save_dataset(ds, sys.stdout)
-    else:
-        save_dataset(ds, args.out)
+    _write_records(sys.stdout if args.out is None else args.out, CANONICAL_SETTINGS, blocks)
     return 0
 
 
 def cmd_reconstruct(args, cfg: dict) -> int:
-    result = reconstruct(load_dataset(args.dataset))
+    result = _reconstruct_file(args.dataset)
     doc = {
         "covariance": covariance_to_json(result.gamma_hat),
         "std_errors": [[float(v) for v in row] for row in result.std_errors],
@@ -393,7 +385,7 @@ def cmd_analyze(args, cfg: dict) -> int:
                 raise ConfigError(f"{args.input}: invalid covariance JSON: {exc}") from exc
         g = covariance_from_json(doc)
     else:
-        result = reconstruct(load_dataset(args.input))
+        result = _reconstruct_file(args.input)
         g = result.gamma_hat
         n_default = result.n_min
     if not is_physical(g):

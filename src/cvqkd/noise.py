@@ -126,6 +126,8 @@ class SqueezingSpec:
             raise InvalidArgumentError("SqueezingSpec needs var_sqz_db or r")
         if self.var_asqz_db is not None and self.var_sqz_db is None:
             raise InvalidArgumentError("var_asqz_db given without var_sqz_db")
+        if self.r is not None and math.isnan(self.r):
+            raise InvalidArgumentError(f"squeezing parameter r must be a number, got {self.r}")
         if self.r is not None and self.r < 0.0:
             warnings.warn(f"negative squeezing parameter r = {self.r}", stacklevel=3)
 
@@ -177,7 +179,7 @@ def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
     its argument.
     """
     nus = _per_mode(nu, g.n_modes, "nu")
-    if np.any(nus < 0.0) or np.any(nus > 1.0):
+    if not np.all((nus >= 0.0) & (nus <= 1.0)):
         raise InvalidArgumentError(f"loss values must lie in [0, 1], got {nus.tolist()}")
     return covariance(_loss(g.entries, nus))
 
@@ -185,7 +187,7 @@ def loss_channel(g: CovarianceMatrix, nu) -> CovarianceMatrix:
 def detection_noise(g: CovarianceMatrix, delta) -> CovarianceMatrix:
     """Additive electronic noise of delta per detector on both quadratures."""
     deltas = _per_mode(delta, g.n_modes, "delta")
-    if np.any(deltas < 0.0):
+    if not np.all(deltas >= 0.0):
         raise InvalidArgumentError(f"detection noise must be non-negative, got {deltas.tolist()}")
     return covariance(_detection(g.entries, deltas))
 
@@ -202,7 +204,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
     covariance-based quantity downstream consumes.
     """
     sigmas = _per_mode(sigma, g.n_modes, "sigma")
-    if np.any(sigmas < 0.0):
+    if not np.all(sigmas >= 0.0):
         raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {sigmas.tolist()}")
     if np.all(sigmas == 0.0):
         return g
@@ -265,7 +267,7 @@ def phase_noise_monte_carlo(
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be at least 1, got {n_samples}")
     sigmas = _per_mode(sigma, g.n_modes, "sigma")
-    if np.any(sigmas < 0.0):
+    if not np.all(sigmas >= 0.0):
         raise InvalidArgumentError(f"phase noise sigma must be non-negative, got {sigmas.tolist()}")
     rng = np.random.default_rng(seed)
     try:

@@ -24,11 +24,18 @@ Datasets carry a vacuum calibration variance per detector; raw samples are
 divided by its square root before moment estimation, so synthetic data uses
 calibration 1. First moments are always subtracted, which costs nothing for
 the zero-mean model and guards ingested real data against offsets.
+
+Records travel in blocks of _BLOCK: sampling draws them a block at a time,
+the CSV writer formats and the CSV reader parses a block at a time, and the
+moments are merged from per-block sums. The command line streams a dataset
+through these blocks without holding it, so `sample`, `analyze` and
+`reconstruct` run in memory bounded in the record count; the library
+functions concatenate the same blocks into a HomodyneDataset.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import math
 import warnings
@@ -180,47 +187,70 @@ def sample_homodyne(
     samples are already in vacuum units. A count too large for a numpy
     array, or for memory, raises InvalidArgumentError; a setting whose
     marginal covariance is not positive definite, InvalidStateError.
+
+    The records are the blocks of _sample_blocks, concatenated: the block
+    path that `cvqkd sample` streams to its CSV, so the command writes what
+    save_dataset writes of this dataset.
+    """
+    settings = tuple(settings)
+    blocks = _sample_blocks(g, settings, n_per_setting, seed)
+    try:
+        ids, samples_a, samples_b = (np.concatenate(column) for column in zip(*blocks))
+    except MemoryError as exc:
+        raise InvalidArgumentError(
+            f"n_per_setting = {n_per_setting} over {len(settings)} settings does not fit in memory"
+        ) from exc
+    return HomodyneDataset(settings=settings, setting_ids=ids, samples_a=samples_a, samples_b=samples_b)
+
+
+#: records per block: sampling draws, the CSV writer formats, the CSV reader
+#: parses and the moment sums fold this many records at a time, which bounds
+#: the memory of `cvqkd sample`, `analyze` and `reconstruct` in the record count
+_BLOCK = 8192
+
+
+def _sample_blocks(g: CovarianceMatrix, settings: tuple, n_per_setting: int, seed: int):
+    """The records of sample_homodyne as (setting_ids, samples_a, samples_b)
+    blocks of _BLOCK records, setting by setting; a setting's last block
+    holds the rest, at least 2 and at most _BLOCK + 1.
+
+    The arguments are checked before the iterator is returned, so nothing is
+    drawn, or written, for a request that fails. A setting's blocks are
+    consecutive rows of its stream's standard_normal((k, 2)) @ chol.T, which
+    are the rows of one (n_per_setting, 2) draw.
     """
     _require_two_modes(g)
-    settings = tuple(settings)
     if not settings:
         raise InvalidArgumentError("at least one measurement setting is required")
     if n_per_setting < 2:
         raise InvalidArgumentError(f"n_per_setting must be at least 2, got {n_per_setting}")
     # numpy sizes an array in bytes by a signed pointer-sized integer; the
-    # largest arrays here are one setting's (n, 2) draws and the columns
-    # of all settings, 8 bytes an entry
-    if n_per_setting > min(_MAX_ARRAY_BYTES // 16, _MAX_ARRAY_BYTES // (8 * len(settings))):
+    # largest arrays of a dataset are the columns of all settings, 8 bytes an entry
+    if n_per_setting > _MAX_ARRAY_BYTES // (8 * len(settings)):
         raise InvalidArgumentError(
             f"n_per_setting = {n_per_setting} over {len(settings)} settings is more records "
             "than a numpy array can hold"
         )
-    ids = []
-    cols_a = []
-    cols_b = []
-    try:
-        for idx, s in enumerate(settings):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-            try:
-                chol = np.linalg.cholesky(marginal_covariance(g, s))
-            except np.linalg.LinAlgError as exc:
-                raise InvalidStateError(
-                    f"marginal covariance of setting {_fmt_setting(s)} is not positive definite"
-                ) from exc
-            draws = rng.standard_normal((n_per_setting, 2)) @ chol.T
-            ids.append(np.full(n_per_setting, idx, dtype=int))
-            cols_a.append(draws[:, 0])
-            cols_b.append(draws[:, 1])
-        return HomodyneDataset(
-            settings=settings,
-            setting_ids=np.concatenate(ids),
-            samples_a=np.concatenate(cols_a),
-            samples_b=np.concatenate(cols_b),
-        )
-    except MemoryError as exc:
-        raise InvalidArgumentError(
-            f"n_per_setting = {n_per_setting} over {len(settings)} settings does not fit in memory"
-        ) from exc
+    factors = []
+    for s in settings:
+        try:
+            factors.append(np.linalg.cholesky(marginal_covariance(g, s)))
+        except np.linalg.LinAlgError as exc:
+            raise InvalidStateError(
+                f"marginal covariance of setting {_fmt_setting(s)} is not positive definite"
+            ) from exc
+    return _draw_blocks(factors, n_per_setting, seed)
+
+
+def _draw_blocks(factors: list, n_per_setting: int, seed: int):
+    for idx, chol in enumerate(factors):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        for lo in range(0, n_per_setting - 1, _BLOCK):
+            # a lone last row joins the block before it: numpy multiplies one
+            # row as a vector, which rounds differently from a matrix product
+            k = _BLOCK if lo + _BLOCK < n_per_setting - 1 else n_per_setting - lo
+            draws = rng.standard_normal((k, 2)) @ chol.T
+            yield np.full(k, idx), draws[:, 0], draws[:, 1]
 
 
 def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
@@ -233,13 +263,30 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
     warning beyond 5 standard errors. Any other setting list is fitted from
     all its moments and must determine all 10 entries. Moments or fitted
     values that overflow the float range raise InvalidArgumentError.
+
+    The moments are summed block by block by _MomentSums, the accumulator
+    that `cvqkd analyze` and `reconstruct` fold a dataset CSV into as they
+    parse it, so both give this function's result on the loaded dataset
+    bit for bit.
     """
-    if not (0.0 < ds.calib_a < math.inf and 0.0 < ds.calib_b < math.inf):
-        raise CalibrationError(
-            f"vacuum calibration variances must be positive and finite, got calib_a={ds.calib_a}, calib_b={ds.calib_b}"
-        )
-    stats = _per_setting_moments(ds)
-    canonical_idx = _match_canonical(ds.settings)
+    return _fit(ds.settings, _per_setting_moments(ds))
+
+
+def _reconstruct_file(path) -> ReconstructionResult:
+    """reconstruct(load_dataset(path)), bit for bit, in memory bounded by a block of records.
+
+    Each block is folded into the moments as it is parsed, and no
+    HomodyneDataset is built unless the line loop must decide (see
+    load_dataset). The whole file is parsed before anything is judged, so
+    every parse error comes before any reconstruction error.
+    """
+    settings, sums = _read_dataset(path, _MomentSums)
+    return _fit(settings, sums.moments(settings))
+
+
+def _fit(settings: tuple, stats: list) -> ReconstructionResult:
+    """The least-squares solve of reconstruct, from the settings and their moments."""
+    canonical_idx = _match_canonical(settings)
     canonical = None not in canonical_idx
     if canonical:
         for want, i in zip(CANONICAL_SETTINGS, canonical_idx):
@@ -253,7 +300,7 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
         if not used:
             raise ProtocolIncompleteError("dataset has no records")
     # shapes (settings, 3 moments, 10 unknowns), (settings, 3) and (settings, 3)
-    design, values, errors = map(np.array, zip(*(_moment_equations(ds.settings[i], stats[i]) for i in used)))
+    design, values, errors = map(np.array, zip(*(_moment_equations(settings[i], stats[i]) for i in used)))
     fit = np.ones(values.shape, dtype=bool)
     if canonical:
         fit[tuple(zip(*_HELD_OUT))] = False
@@ -286,7 +333,7 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
             warnings.warn(
                 f"redundant (45, 45) cross moment {measured:.9g} deviates from the value "
                 f"{predicted:.9g} predicted by the other settings by more than 5 standard errors",
-                stacklevel=2,
+                stacklevel=3,
             )
         cross_check = {
             "cross_check_measured": measured,
@@ -305,35 +352,40 @@ def save_dataset(ds: HomodyneDataset, path) -> None:
     """Write a dataset as CSV with a calibration comment block.
 
     path may be a filesystem path or an open text stream. Floats are
-    written in repr form, so a save/load round trip is lossless. Records
-    are formatted a column chunk at a time: each setting's id and angle
-    prefix once, the samples through repr of their Python floats.
+    written in repr form, so a save/load round trip is lossless. The
+    records go through _write_records, the writer that `cvqkd sample`
+    streams its draws to, a block of _BLOCK records at a time: each
+    setting's id and angle prefix once, the samples through repr of their
+    Python floats.
     """
-    if hasattr(path, "write"):
-        _write_dataset(ds, path)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_dataset(ds, fh)
+    _write_records(path, ds.settings, _dataset_blocks(ds), ds.calib_a, ds.calib_b)
 
 
-#: records formatted per write; bounds the text held in memory while saving
-_WRITE_CHUNK = 8192
+def _dataset_blocks(ds: HomodyneDataset):
+    """ds's records as (setting_ids, samples_a, samples_b) blocks of _BLOCK records, in order."""
+    for lo in range(0, ds.n_records, _BLOCK):
+        yield ds.setting_ids[lo : lo + _BLOCK], ds.samples_a[lo : lo + _BLOCK], ds.samples_b[lo : lo + _BLOCK]
 
 
-def _write_dataset(ds: HomodyneDataset, fh) -> None:
-    fh.write(f"# calib_a={float(ds.calib_a)!r}\n")
-    fh.write(f"# calib_b={float(ds.calib_b)!r}\n")
-    fh.write(DATASET_HEADER + "\n")
-    prefixes = [f"{i},{float(s.theta_a)!r},{float(s.theta_b)!r}" for i, s in enumerate(ds.settings)]
-    for lo in range(0, ds.n_records, _WRITE_CHUNK):
-        chunk = slice(lo, lo + _WRITE_CHUNK)
-        rows = zip(
-            map(prefixes.__getitem__, ds.setting_ids[chunk].tolist()),
-            map(repr, ds.samples_a[chunk].tolist()),
-            map(repr, ds.samples_b[chunk].tolist()),
-        )
-        fh.write("\n".join(map(",".join, rows)))
-        fh.write("\n")
+def _write_records(path, settings: tuple, blocks, calib_a: float = 1.0, calib_b: float = 1.0) -> None:
+    """The dataset CSV of settings and their (setting_ids, samples_a, samples_b) record blocks.
+
+    path may be a filesystem path or an open text stream; each block is
+    formatted and written before the next is drawn from blocks.
+    """
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# calib_a={float(calib_a)!r}\n")
+        fh.write(f"# calib_b={float(calib_b)!r}\n")
+        fh.write(DATASET_HEADER + "\n")
+        prefixes = [f"{i},{float(s.theta_a)!r},{float(s.theta_b)!r}" for i, s in enumerate(settings)]
+        for ids, samples_a, samples_b in blocks:
+            rows = zip(
+                map(prefixes.__getitem__, ids.tolist()),
+                map(repr, samples_a.tolist()),
+                map(repr, samples_b.tolist()),
+            )
+            fh.write("\n".join(map(",".join, rows)))
+            fh.write("\n")
 
 
 def load_dataset(path) -> HomodyneDataset:
@@ -343,7 +395,9 @@ def load_dataset(path) -> HomodyneDataset:
     columns; malformed content raises DatasetParseError naming the line,
     and a file with no records raises EmptyDatasetError.
 
-    The records are parsed in one numpy pass and checked by whole columns.
+    The records are read by _read_dataset, the block reader whose blocks
+    `cvqkd analyze` and `reconstruct` fold straight into moments: one numpy
+    pass over _BLOCK lines at a time, each block checked by whole columns.
     That pass accepts a subset of the format: where numpy rejects a line or
     a column check fails, the file is read again one line at a time, and
     that reading decides, with the line-numbered error or with the dataset
@@ -354,12 +408,44 @@ def load_dataset(path) -> HomodyneDataset:
     file that can be read twice, not a pipe. A file that is not valid UTF-8
     raises DatasetParseError naming the first offending byte.
     """
+    settings, columns = _read_dataset(path, _Columns)
+    return columns.dataset(settings)
+
+
+class _Columns:
+    """The sink of _read_dataset that keeps every record, for load_dataset."""
+
+    def __init__(self, calib_a: float, calib_b: float):
+        self.calib = (calib_a, calib_b)
+        self.blocks = []
+
+    def add(self, ids: np.ndarray, samples_a: np.ndarray, samples_b: np.ndarray) -> None:
+        self.blocks.append((ids, samples_a, samples_b))
+
+    def dataset(self, settings: tuple) -> HomodyneDataset:
+        ids, samples_a, samples_b = map(np.concatenate, zip(*self.blocks))
+        return HomodyneDataset(settings, ids, samples_a, samples_b, *self.calib)
+
+
+def _read_dataset(path, sink) -> tuple:
+    """(settings, sink(calib_a, calib_b) fed every record) of the dataset CSV at path.
+
+    The sink's add(setting_ids, samples_a, samples_b) takes the records in
+    file order, a block at a time. Where the numpy pass cannot decide, the
+    line loop reads the file again, and a new sink takes its dataset.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            ds = _load_dataset_columns(fh, path)
-        return ds if ds is not None else _load_dataset_lines(path)
+            read = _read_columns(fh, path, sink)
+        if read is not None:
+            return read
+        ds = _load_dataset_lines(path)
     except UnicodeDecodeError as exc:
         raise _utf8_error(path) from exc
+    out = sink(ds.calib_a, ds.calib_b)
+    for block in _dataset_blocks(ds):
+        out.add(*block)
+    return ds.settings, out
 
 
 def _utf8_error(path) -> DatasetParseError:
@@ -389,54 +475,43 @@ _RECORD_DTYPE = np.dtype(
     ]
 )
 
-#: characters of record text screened by _numpy_readable at a time
-_READ_BATCH = 1 << 16
-
 #: ASCII separators numpy's number parser strips as whitespace and float() rejects
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _load_dataset_columns(fh, path) -> HomodyneDataset | None:
-    """The dataset from one np.loadtxt pass, or None where the line loop must decide."""
-    lines = enumerate(fh, start=1)
-    calib = _read_preamble(lines, path)
-    # np.loadtxt skips empty lines, and warns when it finds nothing else
-    first = next((raw for _, raw in lines if raw != "\n"), None)
-    if first is None:
-        return None
-    batches = itertools.chain([[first]], iter(functools.partial(fh.readlines, _READ_BATCH), []))
-    try:
-        rec = np.loadtxt(
-            itertools.chain.from_iterable(map(_numpy_readable, batches)),
-            dtype=_RECORD_DTYPE,
-            delimiter=",",
-            comments=None,
-            ndmin=1,
-        )
-    except ValueError:
-        return None
-    ids, ta, tb = rec["setting_id"], rec["theta_a"], rec["theta_b"]
-    if not all(np.isfinite(rec[name]).all() for name in _RECORD_DTYPE.names[1:]):
-        return None
-    # a record may name any id seen before it, or the next new one
-    seen = np.concatenate(([-1], np.maximum.accumulate(ids)[:-1]))
-    if ids.min() < 0 or (ids > seen + 1).any():
-        return None
-    first_use = np.flatnonzero(ids > seen)
-    if not ((ta == ta[first_use][ids]).all() and (tb == tb[first_use][ids]).all()):
-        return None
-    try:
-        settings = tuple(map(MeasurementSetting, ta[first_use].tolist(), tb[first_use].tolist()))
-    except InvalidArgumentError:
-        return None
-    return HomodyneDataset(
-        settings=settings,
-        setting_ids=ids,
-        samples_a=rec["sample_a"],
-        samples_b=rec["sample_b"],
-        calib_a=calib["calib_a"],
-        calib_b=calib["calib_b"],
-    )
+def _read_columns(fh, path, sink) -> tuple | None:
+    """(settings, sink fed every record) from np.loadtxt passes over _BLOCK
+    lines at a time, or None where the line loop must decide."""
+    calib = _read_preamble(enumerate(fh, start=1), path)
+    out = sink(calib["calib_a"], calib["calib_b"])
+    settings = []
+    angles_a = angles_b = np.empty(0)
+    for batch in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):
+        # np.loadtxt skips empty lines, and warns when it finds nothing else
+        if batch[0] == "\n" and batch.count("\n") == len(batch):
+            continue
+        try:
+            rec = np.loadtxt(_numpy_readable(batch), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+        ids, ta, tb = rec["setting_id"], rec["theta_a"], rec["theta_b"]
+        if not all(np.isfinite(rec[name]).all() for name in _RECORD_DTYPE.names[1:]):
+            return None
+        # a record may name any id seen before it, or the next new one
+        seen = np.maximum.accumulate(np.concatenate(([len(settings) - 1], ids[:-1])))
+        if ids.min() < 0 or (ids > seen + 1).any():
+            return None
+        first_use = np.flatnonzero(ids > seen)
+        try:
+            settings += map(MeasurementSetting, ta[first_use].tolist(), tb[first_use].tolist())
+        except InvalidArgumentError:
+            return None
+        angles_a = np.concatenate((angles_a, ta[first_use]))
+        angles_b = np.concatenate((angles_b, tb[first_use]))
+        if not ((ta == angles_a[ids]).all() and (tb == angles_b[ids]).all()):
+            return None
+        out.add(ids, rec["sample_a"], rec["sample_b"])
+    return (tuple(settings), out) if settings else None
 
 
 def _numpy_readable(batch: list) -> list:
@@ -545,40 +620,123 @@ class _SettingMoments:
 
 
 def _per_setting_moments(ds: HomodyneDataset) -> list:
-    """Mean-subtracted second moments per setting, in vacuum units. A setting whose
-    moments overflow (a sample of 1e200, a calibration of 1e-320) is an InvalidArgumentError."""
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged per setting below
-        norm_a = ds.samples_a / math.sqrt(ds.calib_a)
-        norm_b = ds.samples_b / math.sqrt(ds.calib_b)
-        for idx in range(len(ds.settings)):
-            mask = ds.setting_ids == idx
-            n = int(mask.sum())
-            if n == 0:
+    """Mean-subtracted second moments per setting, in vacuum units (see _MomentSums.moments)."""
+    sums = _MomentSums(ds.calib_a, ds.calib_b)
+    for block in _dataset_blocks(ds):
+        sums.add(*block)
+    return sums.moments(ds.settings)
+
+
+class _MomentSums:
+    """Per-setting record counts, means and co-moments in vacuum units, summed a block at a time.
+
+    A setting's records are folded _BLOCK at a time in their own order, and
+    each fold's two-pass sums are merged into the setting's running sums by
+    the pairwise update of Chan, Golub & LeVeque (1979). A setting's
+    moments therefore depend on its own records alone, not on how they
+    interleave with other settings' records or on how the caller splits
+    them into blocks; a setting of at most _BLOCK records gets the two-pass
+    moments of all its records at once. Memory stays bounded by a block
+    per setting.
+    """
+
+    def __init__(self, calib_a: float, calib_b: float):
+        self.calib = (calib_a, calib_b)
+        # a bad calibration is reported by moments(), after every parse error
+        valid = 0.0 < calib_a < math.inf and 0.0 < calib_b < math.inf
+        self._scale = (math.sqrt(calib_a), math.sqrt(calib_b)) if valid else None
+        self._sums = {}  # setting id: (n, mean_a, mean_b, sum_aa, sum_ab, sum_bb, largest |sample|)
+        self._held = {}  # setting id: its records not yet folded, as (a, b) pieces
+
+    def add(self, ids: np.ndarray, samples_a: np.ndarray, samples_b: np.ndarray) -> None:
+        """Take the next records; within a setting, records must come in order."""
+        if self._scale is None:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged per setting by moments()
+            a = samples_a / self._scale[0]
+            b = samples_b / self._scale[1]
+            if (ids[1:] < ids[:-1]).any():
+                order = np.argsort(ids, kind="stable")
+                ids, a, b = ids[order], a[order], b[order]
+            # one piece per run of a setting's records
+            cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            firsts = ids[np.concatenate(([0], cuts))].tolist()
+            for sid, piece_a, piece_b in zip(firsts, np.split(a, cuts), np.split(b, cuts)):
+                self._take(sid, piece_a, piece_b)
+
+    def _take(self, sid: int, a: np.ndarray, b: np.ndarray) -> None:
+        """Fold a setting's next records after those it holds, whole blocks only; hold the rest."""
+        held = self._held.setdefault(sid, [])
+        held.append((a, b))
+        count = sum(len(p) for p, _ in held)
+        if count < _BLOCK:
+            return
+        if len(held) > 1:
+            a, b = (np.concatenate(column) for column in zip(*held))
+        full = count - count % _BLOCK
+        for lo in range(0, full, _BLOCK):
+            self._fold(sid, a[lo : lo + _BLOCK], b[lo : lo + _BLOCK])
+        held[:] = [(a[full:], b[full:])] if full < count else []
+
+    def _fold(self, sid: int, a: np.ndarray, b: np.ndarray) -> None:
+        n2 = len(a)
+        mean_a, mean_b = float(a.mean()), float(b.mean())
+        da, db = a - mean_a, b - mean_b
+        peak = np.maximum(np.abs(a).max(), np.abs(b).max())
+        block = (n2, mean_a, mean_b, float(da @ da), float(da @ db), float(db @ db), peak)
+        if sid not in self._sums:
+            self._sums[sid] = block
+            return
+        n1, mean_a1, mean_b1, s_aa, s_ab, s_bb, peak1 = self._sums[sid]
+        n = n1 + n2
+        dev_a, dev_b = mean_a - mean_a1, mean_b - mean_b1
+        w = n1 * n2 / n
+        self._sums[sid] = (
+            n,
+            mean_a1 + dev_a * n2 / n,
+            mean_b1 + dev_b * n2 / n,
+            s_aa + block[3] + dev_a * dev_a * w,
+            s_ab + block[4] + dev_a * dev_b * w,
+            s_bb + block[5] + dev_b * dev_b * w,
+            np.maximum(peak1, peak),
+        )
+
+    def moments(self, settings: tuple) -> list:
+        """_SettingMoments per setting, None where it has no records, once every record is added.
+
+        A calibration that is not positive and finite is a CalibrationError.
+        Then, setting by setting, fewer than 2 records is a
+        ProtocolIncompleteError, and moments that overflow (a sample of
+        1e200, a calibration of 1e-320) an InvalidArgumentError.
+        """
+        if self._scale is None:
+            raise CalibrationError(
+                "vacuum calibration variances must be positive and finite, "
+                f"got calib_a={self.calib[0]}, calib_b={self.calib[1]}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sid, held in self._held.items():
+                if held:
+                    self._fold(sid, *(np.concatenate(column) for column in zip(*held)))
+                    held.clear()
+        out = []
+        for idx, s in enumerate(settings):
+            if idx not in self._sums:
                 out.append(None)
                 continue
+            n, _, _, s_aa, s_ab, s_bb, peak = self._sums[idx]
             if n < 2:
                 raise ProtocolIncompleteError(
-                    f"setting {idx} {_fmt_setting(ds.settings[idx])} has {n} record(s); "
-                    "at least 2 are needed to estimate moments"
+                    f"setting {idx} {_fmt_setting(s)} has {n} record(s); at least 2 are needed to estimate moments"
                 )
-            a = norm_a[mask]
-            b = norm_b[mask]
-            da = a - a.mean()
-            db = b - b.mean()
-            m = _SettingMoments(
-                n=n,
-                var_a=float(da @ da) / (n - 1),
-                var_b=float(db @ db) / (n - 1),
-                cov=float(da @ db) / (n - 1),
-            )
+            m = _SettingMoments(n=n, var_a=s_aa / (n - 1), var_b=s_bb / (n - 1), cov=s_ab / (n - 1))
             if not all(map(math.isfinite, (m.var_a, m.var_b, m.cov))):
                 raise InvalidArgumentError(
-                    f"second moments of setting {idx} {_fmt_setting(ds.settings[idx])} overflow the float "
-                    f"range; samples reach {max(abs(a).max(), abs(b).max()):.3g} in vacuum units"
+                    f"second moments of setting {idx} {_fmt_setting(s)} overflow the float "
+                    f"range; samples reach {peak:.3g} in vacuum units"
                 )
             out.append(m)
-    return out
+        return out
 
 
 def _match_canonical(settings) -> list:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import copy
+import io
 import json
 import math
 import os
@@ -18,11 +19,11 @@ from hypothesis import strategies as st
 import cvqkd
 from cvqkd import cli
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
-from cvqkd.errors import ConfigError
+from cvqkd.errors import ConfigError, DatasetParseError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json, variance_to_db
 from cvqkd.keyrate import secret_key_rate
 from cvqkd.noise import ChannelParams, SqueezingSpec, _pump_sqz_variance, make_epr_state
-from cvqkd.tomography import load_dataset
+from cvqkd.tomography import _BLOCK, load_dataset, reconstruct, sample_homodyne, save_dataset
 
 from conftest import RECONSTRUCTED_EXAMPLE
 
@@ -403,6 +404,97 @@ def test_sample_writes_to_stdout(capsys):
     assert rc == 0
     assert out.startswith("# calib_a=1.0")
     assert "setting_id,theta_a_deg,theta_b_deg,sample_a,sample_b" in out
+
+
+#: a strongly mixed point: an estimate from a few thousand records per setting stays physical
+NOISY = {
+    "source": {"mode": "measured", "var_sqz_db": -6.0},
+    "channel": {"nu_a": 0.2, "nu_b": 0.2, "delta_a": 0.25, "delta_b": 0.25, "sigma_a": 0.1, "sigma_b": 0.1},
+}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_sample_streams_the_library_dataset_byte_for_byte(capsys, tmp_path, offset, to_stdout):
+    """Written a block at a time, sample's CSV is save_dataset(sample_homodyne(...)) at
+    block sizes around the block boundary."""
+    n = _BLOCK + offset
+    out = tmp_path / "records.csv"
+    rc, text, _ = run(capsys, "sample", "--n", str(n), "--seed", "4", *([] if to_stdout else ["--out", str(out)]))
+    assert rc == 0
+    buf = io.StringIO()
+    g = make_epr_state(*cli._resolve(load_config()))
+    save_dataset(sample_homodyne(g, n_per_setting=n, seed=4), buf)
+    assert (text if to_stdout else out.read_text(encoding="utf-8")) == buf.getvalue()
+    assert to_stdout or text == ""
+
+
+def test_analyze_and_reconstruct_equal_the_library_route_bit_for_bit(capsys, tmp_path):
+    """The moments folded while parsing give reconstruct(load_dataset(p))'s numbers exactly."""
+    cfg = write_config(tmp_path, NOISY)
+    data = tmp_path / "records.csv"
+    n = 2 * _BLOCK + 3
+    assert run(capsys, "sample", "--config", cfg, "--n", str(n), "--out", str(data))[0] == 0
+    result = reconstruct(load_dataset(data))
+    rc, out, _ = run(capsys, "analyze", "--config", cfg, "--worst-case", str(data))
+    want = secret_key_rate(result.gamma_hat, n_samples=result.n_min).as_dict()
+    assert rc == (2 if want["k_nominal"] <= 0.0 else 0)
+    assert json.loads(out) == json.loads(json.dumps(want))
+    rc, out, _ = run(capsys, "reconstruct", str(data))
+    doc = json.loads(out)
+    assert rc == 0 and doc["n_min"] == n
+    assert doc["covariance"] == json.loads(json.dumps(covariance_to_json(result.gamma_hat)))
+    assert doc["std_errors"] == result.std_errors.tolist()
+    assert doc["cross_check"]["measured"] == result.cross_check_measured
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [(None, None), (0, "# calib_a=nan"), (3, "0,0.0,0.0,1e200,0.5")],
+    ids=["no_other_fault", "bad_calibration", "overflowing_setting_0"],
+)
+@pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+def test_parse_error_after_the_first_block_comes_before_reconstruction_errors(capsys, tmp_path, line, value, command):
+    """A record broken past the first block is load_dataset's line-numbered error, even
+    when the calibration or an earlier setting's moments would fail reconstruction."""
+    data = tmp_path / "records.csv"
+    run(capsys, "sample", "--n", str(_BLOCK + 50), "--out", str(data))
+    lines = data.read_text(encoding="utf-8").split("\n")
+    if line is not None:
+        lines[line] = value
+    broken = 3 + _BLOCK + 120  # a record of setting 1, in the second block
+    lines[broken] = lines[broken].replace(",", ",x", 1)
+    data.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetParseError) as info:
+        load_dataset(data)
+    assert info.value.line == broken + 1
+    rc, out, err = run(capsys, command, str(data))
+    assert rc == 1 and out == ""
+    assert err == f"error: {info.value}\n"
+
+
+def test_sample_and_analyze_memory_stays_bounded_in_n(capsys, tmp_path):
+    """sample and analyze hold a block of records at a time: with 2e5 records per
+    setting they peak within 1 MB of their peaks with 2e4."""
+    cfg = write_config(tmp_path, NOISY)
+
+    def peaks(n):
+        data = str(tmp_path / f"records-{n}.csv")
+        out = []
+        for argv in (["sample", "--config", cfg, "--n", str(n), "--out", data], ["analyze", "--config", cfg, data]):
+            tracemalloc.start()
+            try:
+                main(argv)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        return out
+
+    peaks(2000)  # caches and lazy imports first
+    small, large = peaks(20000), peaks(200000)
+    assert large[0] <= small[0] + 1e6, (small, large)
+    assert large[1] <= small[1] + 1e6, (small, large)
 
 
 def test_analyze_dataset_path(capsys, tmp_path):

@@ -372,6 +372,31 @@ def test_channel_range_errors_print_plain_floats(call, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SqueezingSpec(r=math.nan), "squeezing parameter r must be a number, got nan"),
+        (lambda: loss_channel(vacuum(2), [0.1, math.nan]), "loss values must lie in [0, 1], got [0.1, nan]"),
+        (lambda: detection_noise(vacuum(2), math.nan), "detection noise must be non-negative, got [nan, nan]"),
+        (
+            lambda: phase_noise_channel(vacuum(2), [math.nan, 0.1]),
+            "phase noise sigma must be non-negative, got [nan, 0.1]",
+        ),
+        (
+            lambda: phase_noise_monte_carlo(vacuum(2), math.nan, 10, seed=0),
+            "phase noise sigma must be non-negative, got [nan, nan]",
+        ),
+    ],
+    ids=["SqueezingSpec", "loss_channel", "detection_noise", "phase_noise_channel", "phase_noise_monte_carlo"],
+)
+def test_nan_parameters_fail_their_range_checks(call, message):
+    """NaN compares false with every bound, so each check must be written to fail on it,
+    not end in the generic non-finite covariance error."""
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 # -------------------------------------------------------- calibration helpers
 
 

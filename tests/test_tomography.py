@@ -22,6 +22,7 @@ from cvqkd.errors import (
 from cvqkd.gaussian import apply_symplectic, covariance, rotation, squeeze
 from cvqkd.noise import ChannelParams, SqueezingSpec, make_epr_state
 from cvqkd.tomography import (
+    _BLOCK,
     CANONICAL_SETTINGS,
     HomodyneDataset,
     MeasurementSetting,
@@ -146,6 +147,28 @@ def test_sample_homodyne_dataset_shape():
     assert ds.n_records == 40
     np.testing.assert_array_equal(ds.n_per_setting, [8] * 5)
     assert ds.calib_a == ds.calib_b == 1.0
+
+
+def _one_draw_per_setting(g, settings, n, seed):
+    """sample_homodyne's records from one (n, 2) draw per setting, the reference for its blocks."""
+    ids, draws = [], []
+    for idx, s in enumerate(settings):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        draws.append(rng.standard_normal((n, 2)) @ np.linalg.cholesky(marginal_covariance(g, s)).T)
+        ids.append(np.full(n, idx))
+    draws = np.concatenate(draws)
+    return HomodyneDataset(settings, np.concatenate(ids), draws[:, 0], draws[:, 1])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2, _BLOCK + 1])
+def test_sample_homodyne_blocks_equal_one_draw_per_setting(offset):
+    """Drawn a block at a time, the records are those of one draw per setting, bit for bit."""
+    g = rotated_state(0.3)
+    n = _BLOCK + offset
+    ds = sample_homodyne(g, n_per_setting=n, seed=21)
+    want = _one_draw_per_setting(g, CANONICAL_SETTINGS, n, seed=21)
+    for column in ("setting_ids", "samples_a", "samples_b"):
+        assert getattr(ds, column).tobytes() == getattr(want, column).tobytes(), column
 
 
 # -------------------------------------------------------------- reconstruction
@@ -668,6 +691,89 @@ def test_load_leaves_non_ascii_digits_to_line_loop(tmp_path):
     path = write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(DatasetParseError, match="^line 2363: setting id 2 redeclared"):
         load_dataset(path)
+
+
+# ----------------------------------------------- moments folded as the file is read
+
+
+def _interleaved(ds, seed):
+    """ds with the records of its settings interleaved at random, each setting's records
+    in their own order, and its settings relisted in the order of their first record,
+    as a saved file needs."""
+    labels = np.random.default_rng(seed).permutation(ds.setting_ids)
+    order = np.empty(ds.n_records, dtype=int)
+    for i in range(len(ds.settings)):
+        order[labels == i] = np.flatnonzero(ds.setting_ids == i)
+    mixed = HomodyneDataset(ds.settings, labels, ds.samples_a[order], ds.samples_b[order])
+    return _regroup(mixed, np.argsort([np.flatnonzero(labels == i)[0] for i in range(len(ds.settings))]))
+
+
+def test_setting_moments_do_not_depend_on_other_settings_records():
+    """A setting's records are summed in blocks counted over that setting alone, so
+    interleaving, relabelling or another setting's records change no bit."""
+    n = _BLOCK + 500
+    extra = CANONICAL_SETTINGS + (MeasurementSetting(30.0, 60.0),)
+    full = sample_homodyne(rotated_state(0.4), settings=extra, n_per_setting=n, seed=22)
+    canonical = sample_homodyne(rotated_state(0.4), n_per_setting=n, seed=22)
+    res = reconstruct(canonical)
+    keep = (full.setting_ids < 5) | (np.arange(full.n_records) % 10 == 0)
+    _same_result(reconstruct(_regroup(full, (0, 1, 5, 2, 3, 4), keep)), res)
+    _same_result(reconstruct(_interleaved(full, 22)), res)
+    _same_result(reconstruct(_interleaved(canonical, 23)), res)
+    assert res.n_min == n
+
+
+@pytest.mark.parametrize("layout", ["grouped", "interleaved", "line_loop"])
+def test_reconstruct_file_equals_reconstruct_of_loaded_dataset(tmp_path, layout):
+    """The moments folded block by block while parsing are reconstruct's on the loaded
+    dataset, bit for bit, whether the records come grouped by setting, interleaved, or
+    through the line loop (a comment among the records)."""
+    ds = sample_homodyne(rotated_state(0.2), n_per_setting=2 * _BLOCK + 7, seed=23)
+    if layout == "interleaved":
+        ds = _interleaved(ds, 23)
+    path = tmp_path / "records.csv"
+    save_dataset(ds, path)
+    if layout == "line_loop":
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines.insert(3 + _BLOCK + 100, "# note")
+        path.write_text("\n".join(lines), encoding="utf-8")
+    _same_result(cvqkd.tomography._reconstruct_file(path), reconstruct(load_dataset(path)))
+
+
+def _two_pass_moments(ds):
+    """Per-setting moments by np.var and np.cov over all of a setting's records at once."""
+    out = []
+    for idx in range(len(ds.settings)):
+        mask = ds.setting_ids == idx
+        if not mask.any():
+            out.append(None)
+            continue
+        a = ds.samples_a[mask] / math.sqrt(ds.calib_a)
+        b = ds.samples_b[mask] / math.sqrt(ds.calib_b)
+        out.append(
+            cvqkd.tomography._SettingMoments(
+                n=int(mask.sum()),
+                var_a=float(np.var(a, ddof=1)),
+                var_b=float(np.var(b, ddof=1)),
+                cov=float(np.cov(a, b)[0, 1]),
+            )
+        )
+    return out
+
+
+def test_block_moments_agree_with_two_pass_moments(monkeypatch):
+    """Merging per-block sums moves a moment by rounding alone, well inside 1e-12 relative."""
+    ds = _interleaved(sample_homodyne(rotated_state(0.5), n_per_setting=5 * _BLOCK + 11, seed=24), 24)
+    got = cvqkd.tomography._per_setting_moments(ds)
+    want = _two_pass_moments(ds)
+    for g, w in zip(got, want):
+        assert g.n == w.n
+        np.testing.assert_allclose([g.var_a, g.var_b, g.cov], [w.var_a, w.var_b, w.cov], rtol=1e-12, atol=0)
+    res = reconstruct(ds)
+    monkeypatch.setattr(cvqkd.tomography, "_per_setting_moments", _two_pass_moments)
+    ref = reconstruct(ds)
+    scale = 1e-12 * np.abs(ref.gamma_hat.entries).max()
+    np.testing.assert_allclose(res.gamma_hat.entries, ref.gamma_hat.entries, rtol=0, atol=scale)
 
 
 # ------------------------------------------------ loader against the line loop
