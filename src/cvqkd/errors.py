@@ -38,9 +38,10 @@ class FormulaDomainError(CvqkdError, ArithmeticError):
 class DegenerateBoxError(CvqkdError):
     """No physical matrix was found in a finite-sample uncertainty box.
 
-    Unreachable for physical inputs (one corner of the box is always
-    physical, see worst_case_key_rate), kept as a defensive guard for callers
-    that bypass the physicality check. The message names the sample count.
+    A corner is physical when the single-state formula would rate it. At
+    n = inf the box is the state itself, rated with its own invariants, so
+    only unphysical inputs, or a box so wide that no corner is a state, can
+    reach this. The message names the sample count.
     """
 
 

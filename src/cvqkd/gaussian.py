@@ -18,7 +18,6 @@ conditional-variance entanglement witness, and JSON serialization.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -226,80 +225,30 @@ def is_physical(g: CovarianceMatrix, tol: float = DEFAULT_TOL) -> bool:
     equivalent to all symplectic eigenvalues being >= 1, but tol is not a
     margin on the symplectic eigenvalues: a reconstructed state with
     nu_minus = 0.9396 passes at tol = 0.05, because the least eigenvalue of
-    its Gamma + i*Omega is -0.0438.
+    its Gamma + i*Omega is -0.0438. One Cholesky factorization of
+    Gamma + i*Omega + tol*I decides it, as it exists exactly when that matrix
+    is positive definite; its rounding is about eps * ||Gamma||.
     """
-    return bool(_physical(g.entries, tol))
+    try:
+        np.linalg.cholesky(g.entries + (1j * symplectic_form(g.n_modes) + tol * np.eye(g.dim)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _physical(stack: np.ndarray, tol: float) -> np.ndarray:
-    """is_physical for every matrix of a (..., 2n, 2n) stack, as a bool array.
+def _screened_det(planes: np.ndarray) -> tuple:
+    """(det, positive) of symmetric matrices given as entry planes planes[i, j],
+    the worst-case box's screen, by one elimination without pivoting.
 
-    H = Gamma + i*Omega + tol*I is tested for positive definiteness by
-    eliminating one pivot at a time (the Schur complement, no pivoting): a
-    matrix passes when every pivot is positive. A pivot that is already
-    <= 0 is replaced by 1 before it divides, and a pivot that overflows to
-    inf or NaN fails, so no numpy warning fires on any finite input.
-
-    The work runs one plane at a time: h[i, j] is entry (i, j) of every
-    matrix as one contiguous 1-D array of one (2n, 2n, matrices) complex
-    copy, and each step updates a plane in place, so the only temporaries
-    are single planes. Every entry goes through the arithmetic of a
-    whole-matrix elimination, so every decision is the same bit for bit:
-    dividing a complex number by a real pivot, numpy multiplies by the
-    pivot's reciprocal (Smith's method), which is this product. The lower
-    triangle is eliminated too, because (h[i, k] / p) h[k, j] and the
-    conjugate of (h[j, k] / p) h[k, i] round differently.
-
-    Rounding in the pivots is about eps * ||Gamma||, so where that nears tol
-    neither this test nor an eigensolver resolves the boundary. At the
-    default tol = 1e-9, over the worst-case boxes of a two-mode squeezed
-    vacuum for n = 1e2 ... 1e12, this test and a Hermitian eigensolver
-    agree on every corner up to r = 6 (||Gamma|| = 8e4), and differ on 0.7%
-    of the corners at r = 7 and on 10% at r = 8 (||Gamma|| = 4e6).
-    """
-    dim = stack.shape[-1]
-    planes = stack.reshape(-1, dim, dim).transpose(1, 2, 0)  # planes[i, j]: entry (i, j) of every matrix
-    h = planes.astype(complex, order="C")
-    h += _hermitian_shift(dim, tol)  # as planes + shift: every entry cast to complex, then added
-    ok = np.ones(planes.shape[-1], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(dim):
-            pivot = h[k, k].real
-            ok &= pivot > 0.0
-            scale = 1.0 / np.where(ok, pivot, 1.0)
-            for i in range(k + 1, dim):
-                col = h[i, k] * scale
-                for j in range(k + 1, dim):
-                    h[i, j] -= col * h[k, j]
-    return ok.reshape(stack.shape[:-2])
-
-
-@functools.lru_cache(maxsize=8)
-def _hermitian_shift(dim: int, tol: float) -> np.ndarray:
-    """i*Omega + tol*I of dimension dim, shaped (dim, dim, 1) to shift every
-    matrix's entry planes in _physical."""
-    shift = (1j * symplectic_form(dim // 2) + tol * np.eye(dim))[:, :, np.newaxis]
-    shift.flags.writeable = False
-    return shift
-
-
-def _screened_det(planes: np.ndarray) -> np.ndarray:
-    """Determinants of symmetric matrices given as entry planes planes[i, j].
-
-    Elimination without pivoting over the upper triangle, the determinant
-    being the product of the pivots: a few operations per plane in place of
-    one LAPACK factorization per matrix. It is valid only for matrices that
-    passed _physical. Gamma + i*Omega + tol*I > 0 gives Gamma > -tol*I, so
-    the pivots are those of a positive semidefinite matrix up to tol, and
-    elimination without pivoting is then as stable as a Cholesky
-    factorization. Like np.linalg.det's, the result is then the determinant
-    of a matrix within a few eps of each entry, so the two agree to
-    eps * cond(Gamma) relative. A matrix with a pivot that is not positive,
-    possible only within tol of the boundary, gets np.linalg.det instead.
+    positive holds where every pivot is > 0, that is where the matrix is
+    positive definite, and det is the product of the pivots. There the
+    elimination is a Cholesky factorization without its roots, stable
+    without pivoting, and det agrees with np.linalg.det's to eps * cond
+    relative; elsewhere det means nothing.
     """
     dim = planes.shape[0]
     a = {(i, j): planes[i, j] for i in range(dim) for j in range(i, dim)}
-    det, ok = a[0, 0], a[0, 0] > 0.0
+    det, positive = a[0, 0], a[0, 0] > 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(dim - 1):
             for i in range(k + 1, dim):
@@ -307,10 +256,8 @@ def _screened_det(planes: np.ndarray) -> np.ndarray:
                 for j in range(i, dim):
                     a[i, j] = a[i, j] - ratio * a[k, j]
             det = det * a[k + 1, k + 1]
-            ok &= a[k + 1, k + 1] > 0.0
-    if not ok.all():
-        det = np.where(ok, det, np.linalg.det(np.moveaxis(planes, (0, 1), (-2, -1))))
-    return det
+            positive &= a[k + 1, k + 1] > 0.0
+    return det, positive
 
 
 @dataclass(frozen=True)
@@ -339,14 +286,20 @@ def invariants(g: CovarianceMatrix) -> SymplecticInvariants:
     """
     _require_two_modes(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.linalg.det, not _screened_det: g need not have passed the physicality screen
+        # np.linalg.det, not _screened_det: g need not be positive definite
         inv = SymplecticInvariants(*map(float, _invariant_values(g.entries, np.linalg.det(g.entries))))
-    delta = inv.i1 + inv.i2 + 2.0 * inv.i3  # Python floats overflow to inf without a warning
-    if not math.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime):
+    if _overflows(inv):
         raise InvalidStateError(
             f"covariance entries up to {np.abs(g.entries).max():.3g} overflow the symplectic invariants"
         )
     return inv
+
+
+def _overflows(inv: SymplecticInvariants):
+    """invariants()'s overflow rule, for floats and arrays alike (a Python
+    float overflows to inf without a warning)."""
+    delta = inv.i1 + inv.i2 + 2.0 * inv.i3
+    return ~np.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime)
 
 
 def _invariant_values(e: np.ndarray, i4) -> tuple:

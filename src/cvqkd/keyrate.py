@@ -45,15 +45,17 @@ squeezed mode and the beam splitter leave four zero entries, the standard
 form) and N = inf one. One kernel, _worst_boxes, rates the boxes of any
 number of states in one pass: every state's distinct corners, then one
 candidate per state, as entry planes of shape (4, 4, distinct + states),
-plane (i, j) holding entry (i, j) of every matrix. One call of the pivot
-test gaussian._physical screens them; the screened planes give i1, i2 and
-i3 directly, and i4 comes from gaussian._screened_det, an elimination
-without pivoting that is valid only after the screen. One formula call
-rates them, and segmented reductions give each state's corner minimum and
-physical count. worst_case_breakdown is its one-state caller, and
-_stacked_rates calls it once for all unflagged rows of a scan chunk; each
-row's worst case, error and warnings are those of worst_case_key_rate on
-that row alone, bit for bit and in the same order.
+plane (i, j) holding entry (i, j) of every matrix. The planes give i1, i2
+and i3 directly; one elimination without pivoting, gaussian._screened_det,
+gives i4 and whether Gamma > 0. One formula call rates the matrices with
+Gamma > 0, and a matrix is physical when the single-state path would rate
+it (_rejected, the floors _stacked_rates checks too): for two modes,
+Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1. Segmented
+reductions give each state's corner minimum and physical count.
+worst_case_breakdown is its one-state caller, and _stacked_rates calls it
+once for all unflagged rows of a scan chunk; each row's worst case, error
+and warnings are those of worst_case_key_rate on that row alone, bit for
+bit and in the same order.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .gaussian import (
     _invariant_values,
     _judge,
     _normal_form,
-    _physical,
+    _overflows,
     _radicands,
     _Radicands,
     _require_two_modes,
@@ -282,8 +284,7 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     from one _invariant_values call on the entry planes, and the rates from
     one _formula call. Every check secret_key_rate makes is one mask over the
     rows, with the same comparisons on the same bits: the overflow rule of
-    invariants(), the block determinants, the discriminant, the log argument,
-    the radicand, d_minus^2 and the four entropy arguments (_below_floor), and
+    invariants() (gaussian._overflows), the formula's floors (_rejected), and
     the oracle's conditional variances and conditional eigenvalues on one
     _conditioned stack. The states' diagonals are positive, as covariance()
     checks, so _conditioned does not raise. A row that a check flags, or
@@ -295,24 +296,18 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     row's candidate takes its normal form from the pass's invariants and
     radicands, by _normal_form's arithmetic, and its closing nominal rate is
     the row's k. The rows are then walked in list order, so a flagged row's
-    error, a DegenerateBoxError and an undercut warning come in the order
-    that one worst_case_key_rate call per row gives, and every value is that
-    call's, bit for bit. An n_samples that worst_case_key_rate rejects
-    raises before the walk when any row is unflagged.
+    error, a box's error and an undercut warning come in the order that one
+    worst_case_key_rate call per row gives, and every value is that call's,
+    bit for bit. An n_samples that worst_case_key_rate rejects raises before
+    the walk when any row is unflagged.
     """
     if not states:
         return []
     stack = np.stack([g.entries for g in states])
     with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
         inv = SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), np.linalg.det(stack)))
-        delta = inv.i1 + inv.i2 + 2.0 * inv.i3
-        flagged = ~np.isfinite(delta * delta + 4.0 * abs(inv.i4) + inv.i4_prime)
-        flagged |= (inv.i1 <= 0.0) | (inv.i2 <= 0.0)
         f = _formula(inv)
-        flagged |= _below_floor(f.disc, 0.0, f.disc_scale) | (f.arg <= 0.0)
-        flagged |= _below_floor(f.rad, 0.0, f.rad_scale) | _below_floor(f.dm2, 0.0, f.d_scale)
-        flagged |= _below_floor(f.d_plus, 1.0, f.d_scale) | _below_floor(f.d_minus, 1.0, f.d_scale)
-        flagged |= _below_floor(f.d_a, 1.0, f.size) | _below_floor(f.d_b, 1.0, f.size)
+        flagged = _overflows(inv) | _rejected(inv, f)
         cond = np.moveaxis(_conditioned(stack), 0, -1)  # cond[k, i, j]: entry (i, j) given quadrature k, every row
         var_x, var_p = _conditional_variances(cond[2:])
         flagged |= ~((var_x > 0.0) & (var_p > 0.0))
@@ -328,7 +323,7 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
         i3 = inv.i3[good]
         c_p = np.where(i3 != 0.0, np.copysign(_root(f.cp2[good]), -i3), 0.0)
         nf = NormalForm(_root(inv.i1[good]), _root(inv.i2[good]), _root(f.cx2[good]), c_p)
-        boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples))
+        boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples), inv.i4[good])
     good_row = 0
     for j, (g, bad) in enumerate(zip(states, flagged.tolist())):
         if bad:
@@ -361,14 +356,15 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     The one-state caller of _worst_boxes, the kernel that rates the boxes of
     a whole scan chunk too (_stacked_rates). The invariants of g are
     computed once, for the normal form and for the closing nominal rate.
-    DegenerateBoxError is raised when no corner is physical; the normal form
-    that the candidate needs is built before that, so its own errors come
-    first, and the nominal rate's checks come last.
+    InvalidStateError is raised when a matrix of the box overflows the
+    invariants, then DegenerateBoxError when no corner is physical; the
+    normal form that the candidate needs is built before that, so its own
+    errors come first, and the nominal rate's checks come last.
     """
     _require_two_modes(g)
     t = _half_width(n)
     inv = invariants(g)
-    boxes = _worst_boxes(g.entries[:, :, np.newaxis], _normal_form(inv), t)
+    boxes = _worst_boxes(g.entries[:, :, np.newaxis], _normal_form(inv), t, np.array([inv.i4]))
     _judge_box(boxes, 0, n, stacklevel=4)
     return WorstCaseBreakdown(
         corner_min=boxes.corner_min[0],
@@ -390,14 +386,15 @@ def _half_width(n: float) -> float:
 
 #: what _worst_boxes returns, one list entry per state: the least rate of
 #: its physical corners (inf when none is), its candidate's rate (None when
-#: the candidate is unphysical), the least of the two, and how many of its
-#: 1024 corners are physical
-_Boxes = namedtuple("_Boxes", "corner_min candidate low n_physical")
+#: the candidate is unphysical), the least of the two, how many of its 1024
+#: corners are physical, and whether a matrix of its box overflows
+_Boxes = namedtuple("_Boxes", "corner_min candidate low n_physical overflow")
 
 
-def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float) -> _Boxes:
+def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float, row_i4: np.ndarray) -> _Boxes:
     """The uncertainty boxes of matrices given as entry planes planes[i, j],
-    shape (4, 4, rows), at relative half-width t, in one pass.
+    shape (4, 4, rows), with determinants row_i4 (invariants()'s), at
+    relative half-width t, in one pass.
 
     Only the distinct corners are built: an entry whose values g (1 + t) and
     g (1 - t) compare equal (a zero entry, or every entry once t is below
@@ -411,28 +408,33 @@ def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float) -> _Boxes:
     of entry planes, with the per-element arithmetic of the full box,
     g (1 + t s), so each row's result is that of its 1024 corners bit for bit.
 
-    One pivot test of Gamma + i*Omega (gaussian._physical) screens the
-    array, and one kernel call rates the physical matrices. Their i4 is the
-    product of the pivots of an elimination without pivoting
-    (gaussian._screened_det), not one LAPACK call per matrix: a matrix that
-    passed the screen has Gamma > -tol*I, which makes that elimination
-    stable. It agrees with np.linalg.det to the backward error of either,
-    eps * cond(Gamma). Segmented reductions over each row's corners give its
-    minimum and its physical count.
+    A matrix is physical when the single-state path would rate it (for two
+    modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1):
+    one elimination (gaussian._screened_det) gives i4 and whether Gamma > 0,
+    one formula call rates the matrices with Gamma > 0, and _rejected and
+    gaussian._overflows mask out what that path raises on. The elimination's
+    i4 agrees with LAPACK's only to eps * cond(Gamma), so the one corner of a
+    box of zero width, the row itself, takes row_i4 and rates as the row.
     """
     box, counts = _box_planes(planes, nf, t)
     starts = list(itertools.accumulate(counts, initial=0))  # each row's first corner
     n_corners = starts.pop()
-    physical = _physical(box.transpose(2, 0, 1), DEFAULT_TOL)
-    all_physical = bool(physical.all())
-    if not all_physical:
-        box = box[:, :, physical]
-    inv = SymplecticInvariants(*_invariant_values(box, _screened_det(box)))
-    del box  # freed before the formula's temporaries are made, which lowers the peak
-    rates = _formula(inv).k
-    if not all_physical:  # an unphysical matrix bounds nothing
-        rates, rated = np.full(len(physical), np.inf), rates
-        rates[physical] = rated
+    i4, positive = _screened_det(box)
+    alone = [row for row, count in enumerate(counts) if count == 1]  # zero width: the corner is the row
+    if alone:
+        i4[[starts[row] for row in alone]] = row_i4[alone]
+    if not positive.all():
+        box, i4 = box[:, :, positive], i4[positive]
+    with np.errstate(all="ignore"):  # overflowing and unphysical matrices are masked out below
+        inv = SymplecticInvariants(*_invariant_values(box, i4))
+        del box  # freed before the formula's temporaries are made, which lowers the peak
+        f = _formula(inv)
+        overflow = _overflows(inv)
+        rated = ~(overflow | _rejected(inv, f))
+    physical, overflowed = np.zeros_like(positive), np.zeros_like(positive)
+    physical[positive], overflowed[positive] = rated, overflow
+    rates = np.full(len(positive), np.inf)
+    rates[physical] = f.k[rated]
     corner_min, candidate = np.minimum.reduceat(rates[:n_corners], starts), rates[n_corners:]
     n_physical = np.add.reduceat(physical[:n_corners], starts, dtype=np.intp).tolist()
     return _Boxes(
@@ -440,6 +442,7 @@ def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float) -> _Boxes:
         [c if ok else None for c, ok in zip(candidate.tolist(), physical[n_corners:].tolist())],
         np.minimum(corner_min, candidate).tolist(),
         [m * (len(_CORNER_MASKS) // c) for m, c in zip(n_physical, counts)],
+        (np.logical_or.reduceat(overflowed[:n_corners], starts) | overflowed[n_corners:]).tolist(),
     )
 
 
@@ -478,9 +481,12 @@ def _distinct_signs(code: int) -> np.ndarray:
 
 
 def _judge_box(boxes: _Boxes, row: int, n: float, stacklevel: int) -> None:
-    """Raise DegenerateBoxError when no corner of the box is physical, and
-    warn, stacklevel frames up, when its candidate undercuts the corner
+    """Raise InvalidStateError when a matrix of the box overflows the
+    invariants, DegenerateBoxError when no corner of the box is physical,
+    and warn, stacklevel frames up, when its candidate undercuts the corner
     minimum by more than DEFAULT_TOL."""
+    if boxes.overflow[row]:
+        raise InvalidStateError(f"matrices of the uncertainty box at n = {n:g} overflow the symplectic invariants")
     if boxes.n_physical[row] == 0:
         raise DegenerateBoxError(f"no physical matrix among the {len(_CORNER_MASKS)} uncertainty-box corners at n = {n:g}")
     candidate, corner_min = boxes.candidate[row], boxes.corner_min[row]
@@ -551,6 +557,21 @@ def _checked_formula(inv: SymplecticInvariants, entropy_args=("d_plus", "d_minus
         scale = f.d_scale if name in ("d_plus", "d_minus") else f.size
         _judge(f"entropy argument {name}", getattr(f, name), 1.0, scale, InvalidArgumentError)
     return f
+
+
+def _rejected(inv: SymplecticInvariants, f: _Formula) -> np.ndarray:
+    """Where _checked_formula raises, as one mask over arrays of invariants
+    and their _formula f, by the same comparisons on the same bits: a block
+    determinant or log argument that is not positive, or the discriminant,
+    the symplectic radicand, d_minus^2 or one of the four entropy arguments
+    below its floor beyond rounding (gaussian._below_floor)."""
+    return (
+        (inv.i1 <= 0.0) | (inv.i2 <= 0.0) | (f.arg <= 0.0)
+        | _below_floor(f.disc, 0.0, f.disc_scale)
+        | _below_floor(f.rad, 0.0, f.rad_scale) | _below_floor(f.dm2, 0.0, f.d_scale)
+        | _below_floor(f.d_plus, 1.0, f.d_scale) | _below_floor(f.d_minus, 1.0, f.d_scale)
+        | _below_floor(f.d_a, 1.0, f.size) | _below_floor(f.d_b, 1.0, f.size)
+    )
 
 
 #: what _formula returns: the fields of _Radicands, then the log argument,

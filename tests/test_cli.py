@@ -640,6 +640,26 @@ def test_analyze_entries_near_float_max_name_their_size(capsys, tmp_path, worst_
     assert err == "error: covariance entries up to 1.5e+308 overflow the symplectic invariants\n"
 
 
+def test_analyze_overflowing_uncertainty_box_exits_one_without_numpy_warnings(capsys, tmp_path):
+    """A pure state scaled to a largest entry of 5.01e76 passes the overflow
+    check of its invariants, but the corners of its box at n = 1 and 2 do
+    not: a typed error, not a NaN worst case. Narrower boxes still rate."""
+    lam, c = 3.0, math.sqrt(8.0)
+    entries = np.array([[lam, 0.0, c, 0.0], [0.0, lam, 0.0, -c], [c, 0.0, lam, 0.0], [0.0, -c, 0.0, lam]]) * 1.67e76
+    path = tmp_path / "overflowing_box.json"
+    path.write_text(json.dumps(covariance_to_json(covariance(entries))), encoding="utf-8")
+    for n in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "analyze", "--worst-case", "--n", str(n), str(path))
+        assert rc == 1 and out == ""
+        assert err == f"error: matrices of the uncertainty box at n = {n} overflow the symplectic invariants\n"
+    for n, want in ((100, 0.6520766965796926), (10**6, 1.562285684440814)):
+        rc, out, err = run(capsys, "analyze", "--worst-case", "--n", str(n), str(path))
+        assert rc == 0 and err == ""
+        assert json.loads(out)["k_worst_case"] == want
+
+
 @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
 @pytest.mark.parametrize(
     "body",

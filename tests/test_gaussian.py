@@ -11,7 +11,6 @@ from cvqkd.gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
     _conditioned,
-    _physical,
     _screened_det,
     apply_symplectic,
     balanced_beamsplitter,
@@ -279,7 +278,7 @@ def test_is_physical_tol_bounds_the_eigenvalue_not_the_symplectic_eigenvalues(re
 
 
 def _eigensolver_physical(stack, tol):
-    """The eigenvalue criterion the pivot test replaces, as the oracle."""
+    """The eigenvalue criterion that is_physical decides, as the oracle."""
     omega = symplectic_form(stack.shape[-1] // 2)
     return np.linalg.eigvalsh(stack + 1j * omega).min(axis=-1) >= -tol
 
@@ -325,13 +324,13 @@ def test_is_physical_matches_eigensolver(n_modes):
         want = _eigensolver_physical(stack, tol)
         assert 0 < np.count_nonzero(want) < len(stack)
         assert [is_physical(covariance(m), tol) for m in stack] == want.tolist()
-        np.testing.assert_array_equal(_physical(stack, tol), want)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_pivot_test_resolves_the_eigenvalue_boundary_to_1e_12(n_modes):
     """Matrices shifted so that the least eigenvalue of Gamma + i*Omega is
-    -tol + 1e-12 pass, and at -tol - 1e-12 they fail, in both methods."""
+    -tol + 1e-12 pass, and at -tol - 1e-12 they fail, by the eigensolver and
+    by is_physical's Cholesky factorization."""
     rng = np.random.default_rng(50 + n_modes)
     base = _random_states(rng, n_modes, 100, nu_low=1.0)
     low = np.linalg.eigvalsh(base + 1j * symplectic_form(n_modes)).min(axis=-1)
@@ -341,16 +340,16 @@ def test_pivot_test_resolves_the_eigenvalue_boundary_to_1e_12(n_modes):
             shifted = base + (-tol + side * 1e-12 - low)[:, np.newaxis, np.newaxis] * eye
             want = np.full(len(base), side > 0.0)
             np.testing.assert_array_equal(_eigensolver_physical(shifted, tol), want)
-            np.testing.assert_array_equal(_physical(shifted, tol), want)
+            assert [is_physical(covariance(m), tol) for m in shifted] == want.tolist()
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
 def test_huge_entries_are_screened_without_warnings_and_rejected_by_invariants(scale):
-    """numpy RuntimeWarnings fail the suite: overflow inside the pivot test
-    reads as unphysical, and invariants that overflow raise a typed error."""
+    """numpy RuntimeWarnings fail the suite: is_physical factors huge
+    entries without one, and invariants that overflow raise a typed error."""
     indefinite = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0], [2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]])
     stack = np.array([np.eye(4), tmsv(3.0).entries, RECONSTRUCTED_EXAMPLE, indefinite]) * scale
-    np.testing.assert_array_equal(_physical(stack, DEFAULT_TOL), [True, True, True, False])
+    assert [is_physical(covariance(m)) for m in stack] == [True, True, True, False]
     for m in stack:
         with pytest.raises(InvalidStateError, match="overflow the symplectic invariants"):
             invariants(covariance(m))
@@ -593,18 +592,19 @@ def test_json_rejects_missing_fields():
         covariance_from_json({"entries": [[1.0, 0.0], [0.0, 1.0]]})
 
 
-def test_screened_determinant_matches_lapack_and_falls_back_off_the_pivots():
-    """The elimination's determinant of screened matrices agrees with
-    np.linalg.det to eps * cond; a matrix that passes the screen with a
-    zero pivot in Gamma (a zero variance, within tol of the boundary) gets
-    np.linalg.det itself, without a numpy warning."""
+def test_screened_determinant_matches_lapack_and_screens_gamma():
+    """On matrices with Gamma > 0 the elimination's determinant agrees with
+    np.linalg.det to eps * cond. A zero variance is a zero pivot, so the box
+    screen rejects diag(0, 2e9, 1, 1), without a numpy warning, although
+    is_physical accepts it at 1e-9: the least eigenvalue of its
+    Gamma + i*Omega is -5e-10."""
     rng = np.random.default_rng(71)
     stack = np.array([random_normal_form_state(rng).entries for _ in range(50)] + [tmsv(3.0).entries])
-    zero_variance = np.diag([0.0, 2e9, 1.0, 1.0])
-    assert _physical(zero_variance, DEFAULT_TOL)
-    stack = np.concatenate((stack, zero_variance[np.newaxis]))
     want = np.linalg.det(stack)
-    got = _screened_det(stack.transpose(1, 2, 0))
-    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(stack[:-1]) * np.abs(want[:-1])
-    assert np.all(np.abs(got[:-1] - want[:-1]) <= bound)
-    assert got[-1] == want[-1] == 0.0
+    got, positive = _screened_det(stack.transpose(1, 2, 0))
+    assert positive.all()
+    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(stack) * np.abs(want)
+    assert np.all(np.abs(got - want) <= bound)
+    zero_variance = np.diag([0.0, 2e9, 1.0, 1.0])
+    assert not _screened_det(zero_variance[:, :, np.newaxis])[1][0]
+    assert is_physical(CovarianceMatrix(2, zero_variance), DEFAULT_TOL)

@@ -27,7 +27,6 @@ from cvqkd.gaussian import (
     SymplecticInvariants,
     _clamp,
     _invariant_values,
-    _physical,
     _radicands,
     _root,
     _screened_det,
@@ -49,6 +48,7 @@ from cvqkd.keyrate import (
     _entropy,
     _formula,
     _stacked_rates,
+    _worst_boxes,
     _zero_rounding_noise,
     entropy_f,
     holevo,
@@ -830,12 +830,49 @@ def test_indefinite_matrices_raise_only_typed_errors(m):
 # ------------------------------------- physicality screen against the eigensolver
 
 
-def _screens(g, n):
-    """(pivot test, eigensolver criterion) on the box corners of g at n and
-    on the closed-form candidate, the stack worst_case_breakdown screens."""
-    stack = _box_stack(g, n)
-    want = np.linalg.eigvalsh(stack + 1j * symplectic_form(2)).min(axis=-1) >= -DEFAULT_TOL
-    return _physical(stack, DEFAULT_TOL), want
+def _kernel_screen(stack):
+    """_worst_boxes's verdict on each matrix of a (k, 4, 4) stack, with the
+    elimination's i4 that the box rates its corners with: each matrix is its
+    own box of zero width (t = 0, one distinct corner), which has 1024
+    physical corners or none."""
+    ones, zeros = np.ones(len(stack)), np.zeros(len(stack))
+    planes = stack.transpose(1, 2, 0)
+    boxes = _worst_boxes(planes, NormalForm(ones, ones, zeros, zeros), 0.0, _screened_det(planes)[0])
+    return np.array(boxes.n_physical) == 1024
+
+
+def _eigen_margins(stack):
+    """The least eigenvalue of Gamma + i*Omega of each matrix of a stack."""
+    return np.linalg.eigvalsh(stack + 1j * symplectic_form(2)).min(axis=-1)
+
+
+def _single_state_rule(stack):
+    """The one physicality rule, stated matrix by matrix: Gamma > 0 by an
+    eigensolver, and the single-state formula (_checked_formula) accepts the
+    matrix's invariants, with the i4 that the box rates it with."""
+    positive = np.linalg.eigvalsh(stack).min(axis=-1) > 0.0
+    verdicts = []
+    for m, i4, ok in zip(stack, _elimination_det(stack).tolist(), positive.tolist()):
+        if ok:
+            try:
+                _checked_formula(SymplecticInvariants(*map(float, _invariant_values(m, i4))))
+            except CvqkdError:
+                ok = False
+        verdicts.append(ok)
+    return np.array(verdicts)
+
+
+def _check_rule(stack, bound=2.0 * DEFAULT_TOL):
+    """The kernel's screen is the single-state rule on every matrix of the
+    stack, and differs from the eigenvalue criterion at DEFAULT_TOL only
+    within bound of the boundary (not checked for bound None). Returns the
+    verdicts."""
+    rule = _single_state_rule(stack)
+    np.testing.assert_array_equal(_kernel_screen(stack), rule)
+    if bound is not None:
+        low = _eigen_margins(stack)
+        assert np.all(np.abs(low[rule != (low >= -DEFAULT_TOL)]) <= bound)
+    return rule
 
 
 def _generator_states(rng):
@@ -854,29 +891,34 @@ def _generator_states(rng):
 
 
 def test_corner_screen_matches_eigensolver_on_generator_states():
-    """The pivot test keeps the eigenvalue criterion exactly on the boxes the
-    CLI rates, and on two-mode squeezed vacua up to r = 6. Beyond that the
-    two can differ: see gaussian._physical."""
+    """The box screen keeps the eigenvalue criterion exactly on the boxes
+    the CLI rates. On two-mode squeezed vacua up to r = 6 it is the
+    single-state rule, which there differs from the eigenvalue criterion
+    only within 2 DEFAULT_TOL of the boundary."""
     outcomes = set()
     for g in _generator_states(np.random.default_rng(60)):
         for n in [10.0**k for k in range(2, 13)]:
-            got, want = _screens(g, n)
-            np.testing.assert_array_equal(got, want)
+            stack = _box_stack(g, n)
+            want = _eigen_margins(stack) >= -DEFAULT_TOL
+            np.testing.assert_array_equal(_kernel_screen(stack), want)
             outcomes.update(want.tolist())
             breakdown = worst_case_breakdown(g, n)
             assert breakdown.n_corners_physical == np.count_nonzero(want[:-1])
             assert (breakdown.candidate is not None) == want[-1]
     assert outcomes == {True, False}
     for r in (0.5, 2.0, 4.0, 6.0):
+        g = tmsv(math.cosh(2.0 * r))
         for n in [10.0**k for k in range(2, 13)]:
-            np.testing.assert_array_equal(*_screens(tmsv(math.cosh(2.0 * r)), n))
+            rule = _check_rule(_box_stack(g, n))
+            breakdown = worst_case_breakdown(g, n)
+            assert breakdown.n_corners_physical == np.count_nonzero(rule[:-1])
+            assert (breakdown.candidate is not None) == rule[-1]
 
 
 @_PROPERTY_SETTINGS
 @given(_EDGE_STATES, st.sampled_from([10.0**k for k in range(2, 13)]))
 def test_corner_screen_matches_eigensolver_on_edge_regimes(g, n):
-    got, want = _screens(g, n)
-    np.testing.assert_array_equal(got, want)
+    _check_rule(_box_stack(g, n))
 
 
 # ------------------------------------ entry planes against the (1025, 4, 4) stack
@@ -915,7 +957,21 @@ def _stack_physical(stack, tol):
 
 
 def _elimination_det(stack):
-    return _screened_det(stack.transpose(1, 2, 0))
+    return _screened_det(stack.transpose(1, 2, 0))[0]
+
+
+def _box_det(g):
+    """The determinants _worst_boxes rates the (1025, 4, 4) stack of g's box
+    with: the elimination's, except that the corners of a box of zero width,
+    which all equal g, take g's own, invariants()'s."""
+
+    def det(stack):
+        i4 = _elimination_det(stack)
+        if (stack[:-1] == g.entries).all():
+            i4[:-1] = np.linalg.det(g.entries)
+        return i4
+
+    return det
 
 
 def _rates_one_entropy_at_a_time(inv):
@@ -930,17 +986,18 @@ def _rates_one_entropy_at_a_time(inv):
     return np.minimum(mi - chi_a, mi - chi_b)
 
 
-def _stack_breakdown(g, n, det=np.linalg.det):
+def _stack_breakdown(g, n, det=np.linalg.det, screen=lambda stack: _stack_physical(stack, DEFAULT_TOL)):
     """worst_case_breakdown as assembled before entry planes: all 1024 corners
-    and the candidate as one (1025, 4, 4) stack, screened by _stack_physical,
-    with i4 = det(stack), by default one LAPACK call per matrix, and the four
-    entropies of each rate taken one call each."""
+    and the candidate as one (1025, 4, 4) stack, screened by screen(stack),
+    by default the pivot test _stack_physical, with i4 = det(stack), by
+    default one LAPACK call per matrix, and the four entropies of each rate
+    taken one call each."""
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     if n > sys.float_info.max and n != math.inf:
         raise InvalidArgumentError(f"sample count must be at most the float maximum or inf, got {n}")
     stack = _box_stack(g, n)
-    physical = _stack_physical(stack, DEFAULT_TOL)
+    physical = screen(stack)
     n_physical = int(np.count_nonzero(physical[:-1]))
     if n_physical == 0:
         raise DegenerateBoxError(f"no physical matrix among the 1024 uncertainty-box corners at n = {n:g}")
@@ -949,7 +1006,7 @@ def _stack_breakdown(g, n, det=np.linalg.det):
     i1 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     i2 = e[2, 2] * e[3, 3] - e[2, 3] * e[3, 2]
     i3 = e[0, 2] * e[1, 3] - e[0, 3] * e[1, 2]
-    i4 = det(screened)
+    i4 = det(stack)[physical]
     rates = _rates_one_entropy_at_a_time(SymplecticInvariants(i1, i2, i3, i4, i1 * i2 + i3 * i3 - i4))
     corner_min = float(rates[:n_physical].min())
     candidate = float(rates[n_physical]) if physical[-1] else None
@@ -1021,9 +1078,16 @@ def _differential_corpus():
 
 
 def test_entry_planes_match_the_stack_they_replaced():
-    """Bit-identical decisions and warnings, and the same rates: within 1e-12
+    """Bit-identical errors and warnings, and the same rates: within 1e-12
     absolute, or, where the rate turns a rounding of i4 into more than that,
-    from determinants that agree to their backward error eps * cond(Gamma)."""
+    from determinants that agree to their backward error eps * cond(Gamma).
+    The physical corners are those of the single-state rule (_check_rule),
+    not of the replaced stack's pivot test of Gamma + i*Omega. On pure boxes
+    the two differ near the boundary: within 2 DEFAULT_TOL, except that the
+    r = 3 box at n = 1e12 has corners whose least eigenvalue is +2.48e-9
+    and whose d_a the formula rounds to 0.99999966, which the single-state
+    path rejects. On huge entries an eigensolver resolves only
+    eps * ||Gamma|| >> DEFAULT_TOL, so there the margin is not checked."""
     eps = np.finfo(float).eps
     conditioned = []
     for family, g, n in _differential_corpus():
@@ -1033,18 +1097,20 @@ def test_entry_planes_match_the_stack_they_replaced():
         if isinstance(want, tuple):
             assert got == want
             continue
-        assert got.n_corners_physical == want.n_corners_physical
+        stack = _box_stack(g, n)
+        rule = _check_rule(stack, {"pure": 3.0 * DEFAULT_TOL, "huge": None}.get(family, 2.0 * DEFAULT_TOL))
+        assert got.n_corners_physical == np.count_nonzero(rule[:-1])
         assert (got.candidate is None) == (want.candidate is None)
-        # the rates differ only through i4: the stack with the planes' determinant is bit for bit the same
-        assert got == _captured(lambda g, n: _stack_breakdown(g, n, _elimination_det), g, n)[0]
+        # the rates differ only through i4 and the screen: the stack screened by
+        # the rule, with the planes' determinant, is bit for bit the same
+        assert got == _captured(lambda g, n: _stack_breakdown(g, n, _elimination_det, lambda _: rule), g, n)[0]
         pairs = [(got.corner_min, want.corner_min), (got.value, want.value)]
         if want.candidate is not None:
             pairs.append((got.candidate, want.candidate))
         if max(abs(a - b) for a, b in pairs) <= 1e-12:
             continue
         conditioned.append(family)
-        stack = _box_stack(g, n)
-        screened = stack[_stack_physical(stack, DEFAULT_TOL)]
+        screened = stack[rule]
         i4_lapack, i4_planes = np.linalg.det(screened), _elimination_det(screened)
         bound = 16.0 * eps * np.linalg.cond(screened) * np.abs(i4_lapack)
         assert np.all(np.abs(i4_planes - i4_lapack) <= bound), (family, n)
@@ -1104,11 +1170,12 @@ def _hex(result):
 
 def test_distinct_corners_match_the_full_box():
     """Rating each distinct corner once gives the breakdown of all 1024
-    corners bit for bit, with the same errors and warnings."""
+    corners bit for bit, with the same errors and warnings. From n = 1e33 on
+    the corners of a box all equal the state and take its own i4."""
     seen, counts = set(), set()
     for g, n in _distinct_corner_corpus():
         got, got_warnings = _captured(worst_case_breakdown, g, n)
-        want, want_warnings = _captured(lambda g, n: _stack_breakdown(g, n, _elimination_det), g, n)
+        want, want_warnings = _captured(lambda g, n: _stack_breakdown(g, n, _box_det(g)), g, n)
         assert _hex(got) == _hex(want), (g.entries.tolist(), n)
         assert got_warnings == want_warnings
         seen.add(want[0] if isinstance(want, tuple) else "ok")
@@ -1123,13 +1190,13 @@ def test_worst_case_screens_each_distinct_corner_once(monkeypatch):
     rotated state has none, so all 1024; at n = inf every entry has zero
     width, so one. Each stack adds the candidate."""
     sizes = []
-    real_physical = cvqkd.keyrate._physical
+    real_screen = cvqkd.keyrate._screened_det
 
-    def physical(stack, tol):
-        sizes.append(len(stack))
-        return real_physical(stack, tol)
+    def screen(planes):
+        sizes.append(planes.shape[-1])
+        return real_screen(planes)
 
-    monkeypatch.setattr(cvqkd.keyrate, "_physical", physical)
+    monkeypatch.setattr(cvqkd.keyrate, "_screened_det", screen)
     local = np.zeros((4, 4))
     local[0:2, 0:2], local[2:4, 2:4] = rotation(0.3), rotation(-1.1)
     rotated = apply_symplectic(default_state(), local)
@@ -1171,13 +1238,13 @@ def test_stacked_worst_case_equals_worst_case_breakdown_bit_for_bit(monkeypatch,
     states = _distinct_corner_mix()
     want, want_warnings = _captured(lambda states, n: [worst_case_breakdown(g, n).value for g in states], states, n)
     sizes = []
-    real_physical = cvqkd.keyrate._physical
+    real_screen = cvqkd.keyrate._screened_det
 
-    def physical(stack, tol):
-        sizes.append(len(stack))
-        return real_physical(stack, tol)
+    def screen(planes):
+        sizes.append(planes.shape[-1])
+        return real_screen(planes)
 
-    monkeypatch.setattr(cvqkd.keyrate, "_physical", physical)
+    monkeypatch.setattr(cvqkd.keyrate, "_screened_det", screen)
     got, got_warnings = _captured(_stacked_rates, states, n)
     assert [row[4].hex() for row in got] == [value.hex() for value in want]
     assert got_warnings == want_warnings
@@ -1188,8 +1255,9 @@ def test_stacked_worst_case_equals_worst_case_breakdown_bit_for_bit(monkeypatch,
 def _stretched_near_pure_state():
     """Two-mode squeezed (r = 4.2), then both modes squeezed by e^-2.2, from
     thermal noise 1 - 4e-8: d_minus is within the formula's tolerance of 1,
-    so secret_key_rate rates it, but the local squeezers stretch the
-    unphysical direction of Gamma + i*Omega beyond the screen's 1e-9."""
+    so secret_key_rate rates it, although the local squeezers stretch the
+    unphysical direction of Gamma + i*Omega to a least eigenvalue of
+    -1.45e-9, beyond DEFAULT_TOL."""
     c, s = math.cosh(4.2), math.sinh(4.2)
     two_mode = np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
     local = np.zeros((4, 4))
@@ -1199,28 +1267,101 @@ def _stretched_near_pure_state():
     return covariance((m + m.T) / 2.0)
 
 
-def test_stacked_worst_case_raises_a_degenerate_box_in_row_order():
-    """At n = inf the stretched state's one corner is unphysical. After good
-    rows the stacked pass raises the single call's DegenerateBoxError; a
-    flagged row before it raises its own error first, and one after it
-    does not get the chance."""
-    degenerate = _stretched_near_pure_state()
-    secret_key_rate(degenerate)
-    with pytest.raises(DegenerateBoxError) as want:
-        worst_case_key_rate(degenerate, math.inf)
+@pytest.mark.parametrize("n", [1e33, math.inf])
+def test_stretched_near_pure_state_rates_its_worst_case_at_its_nominal_rate(n):
+    """From n = 1e33 on the box has no width, so its one corner is the state,
+    and a corner is rated exactly when the single-state formula rates it:
+    the worst case is the nominal rate, alone and in a stacked pass."""
+    g = _stretched_near_pure_state()
+    assert -2.0 * DEFAULT_TOL < _eigen_margins(g.entries[np.newaxis])[0] < -DEFAULT_TOL
+    nominal = secret_key_rate(g).k_nominal
+    assert nominal == 11.11863841659642
+    breakdown = worst_case_breakdown(g, n)
+    assert breakdown.value == breakdown.corner_min == nominal
+    assert breakdown.n_corners_physical == 1024
+    rows = [default_state(), g]
+    assert _stacked_rates(rows, n) == [
+        [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, n) for g in rows)
+    ]
+    assert _stacked_rates(rows, n)[1][4] == nominal
+
+
+def _locally_squeezed_pure_states():
+    """Two-mode squeezed vacua (r = 1, 1.5, 2) with arm A rotated and
+    squeezed by e^-+2 and arm B squeezed by up to e^-+1: pure, and so
+    ill-conditioned that LAPACK's i4 and the elimination's, each good to
+    eps * cond(Gamma), can put d_minus on opposite sides of its floor."""
+    states = []
+    for r, sq_a, sq_b, theta in itertools.product([1.0, 1.5, 2.0], [-2.0, 2.0], [-1.0, 0.0, 1.0], [0.3, 1.1]):
+        c, s = math.cosh(r), math.sinh(r)
+        local = np.zeros((4, 4))
+        local[0:2, 0:2], local[2:4, 2:4] = rotation(theta) @ squeeze(sq_a), squeeze(sq_b)
+        sym = local @ np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+        m = sym @ sym.T
+        states.append(covariance((m + m.T) / 2.0))
+    return states
+
+
+@pytest.mark.parametrize("n", [1e33, math.inf])
+def test_a_box_of_zero_width_rates_its_state_as_secret_key_rate_does(n):
+    """The one corner of a zero-width box is the state, rated with its own
+    i4: every state that secret_key_rate rates has a physical box at its
+    nominal rate, alone and in a stacked pass. With the elimination's i4
+    instead, 12 of these 36 states raised DegenerateBoxError on numpy 2.4.6."""
+    states, rated = _locally_squeezed_pure_states(), []
+    for g in states:
+        try:
+            nominal = secret_key_rate(g).k_nominal
+        except CvqkdError:
+            continue
+        breakdown = worst_case_breakdown(g, n)
+        assert breakdown.corner_min == nominal
+        assert breakdown.n_corners_physical == 1024
+        rated.append(g)
+    assert len(rated) >= len(states) // 2
+    assert [row[4] for row in _stacked_rates(rated, n)] == [worst_case_key_rate(g, n) for g in rated]
+
+
+def _overflowing_box_state():
+    """tmsv(3.0) scaled to a largest entry of 5.01e76: its invariants fit the
+    float range, but at n = 1 and 2 those of its box corners do not."""
+    return covariance(tmsv(3.0).entries * 1.67e76)
+
+
+def test_worst_case_of_an_overflowing_box_is_a_typed_error():
+    """No NaN and no numpy warning: the box raises what invariants() raises
+    for a matrix that overflows. Narrower boxes still rate."""
+    g = _overflowing_box_state()
+    invariants(g)
+    for n in (1, 2):
+        with pytest.raises(InvalidStateError, match=f"box at n = {n} overflow the symplectic invariants"):
+            worst_case_key_rate(g, n)
+    assert worst_case_key_rate(g, 100) == 0.6520766965796926
+    assert worst_case_key_rate(g, 10**6) == 1.562285684440814
+
+
+def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
+    """At n = 1 the corners of the overflowing state's box overflow the
+    invariants. After good rows the stacked pass raises the single call's
+    InvalidStateError; a flagged row before it raises its own error first,
+    and one after it does not get the chance."""
+    overflowing = _overflowing_box_state()
+    secret_key_rate(overflowing)
+    with pytest.raises(InvalidStateError) as want:
+        worst_case_key_rate(overflowing, 1)
     flagged = covariance(np.diag([0.5, 0.5, 1.0, 1.0]))
     with pytest.raises(CvqkdError) as flagged_error:
-        secret_key_rate(flagged, math.inf)
+        secret_key_rate(flagged, 1)
     good = [default_state(), default_state(-9.0)]
-    assert _captured(_stacked_rates, good, math.inf)[0] == [
-        [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, math.inf) for g in good)
+    assert _captured(_stacked_rates, good, 1)[0] == [
+        [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, 1) for g in good)
     ]
     for rows, error in (
-        ([*good, degenerate], want.value),
-        ([*good, degenerate, flagged], want.value),
-        ([*good, flagged, degenerate], flagged_error.value),
+        ([*good, overflowing], want.value),
+        ([*good, overflowing, flagged], want.value),
+        ([*good, flagged, overflowing], flagged_error.value),
     ):
-        assert _captured(_stacked_rates, rows, math.inf) == ((type(error), str(error)), [])
+        assert _captured(_stacked_rates, rows, 1) == ((type(error), str(error)), [])
 
 
 def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one():
