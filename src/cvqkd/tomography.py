@@ -27,10 +27,11 @@ the zero-mean model and guards ingested real data against offsets.
 
 Records travel in blocks of _BLOCK: sampling draws them a block at a time,
 the CSV writer formats and the CSV reader parses a block at a time, and the
-moments are merged from per-block sums. The command line streams a dataset
-through these blocks without holding it, so `sample`, `analyze` and
-`reconstruct` run in memory bounded in the record count; the library
-functions concatenate the same blocks into a HomodyneDataset.
+moments are merged from per-block sums; the line rules read only a block
+that numpy cannot. The command line streams a dataset through these blocks
+without holding it, so `sample`, `analyze` and `reconstruct` run in memory
+bounded in the record count; the library functions concatenate the same
+blocks into a HomodyneDataset.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -88,10 +90,11 @@ CANONICAL_SETTINGS = (
 class HomodyneDataset:
     """Joint homodyne records grouped by measurement setting.
 
-    setting_ids[i] names the setting of record i as an index into settings.
-    calib_a and calib_b are the vacuum variances of the two detectors in
-    raw units (1.0 for synthetic, already-normalized data); they must be
-    positive and finite by the time the dataset is reconstructed.
+    setting_ids[i] names the setting of record i as an index into settings;
+    ids and samples must be finite, and ids whole (InvalidArgumentError).
+    calib_a and calib_b are the vacuum variances of the two detectors in raw
+    units (1.0 for synthetic, already-normalized data); they must be positive
+    and finite by the time the dataset is reconstructed.
     """
 
     settings: tuple
@@ -102,17 +105,28 @@ class HomodyneDataset:
     calib_b: float = 1.0
 
     def __post_init__(self):
-        ids = np.asarray(self.setting_ids, dtype=int)
+        ids = np.asarray(self.setting_ids)
         sa = np.asarray(self.samples_a, dtype=float)
         sb = np.asarray(self.samples_b, dtype=float)
         if not (ids.shape == sa.shape == sb.shape) or ids.ndim != 1:
             raise InvalidArgumentError("setting_ids, samples_a, samples_b must be 1-D of equal length")
+        if ids.dtype.kind not in "biu":
+            ids = np.asarray(ids, dtype=float)
+        for name, column in (("setting_ids", ids), ("samples_a", sa), ("samples_b", sb)):
+            if column.dtype.kind == "f":
+                bad = ~np.isfinite(column)
+                if name == "setting_ids":
+                    bad |= column != np.trunc(column)
+                if bad.any():
+                    i = int(bad.argmax())
+                    kind = "a finite integer" if name == "setting_ids" else "finite"
+                    raise InvalidArgumentError(f"{name}[{i}] = {float(column[i])!r} is not {kind}")
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.settings)):
             raise InvalidArgumentError(
                 f"record references setting id {int(ids[(ids < 0) | (ids >= len(self.settings))][0])}, "
                 f"but only {len(self.settings)} settings are declared"
             )
-        object.__setattr__(self, "setting_ids", ids)
+        object.__setattr__(self, "setting_ids", np.asarray(ids, dtype=int))
         object.__setattr__(self, "samples_a", sa)
         object.__setattr__(self, "samples_b", sb)
 
@@ -275,10 +289,10 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
 def _reconstruct_file(path) -> ReconstructionResult:
     """reconstruct(load_dataset(path)), bit for bit, in memory bounded by a block of records.
 
-    Each block is folded into the moments as it is parsed, and no
-    HomodyneDataset is built unless the line loop must decide (see
-    load_dataset). The whole file is parsed before anything is judged, so
-    every parse error comes before any reconstruction error.
+    Each block is folded into the moments as it is parsed, whether numpy or
+    the line rules read it (see load_dataset), and no HomodyneDataset is
+    built. The whole file is parsed before anything is judged, so every
+    parse error comes before any reconstruction error.
     """
     settings, sums = _read_dataset(path, _MomentSums)
     return _fit(settings, sums.moments(settings))
@@ -396,17 +410,13 @@ def load_dataset(path) -> HomodyneDataset:
     and a file with no records raises EmptyDatasetError.
 
     The records are read by _read_dataset, the block reader whose blocks
-    `cvqkd analyze` and `reconstruct` fold straight into moments: one numpy
-    pass over _BLOCK lines at a time, each block checked by whole columns.
-    That pass accepts a subset of the format: where numpy rejects a line or
-    a column check fails, the file is read again one line at a time, and
-    that reading decides, with the line-numbered error or with the dataset
-    (numpy is stricter than the line rules about whitespace-only lines,
-    comments among the records and digit separators; records with
-    non-ASCII text go to the line loop unparsed).
-    Both readings give bit-identical arrays. path must therefore name a
-    file that can be read twice, not a pipe. A file that is not valid UTF-8
-    raises DatasetParseError naming the first offending byte.
+    `cvqkd analyze` and `reconstruct` fold straight into moments: one pass
+    over one open file, so path may be a pipe. Each block of _BLOCK lines
+    goes through one numpy pass, checked by whole columns; where numpy
+    rejects a line or a column check fails, the line rules decide that
+    block, with the line-numbered error or its records. Both readings give
+    bit-identical arrays. A file that is not valid UTF-8 raises
+    DatasetParseError naming the first offending byte.
     """
     settings, columns = _read_dataset(path, _Columns)
     return columns.dataset(settings)
@@ -430,28 +440,34 @@ class _Columns:
 def _read_dataset(path, sink) -> tuple:
     """(settings, sink(calib_a, calib_b) fed every record) of the dataset CSV at path.
 
-    The sink's add(setting_ids, samples_a, samples_b) takes the records in
-    file order, a block at a time. Where the numpy pass cannot decide, the
-    line loop reads the file again, and a new sink takes its dataset.
+    One pass over one open file, _BLOCK lines at a time; the line rules
+    decide a block the numpy pass rejects. The sink's add(setting_ids,
+    samples_a, samples_b) takes the records in file order, a block at a time.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            read = _read_columns(fh, path, sink)
-        if read is not None:
-            return read
-        ds = _load_dataset_lines(path)
+            calib, lineno = _read_preamble(enumerate(fh, start=1), path)
+            out = sink(calib["calib_a"], calib["calib_b"])
+            declared = []  # (theta_a, theta_b, line of its first record) per setting id
+            for batch in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):
+                block = _numpy_block(batch, lineno + 1, declared)
+                if block is None:
+                    block = _line_block(batch, lineno + 1, declared, calib)
+                if block[0].size:
+                    out.add(*block)
+                lineno += len(batch)
     except UnicodeDecodeError as exc:
         raise _utf8_error(path) from exc
-    out = sink(ds.calib_a, ds.calib_b)
-    for block in _dataset_blocks(ds):
-        out.add(*block)
-    return ds.settings, out
+    if not declared:
+        raise EmptyDatasetError(f"{path}: header but no records")
+    return tuple(MeasurementSetting(ta, tb) for ta, tb, _ in declared), out
 
 
 def _utf8_error(path) -> DatasetParseError:
-    """DatasetParseError at the first byte of path that does not decode as UTF-8."""
+    """DatasetParseError at the first byte of path that does not decode as
+    UTF-8; a pipe, which cannot be read again, gets no byte."""
     offset = 0
-    with open(path, "rb") as fh:
+    with open(path, "rb") if os.path.isfile(path) else contextlib.nullcontext(()) as fh:
         # a newline byte never occurs inside a multi-byte UTF-8 sequence
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -479,56 +495,49 @@ _RECORD_DTYPE = np.dtype(
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_columns(fh, path, sink) -> tuple | None:
-    """(settings, sink fed every record) from np.loadtxt passes over _BLOCK
-    lines at a time, or None where the line loop must decide."""
-    calib = _read_preamble(enumerate(fh, start=1), path)
-    out = sink(calib["calib_a"], calib["calib_b"])
-    settings = []
-    angles_a = angles_b = np.empty(0)
-    for batch in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):
-        # np.loadtxt skips empty lines, and warns when it finds nothing else
-        if batch[0] == "\n" and batch.count("\n") == len(batch):
-            continue
-        try:
-            rec = np.loadtxt(_numpy_readable(batch), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            return None
-        ids, ta, tb = rec["setting_id"], rec["theta_a"], rec["theta_b"]
-        if not all(np.isfinite(rec[name]).all() for name in _RECORD_DTYPE.names[1:]):
-            return None
-        # a record may name any id seen before it, or the next new one
-        seen = np.maximum.accumulate(np.concatenate(([len(settings) - 1], ids[:-1])))
-        if ids.min() < 0 or (ids > seen + 1).any():
-            return None
-        first_use = np.flatnonzero(ids > seen)
-        try:
-            settings += map(MeasurementSetting, ta[first_use].tolist(), tb[first_use].tolist())
-        except InvalidArgumentError:
-            return None
-        angles_a = np.concatenate((angles_a, ta[first_use]))
-        angles_b = np.concatenate((angles_b, tb[first_use]))
-        if not ((ta == angles_a[ids]).all() and (tb == angles_b[ids]).all()):
-            return None
-        out.add(ids, rec["sample_a"], rec["sample_b"])
-    return (tuple(settings), out) if settings else None
+def _numpy_block(batch: list, first_line: int, declared: list) -> tuple | None:
+    """_line_block's result by one np.loadtxt pass checked by whole columns,
+    or None, with declared untouched, where the line rules must decide.
 
-
-def _numpy_readable(batch: list) -> list:
-    """batch, if numpy reads its numbers as float() and int() do, else ValueError.
-
-    numpy's parser strips the ASCII information separators around a number,
-    which float() rejects, and reads non-ASCII numerals other than float()
-    and int() do (DEVANAGARI DIGIT TWO as 2360, where int() reads 2).
+    numpy rejects whitespace-only and comment lines and digit separators.
+    Text with non-ASCII characters or ASCII information separators is left
+    to the line rules unparsed: numpy strips those separators around a
+    number, which float() rejects, and reads non-ASCII numerals other than
+    int() does (DEVANAGARI DIGIT TWO as 2360, where int() reads 2).
     """
     text = "".join(batch)
     if not text.isascii() or any(c in text for c in _INFO_SEPARATORS):
-        raise ValueError("non-ASCII or separator characters among the records")
-    return batch
+        return None
+    if not text.strip("\n"):  # np.loadtxt skips empty lines, and warns when it finds nothing else
+        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    try:
+        rec = np.loadtxt(batch, dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids, ta, tb = rec["setting_id"], rec["theta_a"], rec["theta_b"]
+    if not all(np.isfinite(rec[name]).all() for name in _RECORD_DTYPE.names[1:]):
+        return None
+    # a record may name any id declared before it, or the next new one
+    seen = np.maximum.accumulate(np.concatenate(([len(declared) - 1], ids[:-1])))
+    if ids.min() < 0 or (ids > seen + 1).any():
+        return None
+    first_use = np.flatnonzero(ids > seen)
+    try:
+        new = list(map(MeasurementSetting, ta[first_use].tolist(), tb[first_use].tolist()))
+    except InvalidArgumentError:
+        return None
+    angles_a = np.array([d[0] for d in declared] + [s.theta_a for s in new])
+    angles_b = np.array([d[1] for d in declared] + [s.theta_b for s in new])
+    if not ((ta == angles_a[ids]).all() and (tb == angles_b[ids]).all()):
+        return None
+    if new:  # numpy skips empty lines
+        lines = [lineno for lineno, raw in enumerate(batch, start=first_line) if raw != "\n"]
+        declared += [(s.theta_a, s.theta_b, lines[i]) for s, i in zip(new, first_use.tolist())]
+    return ids, rec["sample_a"], rec["sample_b"]
 
 
-def _read_preamble(lines, path) -> dict:
-    """Calibration from the blank and comment lines up to the header, which it consumes.
+def _read_preamble(lines, path) -> tuple:
+    """(calibration, header's line number) from the lines up to the header, which it consumes.
 
     lines yields (line number, raw line) pairs.
     """
@@ -545,70 +554,57 @@ def _read_preamble(lines, path) -> dict:
                 f"line {lineno}: expected header {DATASET_HEADER!r}, got {line!r}",
                 line=lineno,
             )
-        return calib
+        return calib, lineno
     raise EmptyDatasetError(f"{path}: no header found")
 
 
-def _load_dataset_lines(path) -> HomodyneDataset:
-    """load_dataset one line at a time: the statement of the format's rules and messages."""
-    angles = {}
-    ids = []
-    arr_a = []
-    arr_b = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        calib = _read_preamble(lines, path)
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _parse_calibration_comment(line, lineno, calib, header_seen=True)
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise DatasetParseError(
-                    f"line {lineno}: expected 5 comma-separated fields, got {len(fields)}",
-                    line=lineno,
-                )
+def _line_block(batch: list, first_line: int, declared: list, calib: dict) -> tuple:
+    """The records of batch, lines first_line on, as (setting_ids, samples_a,
+    samples_b), one line at a time: the statement of the format's rules and
+    messages. Each new setting id appends (theta_a, theta_b, line) to declared.
+    """
+    ids, arr_a, arr_b = [], [], []
+    for lineno, raw in enumerate(batch, start=first_line):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _parse_calibration_comment(line, lineno, calib, header_seen=True)
+            continue
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DatasetParseError(
+                f"line {lineno}: expected 5 comma-separated fields, got {len(fields)}",
+                line=lineno,
+            )
+        try:
+            sid = int(fields[0])
+            ta, tb, a, b = (float(v) for v in fields[1:])
+        except ValueError as exc:
+            raise DatasetParseError(f"line {lineno}: {exc}", line=lineno) from exc
+        if not all(math.isfinite(v) for v in (ta, tb, a, b)):
+            raise DatasetParseError(f"line {lineno}: non-finite value", line=lineno)
+        if sid < 0 or sid > len(declared):
+            raise DatasetParseError(
+                f"line {lineno}: unknown setting id {sid} (ids must be contiguous from 0)",
+                line=lineno,
+            )
+        if sid == len(declared):
             try:
-                sid = int(fields[0])
-                ta, tb, a, b = (float(v) for v in fields[1:])
-            except ValueError as exc:
+                MeasurementSetting(ta, tb)
+            except InvalidArgumentError as exc:
                 raise DatasetParseError(f"line {lineno}: {exc}", line=lineno) from exc
-            if not all(math.isfinite(v) for v in (ta, tb, a, b)):
-                raise DatasetParseError(f"line {lineno}: non-finite value", line=lineno)
-            if sid < 0 or sid > len(angles):
-                raise DatasetParseError(
-                    f"line {lineno}: unknown setting id {sid} (ids must be contiguous from 0)",
-                    line=lineno,
-                )
-            if sid == len(angles):
-                try:
-                    MeasurementSetting(ta, tb)
-                except InvalidArgumentError as exc:
-                    raise DatasetParseError(f"line {lineno}: {exc}", line=lineno) from exc
-                angles[sid] = (ta, tb, lineno)
-            elif (ta, tb) != angles[sid][:2]:
-                raise DatasetParseError(
-                    f"line {lineno}: setting id {sid} redeclared with angles ({ta}, {tb}), "
-                    f"first declared as {angles[sid][:2]} on line {angles[sid][2]}",
-                    line=lineno,
-                )
-            ids.append(sid)
-            arr_a.append(a)
-            arr_b.append(b)
-    if not ids:
-        raise EmptyDatasetError(f"{path}: header but no records")
-    settings = tuple(MeasurementSetting(*angles[i][:2]) for i in range(len(angles)))
-    return HomodyneDataset(
-        settings=settings,
-        setting_ids=np.array(ids, dtype=int),
-        samples_a=np.array(arr_a, dtype=float),
-        samples_b=np.array(arr_b, dtype=float),
-        calib_a=calib["calib_a"],
-        calib_b=calib["calib_b"],
-    )
+            declared.append((ta, tb, lineno))
+        elif (ta, tb) != declared[sid][:2]:
+            raise DatasetParseError(
+                f"line {lineno}: setting id {sid} redeclared with angles ({ta}, {tb}), "
+                f"first declared as {declared[sid][:2]} on line {declared[sid][2]}",
+                line=lineno,
+            )
+        ids.append(sid)
+        arr_a.append(a)
+        arr_b.append(b)
+    return np.array(ids, dtype=int), np.array(arr_a, dtype=float), np.array(arr_b, dtype=float)
 
 
 @dataclass(frozen=True)

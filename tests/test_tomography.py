@@ -2,7 +2,12 @@
 
 import io
 import math
+import os
+import threading
+import tracemalloc
 import warnings
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +31,6 @@ from cvqkd.tomography import (
     CANONICAL_SETTINGS,
     HomodyneDataset,
     MeasurementSetting,
-    _load_dataset_lines,
     load_dataset,
     marginal_covariance,
     reconstruct,
@@ -529,6 +533,23 @@ def test_dataset_rejects_inconsistent_arrays():
             samples_a=np.zeros(2),
             samples_b=np.zeros(2),
         )
+    cases = [
+        ([0.7, 1.9, 0.2], [0.0, 0.0, 0.0], r"^setting_ids\[0\] = 0\.7 is not a finite integer$"),
+        ([0.0, 1.0, 0.5], [0.0, 0.0, 0.0], r"^setting_ids\[2\] = 0\.5 is not a finite integer$"),
+        ([0.0, np.nan, 1.0], [0.0, 0.0, 0.0], r"^setting_ids\[1\] = nan is not a finite integer$"),
+        ([0.0, -np.inf, 1.0], [0.0, 0.0, 0.0], r"^setting_ids\[1\] = -inf is not a finite integer$"),
+        ([0, 1, 0], [0.0, np.nan, 0.0], r"^samples_a\[1\] = nan is not finite$"),
+    ]
+    for ids, samples, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=message):
+                HomodyneDataset(CANONICAL_SETTINGS[:2], ids, samples, np.zeros(3))
+    with pytest.raises(InvalidArgumentError, match=r"^samples_b\[2\] = inf is not finite$"):
+        HomodyneDataset(CANONICAL_SETTINGS[:2], [0, 1, 0], np.zeros(3), [0.0, 1.0, np.inf])
+    for ids in (np.array([0, 1, 0], dtype=np.uint8), [0, 1, 0], np.array([0.0, 1.0, -0.0])):
+        ds = HomodyneDataset(CANONICAL_SETTINGS[:2], ids, np.zeros(3), np.ones(3))
+        assert ds.setting_ids.dtype == np.dtype(int) and ds.setting_ids.tolist() == [0, 1, 0]
 
 
 # ------------------------------------------------------------------ csv format
@@ -663,12 +684,20 @@ def test_load_dataset_reads_saved_file_without_line_loop(tmp_path, monkeypatch):
     path = tmp_path / "records.csv"
     save_dataset(ds, path)
 
-    def unexpected(path):
-        raise AssertionError("a well-formed file reached the line loop")
+    def unexpected(*args):
+        raise AssertionError("a well-formed file reached the line rules")
 
-    monkeypatch.setattr(cvqkd.tomography, "_load_dataset_lines", unexpected)
+    monkeypatch.setattr(cvqkd.tomography, "_line_block", unexpected)
     assert _outcome(load_dataset, path) == _outcome(lambda p: ds, path)
     load_dataset(write(tmp_path, "\n".join(_base_lines()) + "\n"))
+    # numpy skips empty lines, within a block and as a whole block
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.insert(3 + 5, "")
+    lines[3 + _BLOCK : 3 + _BLOCK] = [""] * _BLOCK
+    path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(load_dataset, path) == _outcome(lambda p: ds, path)
 
 
 def test_load_reports_bad_field_line_in_large_file(tmp_path):
@@ -727,7 +756,7 @@ def test_setting_moments_do_not_depend_on_other_settings_records():
 def test_reconstruct_file_equals_reconstruct_of_loaded_dataset(tmp_path, layout):
     """The moments folded block by block while parsing are reconstruct's on the loaded
     dataset, bit for bit, whether the records come grouped by setting, interleaved, or
-    through the line loop (a comment among the records)."""
+    with a block read by the line rules (a comment among the records)."""
     ds = sample_homodyne(rotated_state(0.2), n_per_setting=2 * _BLOCK + 7, seed=23)
     if layout == "interleaved":
         ds = _interleaved(ds, 23)
@@ -776,7 +805,7 @@ def test_block_moments_agree_with_two_pass_moments(monkeypatch):
     np.testing.assert_allclose(res.gamma_hat.entries, ref.gamma_hat.entries, rtol=0, atol=scale)
 
 
-# ------------------------------------------------ loader against the line loop
+# ----------------------------------------------- loader against the line rules
 
 
 def _outcome(load, path):
@@ -860,6 +889,31 @@ _INSERTED_LINES = {
 _MUTATION = st.tuples(st.sampled_from(sorted(_FIELD_EDITS) + sorted(_INSERTED_LINES)), st.integers(0, 99))
 
 
+def _mutate(lines, name, at, lo=3, hi=None):
+    """Insert a line among lines[lo:hi], or edit the fields of one of its records, at position at."""
+    hi = len(lines) if hi is None else hi
+    if name in _INSERTED_LINES:
+        lines.insert(lo + at % (hi - lo + 1), _INSERTED_LINES[name])
+    else:
+        records = [i for i in range(lo, hi) if lines[i].count(",") >= 4]
+        row = records[at % len(records)]
+        fields = lines[row].split(",")
+        _FIELD_EDITS[name](fields)
+        lines[row] = ",".join(fields)
+
+
+def _write_lines(path, lines, newline="\n"):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    return path
+
+
+def _load_by_line_rules(path):
+    """load_dataset with every block decided by the line rules: the reference for the numpy pass."""
+    with mock.patch.object(cvqkd.tomography, "_numpy_block", lambda batch, first_line, declared: None):
+        return load_dataset(path)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @example(mutations=[("angle_out_of_range", 7)], newline="\n", truncate=None)
 @example(mutations=[("id_negative", 10)], newline="\n", truncate=None)
@@ -869,21 +923,193 @@ _MUTATION = st.tuples(st.sampled_from(sorted(_FIELD_EDITS) + sorted(_INSERTED_LI
     truncate=st.one_of(st.none(), st.integers(0, 40)),
 )
 def test_load_dataset_agrees_with_line_loop(tmp_path_factory, mutations, newline, truncate):
-    """The numpy pass returns what the line loop returns, dataset or error, on mutated files."""
+    """The numpy pass returns what the line rules return, dataset or error, on mutated files."""
     lines = _base_lines()
     for name, at in mutations:
-        if name in _INSERTED_LINES:
-            lines.insert(3 + at % (len(lines) - 2), _INSERTED_LINES[name])
-        else:
-            records = [i for i, line in enumerate(lines) if i >= 3 and line.count(",") >= 4]
-            row = records[at % len(records)]
-            fields = lines[row].split(",")
-            _FIELD_EDITS[name](fields)
-            lines[row] = ",".join(fields)
+        _mutate(lines, name, at)
     text = newline.join(lines) + newline
     if truncate is not None:
         text = text[: len(text) - len(lines[-1]) - len(newline) + truncate]
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    assert _outcome(load_dataset, path) == _outcome(_load_dataset_lines, path)
+    assert _outcome(load_dataset, path) == _outcome(_load_by_line_rules, path)
+
+
+#: records of the three-block file; setting 4 is first used in block 2, on this record
+_FIRST_OF_4 = _BLOCK + 100
+
+
+@lru_cache(maxsize=None)
+def _three_block_lines():
+    """A saved dataset of 2 * _BLOCK + 40 interleaved records, as lines: settings 0-3 are
+    declared on lines 4-7 in block 1, setting 4 on line _FIRST_OF_4 + 4 in block 2."""
+    rng = np.random.default_rng(25)
+    n = 2 * _BLOCK + 40
+    ids = rng.integers(0, 4, n)
+    ids[:4] = range(4)
+    ids[_FIRST_OF_4:] = rng.integers(0, 5, n - _FIRST_OF_4)
+    ids[_FIRST_OF_4] = 4
+    draws = rng.standard_normal((n, 2))
+    ds = HomodyneDataset(CANONICAL_SETTINGS, ids, draws[:, 0], draws[:, 1], calib_a=1.25, calib_b=0.5)
+    out = io.StringIO()
+    save_dataset(ds, out)
+    return tuple(out.getvalue().splitlines())
+
+
+def _in_block(lines, block, sid):
+    """Index in lines of the first record of setting sid in block (1-based)."""
+    lo = 3 + (block - 1) * _BLOCK
+    return next(i for i in range(lo, lo + _BLOCK) if lines[i].startswith(f"{sid},"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@example(mutations=[("angle_redeclared", 3, 0)], newline="\n")
+@example(mutations=[("comment", 2, 3), ("angle_redeclared", 3, 5)], newline="\n")
+@example(mutations=[("comment", 1, 0), ("id_next", 2, 9)], newline="\n")
+@example(mutations=[("calibration_comment", 2, 50)], newline="\n")
+@example(mutations=[("blank", 2, 50), ("angle_redeclared", 3, 1)], newline="\r\n")
+@example(mutations=[("whitespace", 2, 99), ("sample_nan", 3, 2)], newline="\n")
+@given(
+    mutations=st.lists(st.tuples(_MUTATION.map(lambda m: m[0]), st.integers(1, 3), st.integers(0, 99)), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_dataset_agrees_with_line_rules_across_blocks(tmp_path_factory, mutations, newline):
+    """Across blocks, the numpy pass and the line rules thread one list of declared
+    settings: a mutation in block 1, 2 or 3 gives what the line rules alone give."""
+    lines = list(_three_block_lines())
+    for name, block, at in mutations:
+        lo = 3 + (block - 1) * _BLOCK
+        _mutate(lines, name, at, lo, min(lo + _BLOCK, len(lines)))
+    path = _write_lines(tmp_path_factory.getbasetemp() / "three_blocks.csv", lines, newline)
+    assert _outcome(load_dataset, path) == _outcome(_load_by_line_rules, path)
+
+
+def test_rejected_numpy_block_leaves_declared_untouched():
+    """A block numpy rejects after its first new setting is seen declares nothing."""
+    for batch in (
+        ["0,0.0,0.0,1.0,1.0\n", "1,90.0,90.0,1.0,1.0\n", "1,45.0,90.0,1.0,1.0\n"],
+        ["0,0.0,0.0,1.0,1.0\n", "1,90.0,90.0,1.0,1.0\n", "2,200.0,0.0,1.0,1.0\n"],
+    ):
+        declared = [(0.0, 0.0, 4)]
+        assert cvqkd.tomography._numpy_block(batch, 5, declared) is None
+        assert declared == [(0.0, 0.0, 4)]
+        with pytest.raises(DatasetParseError, match="^line 7: "):
+            cvqkd.tomography._line_block(batch, 5, declared, {"calib_a": 1.0, "calib_b": 1.0})
+
+
+@pytest.mark.parametrize("inserted", [None, "", "# note"], ids=["clean", "blank", "comment"])
+def test_redeclaration_names_the_first_declaration_blocks_earlier(tmp_path, inserted):
+    """A redeclaration in block 3 names the line of the setting's first record, whether
+    numpy (skipping a blank line) or the line rules read the block that declared it."""
+    lines = list(_three_block_lines())
+    if inserted is not None:
+        lines.insert(3 + _BLOCK + 10, inserted)
+    cases = [(0, 4), (4, _FIRST_OF_4 + 4 + (inserted is not None))]
+    for sid, first_line in cases:
+        edited = list(lines)
+        row = _in_block(edited, 3, sid)
+        fields = edited[row].split(",")
+        ta, tb = fields[1:3]
+        fields[2] = "1" + tb
+        edited[row] = ",".join(fields)
+        path = _write_lines(tmp_path / "redeclared.csv", edited)
+        message = (
+            f"^line {row + 1}: setting id {sid} redeclared with angles \\({ta}, 1{tb}\\), "
+            f"first declared as \\({ta}, {tb}\\) on line {first_line}$"
+        )
+        for read in (load_dataset, cvqkd.tomography._reconstruct_file):
+            with pytest.raises(DatasetParseError, match=message):
+                read(path)
+
+
+def _noted_file(tmp_path, n_records, note=True):
+    """A saved grouped dataset of n_records records, with a '# note' line in block 2, and its lines."""
+    ds = sample_homodyne(rotated_state(0.3), n_per_setting=n_records // 5 + 1, seed=26)
+    ds = _regroup(ds, range(5), np.arange(ds.n_records) < n_records)
+    out = io.StringIO()
+    save_dataset(ds, out)
+    lines = out.getvalue().splitlines()
+    if note:
+        lines.insert(3 + _BLOCK + 17, "# note")
+    return _write_lines(tmp_path / f"records_{n_records}_{int(note)}.csv", lines), lines
+
+
+def test_line_rules_decide_only_the_block_numpy_rejects(tmp_path, monkeypatch):
+    """A comment in block 2 sends block 2, and only block 2, to the line rules."""
+    path, lines = _noted_file(tmp_path, 8 * _BLOCK)
+    calls = []
+    line_block = cvqkd.tomography._line_block
+
+    def spy(batch, first_line, declared, calib):
+        calls.append((list(batch), first_line))
+        return line_block(batch, first_line, declared, calib)
+
+    monkeypatch.setattr(cvqkd.tomography, "_line_block", spy)
+    ds = load_dataset(path)
+    assert [first_line for _, first_line in calls] == [4 + _BLOCK]
+    assert calls[0][0] == [line + "\n" for line in lines[3 + _BLOCK : 3 + 2 * _BLOCK]]
+    assert ds.n_records == 8 * _BLOCK
+    _same_result(cvqkd.tomography._reconstruct_file(path), reconstruct(ds))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reconstruct_file_memory_does_not_grow_with_a_comment(tmp_path):
+    """A comment among the records costs its block, not the file: the traced peak of
+    _reconstruct_file stays within 1.5x of the clean file's."""
+    noted, _ = _noted_file(tmp_path, 8 * _BLOCK)
+    clean, _ = _noted_file(tmp_path, 8 * _BLOCK, note=False)
+    for path in (clean, noted):  # first calls fill numpy's and Python's caches
+        cvqkd.tomography._reconstruct_file(path)
+    clean_peak = _traced_peak(cvqkd.tomography._reconstruct_file, clean)
+    noted_peak = _traced_peak(cvqkd.tomography._reconstruct_file, noted)
+    assert noted_peak <= 1.5 * clean_peak, (noted_peak, clean_peak)
+
+
+def _load_through_fifo(fifo, data, timeout=60.0):
+    """_outcome of load_dataset(fifo) while another thread writes data into it; fails
+    rather than hangs if load_dataset opens the fifo a second time."""
+    result = {}
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    def load():
+        result["outcome"] = _outcome(load_dataset, fifo)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, load)]
+    for t in threads:
+        t.start()
+    threads[0].join(timeout)
+    threads[1].join(timeout)
+    if any(t.is_alive() for t in threads):
+        # release a reader or writer still waiting, so that no thread outlives the test
+        for flags in (os.O_WRONLY | os.O_NONBLOCK, os.O_RDONLY | os.O_NONBLOCK):
+            try:
+                os.close(os.open(fifo, flags))
+            except OSError:
+                pass
+        pytest.fail("reading through a pipe did not finish; the dataset was opened twice")
+    return result["outcome"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_dataset_reads_a_pipe(tmp_path):
+    """One open and one pass: a file whose block 2 the line rules decide reads the same
+    through a named pipe."""
+    path, _ = _noted_file(tmp_path, 3 * _BLOCK)
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    assert _load_through_fifo(fifo, path.read_bytes()) == _outcome(load_dataset, path)
+    # a pipe cannot be read again to find the bad byte, so its error names none
+    outcome = _load_through_fifo(fifo, b"\xff" + HEADER.encode())
+    assert outcome == (DatasetParseError, f"{fifo}: not valid UTF-8", None)
