@@ -25,15 +25,15 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ConfigError, CvqkdError, InvalidStateError
 from .gaussian import (
+    _epr_products,
     covariance_from_json,
     covariance_to_json,
-    epr_product,
     is_physical,
     symplectic_eigenvalues,
     variance_to_db,
@@ -43,8 +43,8 @@ from .noise import (
     ChannelParams,
     SourceParams,
     SqueezingSpec,
+    _optical_and_detected,
     _pump_sqz_variance,
-    detection_noise,
     make_epr_state,
 )
 from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
@@ -254,21 +254,17 @@ def _resolve(cfg: dict) -> tuple:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    spec, channel = _resolve(cfg)
     # the Reid (EPR) product is of the optical state, before detection, so
-    # only simulate holds detection noise out of the pipeline and adds it after
-    deltas = [channel.det_noise_a, channel.det_noise_b]
-    optical = make_epr_state(spec, replace(channel, det_noise_a=0.0, det_noise_b=0.0))
-    detected = detection_noise(optical, deltas) if any(deltas) else optical
+    # simulate takes the state before detection noise from the same pipeline run
+    optical, detected = _optical_and_detected(*_resolve(cfg))
     n = cfg["analysis"]["n_samples"] if cfg["analysis"]["worst_case"] else None
     report = secret_key_rate(detected, n_samples=n)
-    direct_ab, opt_ab = epr_product(optical, "a_given_b")
-    direct_ba, opt_ba = epr_product(optical, "b_given_a")
+    (direct_ab, opt_ab), (direct_ba, opt_ba) = _epr_products(optical, ("a_given_b", "b_given_a"))
     doc_report = report.as_dict()
     doc_report["epr_direct"] = min(direct_ab, direct_ba)
     doc_report["epr_optimized"] = min(opt_ab, opt_ba)
     doc = {"covariance": covariance_to_json(detected), "report": doc_report}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json(doc) + "\n", args.out)
     return 2 if report.k_nominal <= 0.0 else 0
 
 
@@ -358,7 +354,7 @@ def cmd_reconstruct(args, cfg: dict) -> int:
     result = _reconstruct_file(args.dataset)
     doc = {
         "covariance": covariance_to_json(result.gamma_hat),
-        "std_errors": [[float(v) for v in row] for row in result.std_errors],
+        "std_errors": result.std_errors.tolist(),
         "n_min": result.n_min,
         "cross_check": None,
     }
@@ -369,25 +365,27 @@ def cmd_reconstruct(args, cfg: dict) -> int:
             "std_error": result.cross_check_std_error,
             "within_5_std_errors": result.cross_check_ok,
         }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json(doc) + "\n", args.out)
     return 0
 
 
 def cmd_analyze(args, cfg: dict) -> int:
-    with open(args.input, "rb") as fh:
-        head = fh.read(64)
     n_default = cfg["analysis"]["n_samples"]
-    if head.lstrip()[:1] == b"{":
-        with open(args.input, "r", encoding="utf-8") as fh:
+    # one open stream, so the input may be a pipe: the first byte after its
+    # leading whitespace, peeked and not consumed, tells a covariance JSON
+    # from a dataset CSV
+    with open(args.input, "r", encoding="utf-8") as fh:
+        blank = _read_whitespace(fh.buffer)
+        if fh.buffer.peek(1)[:1] == b"{":
             try:
-                doc = json.load(fh)
+                doc = json.loads(blank + fh.read())
             except ValueError as exc:
                 raise ConfigError(f"{args.input}: invalid covariance JSON: {exc}") from exc
-        g = covariance_from_json(doc)
-    else:
-        result = _reconstruct_file(args.input)
-        g = result.gamma_hat
-        n_default = result.n_min
+            g = covariance_from_json(doc)
+        else:
+            result = _reconstruct_file(fh, first_line=1 + blank.count("\n"))
+            g = result.gamma_hat
+            n_default = result.n_min
     if not is_physical(g):
         try:  # an indefinite matrix has no symplectic eigenvalues to name
             detail = f", its smallest symplectic eigenvalue is {symplectic_eigenvalues(g)[1]:.6g} < 1"
@@ -396,8 +394,59 @@ def cmd_analyze(args, cfg: dict) -> int:
         raise InvalidStateError(f"{args.input}: covariance matrix is unphysical{detail}")
     n = args.n if args.n is not None else n_default
     report = secret_key_rate(g, n_samples=n if cfg["analysis"]["worst_case"] else None)
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
+    _emit(_json(report.as_dict()) + "\n", args.out)
     return 2 if report.k_nominal <= 0.0 else 0
+
+
+def _read_whitespace(buf) -> str:
+    """The ASCII whitespace at the front of the binary stream buf, read off
+    it, with its line breaks read as a text stream reads them. It waits for
+    more bytes while all it has seen is whitespace, as a pipe may send them
+    apart."""
+    skipped = bytearray()
+    while head := buf.peek(1):
+        n = len(head) - len(head.lstrip())
+        skipped += buf.read(n)
+        if n < len(head):
+            break
+    return skipped.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+
+
+#: json.dumps's spelling of the floats whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, without the stdlib's pure-Python
+    indenting encoder: dicts with str keys, lists and tuples, str, int, float,
+    bool and None, and their subclasses. Floats read as float.__repr__,
+    or NaN, Infinity and -Infinity; strings and keys go through the stdlib's
+    ASCII escaper, its C function where there is one. newline is the line break
+    and indent of the line value starts on; its members go one level deeper."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fmt(value: float) -> str:

@@ -118,20 +118,21 @@ def squeezed_vacuum(var_sqz: float, var_asqz: float) -> CovarianceMatrix:
     return covariance(np.diag(_squeezed_variances(var_sqz, var_asqz)))
 
 
-def _squeezed_variances(var_sqz: float, var_asqz: float) -> list:
-    """squeezed_vacuum's checks and warnings, named at the caller's caller."""
+def _squeezed_variances(var_sqz: float, var_asqz: float, stacklevel: int = 3) -> list:
+    """squeezed_vacuum's checks and warnings, named stacklevel frames up: by
+    default at the caller's caller."""
     if var_sqz <= 0.0 or var_asqz <= 0.0:
         raise InvalidArgumentError(f"variances must be positive, got ({var_sqz}, {var_asqz})")
     if not (var_sqz <= 1.0 <= var_asqz):
         warnings.warn(
             f"squeezed_vacuum({var_sqz}, {var_asqz}): expected var_sqz <= 1 <= var_asqz",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     if var_sqz * var_asqz < 1.0 - DEFAULT_TOL:
         warnings.warn(
             f"squeezed_vacuum({var_sqz}, {var_asqz}): variance product {var_sqz * var_asqz:.6f} < 1, "
             "state violates the uncertainty relation",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return [float(var_sqz), float(var_asqz)]
 
@@ -402,14 +403,31 @@ def epr_product(g: CovarianceMatrix, direction: str = "a_given_b") -> tuple[floa
     """
     _require_two_modes(g)
     direction = direction.lower()
-    if direction not in ("a_given_b", "b_given_a"):
+    if direction not in _EPR_DIRECTIONS:
         raise InvalidArgumentError(f"direction must be 'a_given_b' or 'b_given_a', got {direction!r}")
+    return _epr_products(g, [direction])[0]
+
+
+#: each direction's two conditioning quadratures, X and P of the other mode,
+#: and the block determinant its optimized product divides i4 by
+_EPR_DIRECTIONS = {"a_given_b": ((2, 3), "i2"), "b_given_a": ((0, 1), "i1")}
+
+
+def _epr_products(g: CovarianceMatrix, directions) -> list:
+    """[epr_product(g, d) for d in directions] from one invariants() and one
+    _conditioned() of g, bit for bit, with its errors in the same order.
+
+    Conditioning on quadrature k leaves the variance of the other mode's
+    matching quadrature k ^ 2 at [k ^ 2, k ^ 2] of k's slice.
+    """
     inv = invariants(g)
-    if direction == "a_given_b":
-        cond = _conditioned(g.entries, slice(2, 4))
-        return float(cond[0, 0, 0] * cond[1, 1, 1]), float(inv.i4 / inv.i2)
-    cond = _conditioned(g.entries, slice(0, 2))
-    return float(cond[0, 2, 2] * cond[1, 3, 3]), float(inv.i4 / inv.i1)
+    cond = _conditioned(g.entries, [k for d in directions for k in _EPR_DIRECTIONS[d][0]])
+    out = []
+    for j, direction in enumerate(directions):
+        (kx, kp), block = _EPR_DIRECTIONS[direction]
+        direct = cond[2 * j, kx ^ 2, kx ^ 2] * cond[2 * j + 1, kp ^ 2, kp ^ 2]
+        out.append((float(direct), float(inv.i4 / getattr(inv, block))))
+    return out
 
 
 def _conditioned(m: np.ndarray, given=slice(None)) -> np.ndarray:
@@ -432,7 +450,7 @@ def _conditioned(m: np.ndarray, given=slice(None)) -> np.ndarray:
 
 def covariance_to_json(g: CovarianceMatrix) -> dict:
     """Serializable document form, {"n_modes": n, "entries": [[...], ...]}."""
-    return {"n_modes": g.n_modes, "entries": [[float(v) for v in row] for row in g.entries]}
+    return {"n_modes": g.n_modes, "entries": g.entries.tolist()}
 
 
 def covariance_from_json(doc: dict) -> CovarianceMatrix:

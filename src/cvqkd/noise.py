@@ -213,7 +213,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
 
 # The channel arithmetic on raw matrices, without argument checks or
 # validation: the public maps above wrap each in covariance(), and
-# _pipeline chains them and validates once.
+# _optical and _pipeline chain them and validate once.
 
 
 def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -345,6 +345,24 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     phase_noise_channel and detection_noise composed.
     """
     ch = channel if channel is not None else ChannelParams()
+    return _pipeline(*_source(spec, ch), ch)
+
+
+def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
+    """(optical, detected) states of one make_epr_state run: the state before
+    detection noise, whose Reid product simulate reports, and the detected
+    state make_epr_state(spec, ch) returns, each validated once. Bit for bit
+    make_epr_state with zero detection noise, and detection_noise on it."""
+    # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
+    optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
+    if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
+        return optical, optical
+    return optical, covariance(_detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float)))
+
+
+def _source(spec, ch: ChannelParams) -> tuple[float, float]:
+    """make_epr_state's checked source variances (vs, va); its warnings name
+    the line that called make_epr_state or _optical_and_detected."""
     eps = ch.epsilon
     if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
@@ -355,7 +373,7 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
                 f"var_sqz_db = {spec.var_sqz_db} dB under epsilon = {eps} implies r = {r:.6g}, which"
             )
             raise InvalidArgumentError(f"{figure} puts a source variance e^(-2r) or e^(2r) beyond the float range") from exc
-        source = _squeezed_variances(*variances)
+        source = _squeezed_variances(*variances, stacklevel=4)
     else:
         source = _detected_source(spec, eps)
     if not isinstance(spec, SqueezingSpec) or spec.r is None:
@@ -365,7 +383,7 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
                     f"{name} = {loss} is smaller than the source-side epsilon = {eps}; "
                     "the measured-input route needs at least that much total loss per arm"
                 )
-    return _pipeline(*source, ch)
+    return source
 
 
 def _detected_source(spec, eps: float) -> tuple[float, float]:
@@ -388,7 +406,7 @@ def _detected_source(spec, eps: float) -> tuple[float, float]:
             f"measured pair {_pair_db(spec, vs, va)} implies a source variance product "
             f"{source[0] * source[1]:.6f} < 1 under epsilon = {eps}; the inferred source state "
             "violates the uncertainty relation",
-            stacklevel=3,
+            stacklevel=4,
         )
     return source
 
@@ -401,11 +419,15 @@ def _pair_db(spec, vs: float, va: float) -> str:
 
 
 def _pipeline(vs: float, va: float, ch: ChannelParams) -> CovarianceMatrix:
-    """The source diag(vs, va) with vacuum, _BEAMSPLITTER, loss, phase noise
-    and detection noise on one raw 4x4 array, kept exactly symmetric, on values
-    make_epr_state and ChannelParams checked; validated once by the final
-    covariance(). Zero loss or detection noise changes no entry; zero phase
-    noise would round."""
+    """_optical, then detection noise, validated once by the final covariance()."""
+    return covariance(_detection(_optical(vs, va, ch), np.array([ch.det_noise_a, ch.det_noise_b], dtype=float)))
+
+
+def _optical(vs: float, va: float, ch: ChannelParams) -> np.ndarray:
+    """The source diag(vs, va) with vacuum, _BEAMSPLITTER, loss and phase noise
+    on one raw 4x4 array, kept exactly symmetric, on values make_epr_state and
+    ChannelParams checked. Zero loss changes no entry; zero phase noise would
+    round."""
     m = np.zeros((4, 4))
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = vs, va, 1.0, 1.0
     m = _BEAMSPLITTER @ m @ _BEAMSPLITTER.T
@@ -413,8 +435,7 @@ def _pipeline(vs: float, va: float, ch: ChannelParams) -> CovarianceMatrix:
     m = _loss(m, np.array([ch.loss_a, ch.loss_b], dtype=float))
     if ch.phase_sigma_a != 0.0 or ch.phase_sigma_b != 0.0:
         m = _phase_noise(m, np.array([ch.phase_sigma_a, ch.phase_sigma_b], dtype=float))
-    m = _detection(m, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
-    return covariance(m)
+    return m
 
 
 def _per_mode(value, n_modes: int, name: str) -> np.ndarray:

@@ -286,15 +286,17 @@ def reconstruct(ds: HomodyneDataset) -> ReconstructionResult:
     return _fit(ds.settings, _per_setting_moments(ds))
 
 
-def _reconstruct_file(path) -> ReconstructionResult:
+def _reconstruct_file(path, first_line: int = 1) -> ReconstructionResult:
     """reconstruct(load_dataset(path)), bit for bit, in memory bounded by a block of records.
+    path may also be an open text stream, whose next line is line first_line
+    (see _read_dataset).
 
     Each block is folded into the moments as it is parsed, whether numpy or
     the line rules read it (see load_dataset), and no HomodyneDataset is
     built. The whole file is parsed before anything is judged, so every
     parse error comes before any reconstruction error.
     """
-    settings, sums = _read_dataset(path, _MomentSums)
+    settings, sums = _read_dataset(path, _MomentSums, first_line)
     return _fit(settings, sums.moments(settings))
 
 
@@ -437,16 +439,20 @@ class _Columns:
         return HomodyneDataset(settings, ids, samples_a, samples_b, *self.calib)
 
 
-def _read_dataset(path, sink) -> tuple:
-    """(settings, sink(calib_a, calib_b) fed every record) of the dataset CSV at path.
+def _read_dataset(source, sink, first_line: int = 1) -> tuple:
+    """(settings, sink(calib_a, calib_b) fed every record) of the dataset CSV at source.
 
-    One pass over one open file, _BLOCK lines at a time; the line rules
-    decide a block the numpy pass rejects. The sink's add(setting_ids,
-    samples_a, samples_b) takes the records in file order, a block at a time.
+    source is a path or an open UTF-8 text stream, named in messages by its
+    name; messages number its next line first_line. One pass over one open
+    file, _BLOCK lines at a time; the line rules decide a block the numpy
+    pass rejects. The sink's add(setting_ids, samples_a, samples_b) takes
+    the records in file order, a block at a time.
     """
+    stream = hasattr(source, "read")
+    path = source.name if stream else source
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            calib, lineno = _read_preamble(enumerate(fh, start=1), path)
+        with contextlib.nullcontext(source) if stream else open(source, "r", encoding="utf-8") as fh:
+            calib, lineno = _read_preamble(enumerate(fh, start=first_line), path)
             out = sink(calib["calib_a"], calib["calib_b"])
             declared = []  # (theta_a, theta_b, line of its first record) per setting id
             for batch in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):

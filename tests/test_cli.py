@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1010,3 +1012,155 @@ def test_analyze_rejects_json_strings_and_booleans_without_traceback(tmp_path, d
     proc = run_module("cvqkd", "analyze", "--worst-case", str(path))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {message}\n", proc.stderr
+
+
+# ----------------------------------------------------------------- JSON output
+
+_JSON_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308]
+) | st.floats()
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63, max_value=2**70) | _JSON_FLOATS | st.text()
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@example(
+    doc={
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, np.float64(0.1)],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+        "ints": [2**64, -(2**70), True, False, None],
+        "strings": ["\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\/\u2028", ""],
+        "\u00e9\x07key": [[[]], [{}]],
+    }
+)
+@given(doc=_JSON_DOCS)
+def test_json_writer_equals_the_stdlib_indented_encoder(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["simulate", "--worst-case"],
+        ["simulate", "--config", {"source": {"mode": "pump", "p_mw": 240.0}}],
+        ["analyze", "--worst-case", "records.csv"],
+        ["analyze", "state.json"],
+        ["reconstruct", "records.csv"],
+    ],
+    ids=["simulate", "simulate-worst-case", "simulate-pump", "analyze-csv", "analyze-json", "reconstruct"],
+)
+def test_json_outputs_are_the_stdlib_indented_encoding(capsys, tmp_path, argv):
+    argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) and not os.path.isabs(a) else a for a in argv]
+    run(capsys, "sample", "--config", write_config(tmp_path, NOISY, "noisy.json"), "--n", "3000", "--out", str(tmp_path / "records.csv"))
+    simulated = json.loads(run(capsys, "simulate")[1])
+    (tmp_path / "state.json").write_text(json.dumps(simulated["covariance"]), encoding="utf-8")
+    rc, out, err = run(capsys, *argv)
+    assert rc in (0, 2) and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _analyze_through_fifo(tmp_path, data: bytes, flags: list, timeout=60.0, apart=()):
+    """(exit code, report or None) of analyze reading data from a named pipe
+    that another thread writes; fails rather than hangs if analyze opens the
+    pipe a second time. The chunks apart go first, each written on its own
+    and followed by a pause, so that a read sees it alone."""
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    report = tmp_path / "fifo-report.json"
+    result = {}
+
+    def feed():
+        try:
+            with open(fifo, "wb", buffering=0) as fh:
+                for chunk in apart:
+                    fh.write(chunk)
+                    time.sleep(0.2)
+                fh.write(data)
+        except BrokenPipeError:  # a reader that closed early; analyze then waits for a second writer
+            pass
+
+    def analyze():
+        result["rc"] = main(["analyze", *flags, "--out", str(report), str(fifo)])
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, analyze)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    if any(t.is_alive() for t in threads):
+        # release a reader or writer still waiting, so that no thread outlives the test
+        for mode in (os.O_WRONLY | os.O_NONBLOCK, os.O_RDONLY | os.O_NONBLOCK):
+            try:
+                os.close(os.open(fifo, mode))
+            except OSError:
+                pass
+        pytest.fail("analyze through a pipe did not finish; the input was opened twice")
+    return result["rc"], report.read_text(encoding="utf-8") if report.exists() else None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("kind", ["csv", "json"])
+@pytest.mark.parametrize("flags", [[], ["--worst-case"]], ids=["nominal", "worst-case"])
+def test_analyze_reads_a_pipe_as_it_reads_the_file(capsys, tmp_path, kind, flags):
+    """One open stream: a dataset CSV, larger than a pipe holds, and a covariance
+    JSON give the regular file's report and exit code through a named pipe."""
+    path = tmp_path / f"input.{kind}"
+    if kind == "csv":
+        run(capsys, "sample", "--config", write_config(tmp_path, NOISY), "--n", "3000", "--out", str(path))
+    else:
+        run(capsys, "simulate", "--out", str(tmp_path / "simulate.json"))
+        doc = json.loads((tmp_path / "simulate.json").read_text(encoding="utf-8"))
+        path.write_text(json.dumps(doc["covariance"], indent=1), encoding="utf-8")
+    report = tmp_path / "file-report.json"
+    want_rc = main(["analyze", *flags, "--out", str(report), str(path)])
+    assert want_rc in (0, 2)
+    assert _analyze_through_fifo(tmp_path, path.read_bytes(), flags) == (want_rc, report.read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "kind, apart, error",
+    [
+        ("csv", [b"\n"], None),
+        ("json", [b"\n"], None),
+        ("json", [b" \r", b"\n\t", b"\r"], None),
+        ("csv", [b"\r\n", b" \n"], "line 4: expected header"),
+        ("json", [b"\r\n", b"\r"], "line 3 column 13 (char 14)"),
+    ],
+    ids=["csv", "json", "json-crlf", "csv-line-number", "json-position"],
+)
+def test_analyze_reads_past_leading_whitespace_sent_apart(capsys, tmp_path, kind, apart, error):
+    """Whitespace a pipe sends before the rest, a write at a time, does not decide
+    JSON or CSV: the pipe gives the report, exit code and error message of the
+    regular file with the same bytes, line numbers and positions included."""
+    if kind == "csv":
+        run(capsys, "sample", "--config", write_config(tmp_path, NOISY), "--n", "3000", "--out", str(tmp_path / "r.csv"))
+        body = (tmp_path / "r.csv").read_bytes()
+        body = b"# note\nnot,a,header\n" + body if error else body
+    else:
+        doc = json.loads(run(capsys, "simulate")[1])["covariance"]
+        body = b'{"entries": }' if error else json.dumps(doc, indent=1).encode()
+    path = tmp_path / "input"
+    path.write_bytes(b"".join(apart) + body)
+    report = tmp_path / "file-report.json"
+    want_rc = main(["analyze", "--out", str(report), str(path)])
+    want_err = capsys.readouterr().err
+    got_rc, got_report = _analyze_through_fifo(tmp_path, body, [], apart=apart)
+    got_err = capsys.readouterr().err
+    assert got_rc == want_rc
+    assert got_err == want_err.replace(str(path), str(tmp_path / "input.fifo"))
+    if error is None:
+        assert want_rc in (0, 2) and want_err == ""
+        assert got_report == report.read_text(encoding="utf-8")
+    else:
+        assert want_rc == 1 and error in want_err and got_report is None

@@ -11,6 +11,8 @@ from cvqkd.gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
     _conditioned,
+    _epr_products,
+    _require_two_modes,
     _screened_det,
     apply_symplectic,
     balanced_beamsplitter,
@@ -549,6 +551,61 @@ def test_epr_product_direct_equals_optimized_for_tmsv():
 def test_epr_product_rejects_unknown_direction():
     with pytest.raises(InvalidArgumentError):
         epr_product(vacuum(2), "sideways")
+
+
+def _per_slice_epr_product(g, direction="a_given_b"):
+    """epr_product as it read each direction on its own: one invariants() and one
+    _conditioned() on that direction's slice per call."""
+    _require_two_modes(g)
+    direction = direction.lower()
+    if direction not in ("a_given_b", "b_given_a"):
+        raise InvalidArgumentError(f"direction must be 'a_given_b' or 'b_given_a', got {direction!r}")
+    inv = invariants(g)
+    if direction == "a_given_b":
+        cond = _conditioned(g.entries, slice(2, 4))
+        return float(cond[0, 0, 0] * cond[1, 1, 1]), float(inv.i4 / inv.i2)
+    cond = _conditioned(g.entries, slice(0, 2))
+    return float(cond[0, 2, 2] * cond[1, 3, 3]), float(inv.i4 / inv.i1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test is the error itself
+        return type(exc), str(exc)
+
+
+def test_shared_epr_read_equals_the_per_slice_reads_bit_for_bit():
+    """Both directions from one invariants() and one _conditioned() read what each
+    direction's own slice gave, on normal-form states with each arm rotated."""
+    rng = np.random.default_rng(24)
+    both = ("a_given_b", "b_given_a")
+    for _ in range(200):
+        g = random_normal_form_state(rng)
+        s = np.zeros((4, 4))
+        s[0:2, 0:2] = rotation(float(rng.uniform(0.0, 2.0 * math.pi)))
+        s[2:4, 2:4] = rotation(float(rng.uniform(0.0, 2.0 * math.pi)))
+        g = apply_symplectic(g, s)
+        want = [_per_slice_epr_product(g, d) for d in both]
+        assert [epr_product(g, d) for d in both] == want
+        assert _epr_products(g, both) == want
+        assert [_epr_products(g, [d])[0] for d in both] == want
+
+
+@pytest.mark.parametrize("direction", ["a_given_b", "B_GIVEN_A", "sideways"])
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+def test_epr_product_errors_come_in_the_per_slice_order(direction, scale):
+    """On matrices that overflow the invariants: the direction is judged before the
+    invariants, and a one-mode state before either."""
+    overflowing = covariance(tmsv(3.0).entries * scale)
+    one_mode = covariance(np.eye(2) * scale)
+    for g in (overflowing, one_mode):
+        want = _outcome(_per_slice_epr_product, g, direction)
+        assert isinstance(want, tuple) and want[0] in (InvalidArgumentError, InvalidStateError)
+        assert _outcome(epr_product, g, direction) == want
+    assert _outcome(_epr_products, overflowing, ("a_given_b", "b_given_a")) == _outcome(
+        _per_slice_epr_product, overflowing, "a_given_b"
+    )
 
 
 # ------------------------------------------------------------------------ json

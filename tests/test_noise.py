@@ -698,6 +698,45 @@ def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     assert sum(bool(w) for _, w in composed) >= 10
 
 
+def _two_states_outcome(spec, ch, replaced: bool):
+    """((optical, detected) entries as bytes, or (error type, message), warnings
+    as (text, category, file, line)) of _optical_and_detected(spec, ch) or, with
+    replaced, of the route it replaced in `cvqkd simulate`: make_epr_state
+    without detection noise, then detection_noise on it if there is any."""
+    deltas = [ch.det_noise_a, ch.det_noise_b]
+    without = dataclasses.replace(ch, det_noise_a=0.0, det_noise_b=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            # both routes on one line, so that their warnings name the same caller
+            states = make_epr_state(spec, without) if replaced else cvqkd.noise._optical_and_detected(spec, ch)
+            if replaced:
+                states = (states, detection_noise(states, deltas) if any(deltas) else states)
+            result = tuple(g.entries.tobytes() for g in states)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def test_optical_and_detected_equals_the_route_it_replaced():
+    """One pipeline run gives simulate's two states bit for bit (-0.0 entries
+    included), with the same errors and warnings at the same caller's line."""
+    cases = _differential_cases()
+    for spec, ch in cases:
+        assert _two_states_outcome(spec, ch, False) == _two_states_outcome(spec, ch, True), (spec, ch)
+    # the cases reach states with and without detection noise, a -0.0 entry
+    # before detection, errors and warnings
+    outcomes = [_two_states_outcome(spec, ch, True) for spec, ch in cases]
+    built = [(spec, ch) for (spec, ch), (got, _) in zip(cases, outcomes) if not isinstance(got[0], type)]
+    assert {ch.det_noise_a == ch.det_noise_b == 0.0 for _, ch in built} == {True, False}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw = [cvqkd.noise._optical(*cvqkd.noise._source(spec, ch), ch) for spec, ch in built]
+    assert any((np.signbit(m) & (m == 0.0)).any() for m in raw)
+    assert len(built) < len(cases)
+    assert sum(bool(w) for _, w in outcomes) >= 10
+
+
 @pytest.mark.parametrize(
     "spec",
     [SqueezingSpec(r=1.2), SqueezingSpec(var_sqz_db=-11.1), SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=16.6),
