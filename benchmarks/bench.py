@@ -7,7 +7,18 @@ directory. The process pins BLAS and OpenMP to one thread and itself to
 one core, then times, in-process, each layer of the pipeline and each CLI
 command (driven through ``cvqkd.cli.main(argv)`` with its output captured).
 Every figure is the median of REPEATS repeats; a repeat of a fast call
-times a loop of calls and reports the time per call. The file also records
+times a loop of calls and reports the time per call.
+
+On a shared machine the speed of one process can drift by tens of percent
+over seconds, and separate runs of the same code then read rows up to twice
+apart. A fixed calibration kernel (interpreter arithmetic, float parsing
+and formatting, small numpy and LAPACK calls, the kinds of work the rows
+do) is therefore timed just before and just after every repeat, and each
+repeat is also scaled by REFERENCE_S over the mean of those two kernel
+times: the time it would have taken on a core where the kernel takes
+REFERENCE_S. A row holds its raw median (``median_s``) next to its
+scaled one (``scaled_median_s``); compare scaled medians across runs.
+The file also records
 N_PER_SETTING (the records per measurement setting of the sampling,
 reconstruction and dataset rows), REPEATS, the numpy and Python versions,
 the core count, the affinity it started with, the core it pinned, the git
@@ -25,6 +36,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -57,18 +69,50 @@ WORST_CASE_N = cli.DEFAULT_CONFIG["analysis"]["n_samples"]
 REPEATS = 7
 #: records per measurement setting; the CLI default of 10^6 would take minutes a run
 N_PER_SETTING = 100_000
+#: kernel_seconds() on the reference core, the fast state of the machine
+#: it was written on (2-vCPU x86-64 VM, Python 3.11, numpy 2.4)
+REFERENCE_S = 0.0026
+
+_TEXT = [repr(math.sin(i) * 1e3) for i in range(3000)]
+_VALUES = [math.cos(i) for i in range(600)]
+_MATRIX = np.eye(4) * 2.0 + 0.1
+
+
+def kernel_seconds() -> float:
+    """Seconds taken by the calibration kernel, a fixed mix of interpreter
+    arithmetic, float parsing and formatting, and small numpy and LAPACK calls."""
+    t0 = time.perf_counter()
+    acc = 0.0
+    for i in range(25000):
+        acc += i * 0.5
+    for text in _TEXT:
+        acc += float(text)
+    acc += len(",".join(repr(v) for v in _VALUES))
+    for _ in range(40):
+        acc += float(np.linalg.det(_MATRIX)) + float(np.sqrt(_MATRIX).sum())
+    return time.perf_counter() - t0
 
 
 def median_per_call(fn, repeats: int, calls: int) -> dict:
-    """Median over repeats of the mean time per call of `calls` calls of fn()."""
+    """Median over repeats of the mean time per call of `calls` calls of fn(),
+    raw and scaled to the reference speed by the kernel times around each repeat."""
     fn()  # the first call fills caches
-    per_call = []
+    per_call, kernel_s = [], [kernel_seconds()]
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
         per_call.append((time.perf_counter() - t0) / calls)
-    return {"median_s": statistics.median(per_call), "repeats_s": per_call, "calls_per_repeat": calls}
+        kernel_s.append(kernel_seconds())
+    scaled = [t * REFERENCE_S / ((before + after) / 2.0) for t, before, after in zip(per_call, kernel_s, kernel_s[1:])]
+    return {
+        "median_s": statistics.median(per_call),
+        "scaled_median_s": statistics.median(scaled),
+        "repeats_s": per_call,
+        "scaled_repeats_s": scaled,
+        "kernel_s": kernel_s,
+        "calls_per_repeat": calls,
+    }
 
 
 def run_cli(argv: list) -> None:
@@ -129,6 +173,7 @@ def main(argv=None) -> int:
         "n_per_setting": n,
         "records": ds.n_records,
         "repeats": k,
+        "reference_kernel_s": REFERENCE_S,
         "worst_case_n": WORST_CASE_N,
         "config": "cvqkd.cli.DEFAULT_CONFIG",
         "layers": layers,
@@ -144,9 +189,10 @@ def main(argv=None) -> int:
         "git": git_provenance(),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"{'':55s} {'scaled':>10s}    {'raw':>10s}")
     for group in ("layers", "cli"):
         for name, figure in doc[group].items():
-            print(f"{name:55s} {figure['median_s'] * 1e3:10.4f} ms")
+            print(f"{name:55s} {figure['scaled_median_s'] * 1e3:10.4f} ms {figure['median_s'] * 1e3:10.4f} ms")
     return 0
 
 

@@ -245,19 +245,19 @@ def _screened_det(planes: np.ndarray) -> tuple:
     positive definite, and det is the product of the pivots. There the
     elimination is a Cholesky factorization without its roots, stable
     without pivoting, and det agrees with np.linalg.det's to eps * cond
-    relative; elsewhere det means nothing.
+    relative; elsewhere det means nothing. A pivot updates its trailing block
+    in three calls; only its upper triangle, rounded as plane by plane, is read.
     """
-    dim = planes.shape[0]
-    a = {(i, j): planes[i, j] for i in range(dim) for j in range(i, dim)}
-    det, positive = a[0, 0], a[0, 0] > 0.0
+    a = planes
+    det = pivot = a[0, 0]
+    positive = pivot > 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(dim - 1):
-            for i in range(k + 1, dim):
-                ratio = a[k, i] / a[k, k]
-                for j in range(i, dim):
-                    a[i, j] = a[i, j] - ratio * a[k, j]
-            det = det * a[k + 1, k + 1]
-            positive &= a[k + 1, k + 1] > 0.0
+        for _ in range(len(planes) - 1):
+            row = a[0, 1:]
+            a = a[1:, 1:] - (row / pivot)[:, np.newaxis] * row
+            pivot = a[0, 0]
+            det = det * pivot
+            positive &= pivot > 0.0
     return det, positive
 
 
@@ -346,8 +346,17 @@ def _normal_form(inv: SymplecticInvariants) -> NormalForm:
     _check_block_determinants(inv)
     r = _radicands(inv)
     _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, FormulaDomainError)
-    cp = math.copysign(_root(r.cp2), -inv.i3) if inv.i3 != 0.0 else 0.0
-    return NormalForm(lambda_a=_root(inv.i1), lambda_b=_root(inv.i2), c_x=_root(r.cx2), c_p=cp)
+    return _normal_form_of(inv.i1, inv.i2, inv.i3, r.cx2, r.cp2)
+
+
+def _normal_form_of(i1, i2, i3, cx2, cp2) -> NormalForm:
+    """The normal form of checked invariants and their _radicands' c_x^2 and
+    c_p^2, for floats and arrays alike."""
+    if isinstance(i3, float):
+        c_p = math.copysign(_root(cp2), -i3) if i3 != 0.0 else 0.0
+    else:
+        c_p = np.where(i3 != 0.0, np.copysign(_root(cp2), -i3), 0.0)
+    return NormalForm(_root(i1), _root(i2), _root(cx2), c_p)
 
 
 def normal_form_matrix(nf: NormalForm) -> CovarianceMatrix:
@@ -484,8 +493,8 @@ def _snap(rad, scale):
 
 
 def _clamp(x):
-    """max(x, 0), exact, for floats and arrays alike."""
-    return (x + abs(x)) / 2.0
+    """max(x, 0), exact and without overflow, for floats and arrays alike."""
+    return x * (x > 0.0) + 0.0
 
 
 def _root(x):
@@ -495,7 +504,7 @@ def _root(x):
     return math.sqrt(_clamp(x)) if isinstance(x, float) else np.sqrt(_clamp(x))
 
 
-def _below_floor(value, floor: float, scale):
+def _below_floor(value, floor, scale):
     """The one tolerance rule, for floats and arrays alike: value is below
     floor by more than DEFAULT_TOL + DEGENERACY_SNAP * scale, the rounding of
     the terms that cancel in it."""

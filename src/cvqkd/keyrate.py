@@ -47,15 +47,16 @@ number of states in one pass: every state's distinct corners, then one
 candidate per state, as entry planes of shape (4, 4, distinct + states),
 plane (i, j) holding entry (i, j) of every matrix. The planes give i1, i2
 and i3 directly; one elimination without pivoting, gaussian._screened_det,
-gives i4 and whether Gamma > 0. One formula call rates the matrices with
-Gamma > 0, and a matrix is physical when the single-state path would rate
-it (_rejected, the floors _stacked_rates checks too): for two modes,
-Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1. Segmented
-reductions give each state's corner minimum and physical count.
-worst_case_breakdown is its one-state caller, and _stacked_rates calls it
-once for all unflagged rows of a scan chunk; each row's worst case, error
-and warnings are those of worst_case_key_rate on that row alone, bit for
-bit and in the same order.
+one trailing block per pivot, gives i4 and whether Gamma > 0. One formula
+call rates every matrix, and one stacked floor test (_rejected, shared with
+_stacked_rates) says where the single-state path would rate it: for two
+modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1.
+Segmented reductions give each state's corner minimum and physical count.
+Its callers, worst_case_breakdown, secret_key_rate and _stacked_rates,
+hand it the normal forms and closing nominal rates of their own checked
+invariants and formula pass, so a report with a worst case takes one of
+each; every state's worst case, error and warnings are those of
+worst_case_key_rate on that state alone, bit for bit and in the same order.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 import warnings
 from collections import namedtuple
@@ -88,6 +90,7 @@ from .gaussian import (
     _invariant_values,
     _judge,
     _normal_form,
+    _normal_form_of,
     _overflows,
     _radicands,
     _Radicands,
@@ -243,18 +246,25 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     and flagged. When n_samples is given the finite-statistics worst case
     is computed as well.
 
-    One formula evaluation gives the headline values and the oracle's
-    S(E) = f(d_plus) + f(d_minus); one _conditioned stack gives the rest.
+    One formula evaluation gives the headline values, the oracle's
+    S(E) = f(d_plus) + f(d_minus) and the worst case's normal form and
+    nominal rate; one _conditioned stack gives the rest.
     """
     _require_two_modes(g)
-    f = _checked_formula(invariants(g))
+    inv = invariants(g)
+    f = _checked_formula(inv)
     cond = _conditioned(g.entries)
     mi_x, mi_p = _mi(g.entries, cond[2:])
     chi_a_x, chi_a_p = _chi(cond[:2], 0, f)
     chi_b_x, chi_b_p = _chi(cond[2:], 1, f)
     k_branch_x = mi_x - max(chi_a_x, chi_b_x)
     k_branch_p = mi_p - max(chi_a_p, chi_b_p)
-    k_worst = worst_case_key_rate(g, n_samples) if n_samples is not None else None
+    k_worst = None
+    if n_samples is not None:
+        nf = _normal_form_of(inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)
+        boxes = _worst_boxes(g.entries[:, :, np.newaxis], nf, _half_width(n_samples), np.array([inv.i4]))
+        _judge_box(boxes, 0, n_samples, stacklevel=3)
+        k_worst = min(boxes.low[0], float(f.k))
     return KeyRateReport(
         mi=float(f.mi),
         holevo_a=float(f.chi_a),
@@ -294,7 +304,7 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     With n_samples, the worst cases of all other rows are one call of
     _worst_boxes, the kernel worst_case_breakdown calls for one state. Each
     row's candidate takes its normal form from the pass's invariants and
-    radicands, by _normal_form's arithmetic, and its closing nominal rate is
+    radicands (gaussian._normal_form_of), and its closing nominal rate is
     the row's k. The rows are then walked in list order, so a flagged row's
     error, a box's error and an undercut warning come in the order that one
     worst_case_key_rate call per row gives, and every value is that call's,
@@ -320,9 +330,7 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     if n_samples is not None and not flagged.all():
         # _normal_form of every good row, whose checks the masks above have made
         good = ~flagged
-        i3 = inv.i3[good]
-        c_p = np.where(i3 != 0.0, np.copysign(_root(f.cp2[good]), -i3), 0.0)
-        nf = NormalForm(_root(inv.i1[good]), _root(inv.i2[good]), _root(f.cx2[good]), c_p)
+        nf = _normal_form_of(*(x[good] for x in (inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)))
         boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples), inv.i4[good])
     good_row = 0
     for j, (g, bad) in enumerate(zip(states, flagged.tolist())):
@@ -353,9 +361,9 @@ def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
 def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
-    The one-state caller of _worst_boxes, the kernel that rates the boxes of
-    a whole scan chunk too (_stacked_rates). The invariants of g are
-    computed once, for the normal form and for the closing nominal rate.
+    A caller of _worst_boxes, which secret_key_rate and _stacked_rates call
+    too. The invariants of g are computed once, for the normal form and for
+    the closing nominal rate.
     InvalidStateError is raised when a matrix of the box overflows the
     invariants, then DegenerateBoxError when no corner is physical; the
     normal form that the candidate needs is built before that, so its own
@@ -376,6 +384,8 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
 
 def _half_width(n: float) -> float:
     """t = 1/sqrt(n), the relative half-width of the box at n samples."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Real):
+        raise InvalidArgumentError(f"sample count must be a real number, got {n!r}")
     if not n >= 1:
         raise InvalidArgumentError(f"sample count must be at least 1, got {n}")
     # an int beyond the float range would overflow math.sqrt; inf is the asymptotic limit
@@ -411,8 +421,8 @@ def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float, row_i4: np.ndarra
     A matrix is physical when the single-state path would rate it (for two
     modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1):
     one elimination (gaussian._screened_det) gives i4 and whether Gamma > 0,
-    one formula call rates the matrices with Gamma > 0, and _rejected and
-    gaussian._overflows mask out what that path raises on. The elimination's
+    one formula call rates every matrix, and those with Gamma > 0 that
+    _rejected and gaussian._overflows leave are physical. The elimination's
     i4 agrees with LAPACK's only to eps * cond(Gamma), so the one corner of a
     box of zero width, the row itself, takes row_i4 and rates as the row.
     """
@@ -423,18 +433,13 @@ def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float, row_i4: np.ndarra
     alone = [row for row, count in enumerate(counts) if count == 1]  # zero width: the corner is the row
     if alone:
         i4[[starts[row] for row in alone]] = row_i4[alone]
-    if not positive.all():
-        box, i4 = box[:, :, positive], i4[positive]
     with np.errstate(all="ignore"):  # overflowing and unphysical matrices are masked out below
         inv = SymplecticInvariants(*_invariant_values(box, i4))
         del box  # freed before the formula's temporaries are made, which lowers the peak
         f = _formula(inv)
-        overflow = _overflows(inv)
-        rated = ~(overflow | _rejected(inv, f))
-    physical, overflowed = np.zeros_like(positive), np.zeros_like(positive)
-    physical[positive], overflowed[positive] = rated, overflow
-    rates = np.full(len(positive), np.inf)
-    rates[physical] = f.k[rated]
+        overflowed = positive & _overflows(inv)
+        physical = positive & ~(overflowed | _rejected(inv, f))
+    rates = np.where(physical, f.k, np.inf)
     corner_min, candidate = np.minimum.reduceat(rates[:n_corners], starts), rates[n_corners:]
     n_physical = np.add.reduceat(physical[:n_corners], starts, dtype=np.intp).tolist()
     return _Boxes(
@@ -453,7 +458,7 @@ def _box_planes(planes: np.ndarray, nf: NormalForm, t: float) -> tuple:
     rows = planes.shape[-1]
     entries = planes[_ROWS, _COLS]
     codes = (_ENTRY_BITS @ (entries * (1.0 + t) == entries * (1.0 - t))).tolist()
-    factors = {code: 1.0 + t * _distinct_signs(code) for code in set(codes)}
+    factors = {code: _corner_factors(code, t) for code in set(codes)}
     counts = [factors[code].shape[-1] for code in codes]
     n_corners = sum(counts)
     box = np.empty((4, 4, n_corners + rows))
@@ -471,13 +476,13 @@ def _box_planes(planes: np.ndarray, nf: NormalForm, t: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _distinct_signs(code: int) -> np.ndarray:
-    """The sign planes of the distinct corners when the entries of the set
-    bits of code have no width: the corners with all of those bits set. At
-    most 128 KB each, and a model state's 8 KB."""
-    signs = _CORNER_SIGNS[:, :, (_CORNER_MASKS & code) == code]
-    signs.flags.writeable = False
-    return signs
+def _corner_factors(code: int, t: float) -> np.ndarray:
+    """The factor planes 1 + t s of the distinct corners when the entries of
+    the set bits of code have no width, s the sign planes of the corners with
+    all of those bits set. At most 128 KB each, and a model state's 8 KB."""
+    factors = 1.0 + t * _CORNER_SIGNS[:, :, (_CORNER_MASKS & code) == code]
+    factors.flags.writeable = False
+    return factors
 
 
 def _judge_box(boxes: _Boxes, row: int, n: float, stacklevel: int) -> None:
@@ -564,14 +569,18 @@ def _rejected(inv: SymplecticInvariants, f: _Formula) -> np.ndarray:
     and their _formula f, by the same comparisons on the same bits: a block
     determinant or log argument that is not positive, or the discriminant,
     the symplectic radicand, d_minus^2 or one of the four entropy arguments
-    below its floor beyond rounding (gaussian._below_floor)."""
-    return (
-        (inv.i1 <= 0.0) | (inv.i2 <= 0.0) | (f.arg <= 0.0)
-        | _below_floor(f.disc, 0.0, f.disc_scale)
-        | _below_floor(f.rad, 0.0, f.rad_scale) | _below_floor(f.dm2, 0.0, f.d_scale)
-        | _below_floor(f.d_plus, 1.0, f.d_scale) | _below_floor(f.d_minus, 1.0, f.d_scale)
-        | _below_floor(f.d_a, 1.0, f.size) | _below_floor(f.d_b, 1.0, f.size)
+    below its floor beyond rounding, all seven in one stacked
+    gaussian._below_floor."""
+    floored = _below_floor(
+        np.array([f.disc, f.rad, f.dm2, f.d_plus, f.d_minus, f.d_a, f.d_b]),
+        _FLOORS,
+        np.array([f.disc_scale, f.rad_scale, f.d_scale, f.d_scale, f.d_scale, f.size, f.size]),
     )
+    return (np.array([inv.i1, inv.i2, f.arg]) <= 0.0).any(axis=0) | floored.any(axis=0)
+
+
+#: the floors of the seven quantities _rejected tests, one row each
+_FLOORS = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])[:, np.newaxis]
 
 
 #: what _formula returns: the fields of _Radicands, then the log argument,
@@ -604,12 +613,18 @@ def _formula(inv: SymplecticInvariants) -> _Formula:
 
 
 def _entropy(d):
-    """entropy_f of d clamped to >= 1, for floats and arrays alike."""
-    # np.log2 on floats too: math.log2 differs from it on 0.09% of inputs on
-    # AVX-512 hardware, and a single state must rate as it does in a stack
+    """entropy_f of d clamped to >= 1, for floats and arrays alike: with
+    b = (d - 1)/2, (b + 1) log2(b + 1) - b log2(b) as the sum of
+    non-negative terms (log1p(b) + b log1p(1/b)) / ln 2, in which nothing
+    cancels, for d up to the float maximum; b = 0 divides as 1."""
+    # np.log1p on floats too: math.log1p differs from it on about 0.1% of
+    # inputs on AVX-512 hardware, and a single state must rate as it does in a stack
     b = _clamp(d - 1.0) / 2.0
-    a = b + 1.0
-    return a * np.log2(a) - b * np.log2(b + (b == 0.0))
+    return (np.log1p(b) + b * np.log1p(1.0 / (b + (b == 0.0)))) / _LN2
+
+
+#: ln 2, the base of _entropy's natural logarithms
+_LN2 = math.log(2.0)
 
 
 def _zero_rounding_noise(x):

@@ -630,6 +630,33 @@ def test_analyze_huge_entries_exit_one_without_numpy_warnings(capsys, tmp_path, 
         assert "Warning" not in err
 
 
+@pytest.mark.parametrize("variance", [1e76, 1e77])
+@pytest.mark.parametrize("flags", [[], ["--worst-case"], ["--worst-case", "--n", "1"]], ids=["nominal", "worst-case", "n-1"])
+def test_analyze_large_symplectic_eigenvalues_without_numpy_warnings(capsys, tmp_path, variance, flags):
+    """The product state diag(x, x, 1, 1) leaks f(x) = log2((x - 1)/2) +
+    log2(e) bits to Eve when A is measured, so k = -f(x), with d_plus = x
+    and no RuntimeWarning. At n = 1 the box of x = 1e77 overflows the
+    invariants: a typed error."""
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"n_modes": 2, "entries": np.diag([variance, variance, 1.0, 1.0]).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "analyze", *flags, str(path))
+    if "--n" in flags and variance == 1e77:
+        assert (rc, out) == (1, "")
+        assert err == "error: matrices of the uncertainty box at n = 1 overflow the symplectic invariants\n"
+        return
+    assert rc == 2 and err == ""
+    report = json.loads(out)
+    want = -(math.log2((variance - 1.0) / 2.0) + 1.0 / math.log(2.0))
+    assert report["k_nominal"] == pytest.approx(want, rel=1e-14)
+    assert report["d_plus"] == variance and report["d_minus"] == pytest.approx(1.0, abs=1e-13)
+    if "--n" in flags:
+        assert report["k_worst_case"] < report["k_nominal"]
+    elif flags:
+        assert want - 1e-2 < report["k_worst_case"] < report["k_nominal"]
+
+
 @pytest.mark.parametrize("worst_case", [False, True])
 def test_analyze_entries_near_float_max_name_their_size(capsys, tmp_path, worst_case):
     """Symmetrizing 1.5e308 must not overflow to inf on the way to the error."""
@@ -645,7 +672,8 @@ def test_analyze_entries_near_float_max_name_their_size(capsys, tmp_path, worst_
 def test_analyze_overflowing_uncertainty_box_exits_one_without_numpy_warnings(capsys, tmp_path):
     """A pure state scaled to a largest entry of 5.01e76 passes the overflow
     check of its invariants, but the corners of its box at n = 1 and 2 do
-    not: a typed error, not a NaN worst case. Narrower boxes still rate."""
+    not: a typed error, not a NaN worst case. Narrower boxes still rate, at
+    about -log2(1.67e76) bits (test_keyrate checks these values)."""
     lam, c = 3.0, math.sqrt(8.0)
     entries = np.array([[lam, 0.0, c, 0.0], [0.0, lam, 0.0, -c], [c, 0.0, lam, 0.0], [0.0, -c, 0.0, lam]]) * 1.67e76
     path = tmp_path / "overflowing_box.json"
@@ -656,9 +684,9 @@ def test_analyze_overflowing_uncertainty_box_exits_one_without_numpy_warnings(ca
             rc, out, err = run(capsys, "analyze", "--worst-case", "--n", str(n), str(path))
         assert rc == 1 and out == ""
         assert err == f"error: matrices of the uncertainty box at n = {n} overflow the symplectic invariants\n"
-    for n, want in ((100, 0.6520766965796926), (10**6, 1.562285684440814)):
+    for n, want in ((100, -254.06739098633955), (10**6, -252.1109114610413)):
         rc, out, err = run(capsys, "analyze", "--worst-case", "--n", str(n), str(path))
-        assert rc == 0 and err == ""
+        assert rc == 2 and err == ""
         assert json.loads(out)["k_worst_case"] == want
 
 

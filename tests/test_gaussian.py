@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cvqkd.errors import InvalidArgumentError, InvalidStateError
 from cvqkd.gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
+    _clamp,
     _conditioned,
     _epr_products,
     _require_two_modes,
@@ -647,6 +649,22 @@ def test_json_rejects_a_mode_count_that_is_not_a_number(n_modes):
 def test_json_rejects_missing_fields():
     with pytest.raises(InvalidStateError):
         covariance_from_json({"entries": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_clamp_is_the_old_clamp_where_that_did_not_overflow():
+    """x * (x > 0) + 0.0 equals (x + |x|) / 2 bit for bit, NaN and +-inf
+    included, for floats and arrays, and stays finite above half the float
+    maximum, where (x + |x|) / 2 overflowed to inf."""
+    big = sys.float_info.max
+    xs = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, big / 2.0, -big, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(2503)
+    xs += (rng.normal(size=200) * 10.0 ** rng.uniform(-300, 300, 200)).tolist()
+    with np.errstate(all="ignore"):
+        old = (np.array(xs) + np.abs(xs)) / 2.0
+        got = _clamp(np.array(xs))
+    assert got.tobytes() == old.tobytes()
+    assert [_clamp(x).hex() for x in xs] == [x.hex() for x in old.tolist()]
+    assert _clamp(big) == big and _clamp(np.array([big, 0.75 * big])).tolist() == [big, 0.75 * big]
 
 
 def test_screened_determinant_matches_lapack_and_screens_gamma():

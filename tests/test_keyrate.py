@@ -1,6 +1,8 @@
 """Information quantities: entropy kernel, mutual information, Holevo bound,
 nominal and statistically-worst-case key rates."""
 
+import decimal
+import functools
 import itertools
 import math
 import re
@@ -25,6 +27,7 @@ from cvqkd.gaussian import (
     DEGENERACY_SNAP,
     NormalForm,
     SymplecticInvariants,
+    _below_floor,
     _clamp,
     _invariant_values,
     _radicands,
@@ -44,9 +47,11 @@ from cvqkd.gaussian import (
 from cvqkd.keyrate import (
     INDEPENDENT_ENTRIES,
     WorstCaseBreakdown,
+    _box_planes,
     _checked_formula,
     _entropy,
     _formula,
+    _rejected,
     _stacked_rates,
     _worst_boxes,
     _zero_rounding_noise,
@@ -105,6 +110,41 @@ def test_entropy_f_is_increasing():
 def test_entropy_f_rejects_below_domain():
     with pytest.raises(InvalidArgumentError):
         entropy_f(0.98)
+
+
+def _decimal_entropy(x):
+    """f(x) of the float x, (b + 1) log2(b + 1) - b log2(b) with b = (x - 1)/2,
+    in decimal arithmetic with 60 digits beyond those the difference cancels."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + max(0, int(math.log10(x)))
+        b = (decimal.Decimal(x) - 1) / 2
+        if b == 0:
+            return 0.0
+        return float(((b + 1) * (b + 1).ln() - b * b.ln()) / decimal.Decimal(2).ln())
+
+
+#: x = 1 + 2^-k for k = 1..52, then 10^(k/4) up to 1e300
+_ENTROPY_POINTS = [1.0] + [1.0 + 2.0**-k for k in range(52, 0, -1)] + [10.0 ** (k / 4) for k in range(1, 1201)]
+
+
+def test_entropy_f_matches_a_decimal_reference_up_to_1e300():
+    """Within 2 eps relative from x = 1 to 1e300, where the difference
+    (b + 1) log2(b + 1) - b log2(b) cancels to nothing."""
+    eps = sys.float_info.epsilon
+    for x in _ENTROPY_POINTS:
+        want = _decimal_entropy(x)
+        assert abs(entropy_f(x) - want) <= 2.0 * eps * want, x
+    assert entropy_f(1e17) == pytest.approx(56.91547265397412, rel=2.0 * eps)
+
+
+def test_entropy_of_a_float_is_the_entropy_of_a_stack_bit_for_bit():
+    """One state rates as it does in a stacked pass: _entropy of a float and
+    of an array give the same bits, clamped arguments below 1 included."""
+    rng = np.random.default_rng(2502)
+    xs = np.concatenate([_ENTROPY_POINTS, 10.0 ** rng.uniform(0.0, 300.0, 2000), rng.uniform(0.5, 3.0, 2000)])
+    stacked = _entropy(np.stack([xs, xs[::-1]]))
+    assert [float(_entropy(x)).hex() for x in xs.tolist()] == [v.hex() for v in stacked[0].tolist()]
+    assert stacked[1].tobytes() == stacked[0][::-1].tobytes()
 
 
 # ---------------------------------------------------------- mutual information
@@ -299,6 +339,18 @@ def test_worst_case_rejects_bad_sample_count():
     for n in (0, -1, math.nan):
         with pytest.raises(InvalidArgumentError):
             worst_case_key_rate(default_state(), n)
+
+
+@pytest.mark.parametrize("n", [True, False, np.True_, "1e6", 1e6j], ids=repr)
+def test_worst_case_rejects_a_sample_count_that_is_not_a_real_number(n):
+    """A bool is not a count (True rated the box at n = 1), and a string is
+    not a number (it ended in a bare TypeError): every route raises the
+    typed error naming the value."""
+    g = default_state()
+    message = re.escape(f"sample count must be a real number, got {n!r}")
+    for route in (worst_case_key_rate, worst_case_breakdown, secret_key_rate, lambda g, n: _stacked_rates([g], n)):
+        with pytest.raises(InvalidArgumentError, match=message):
+            route(g, n)
 
 
 def test_worst_case_rejects_sample_count_beyond_float_range():
@@ -503,10 +555,17 @@ def test_worst_case_undercut_warning_points_at_caller(monkeypatch):
         nf = real_normal_form(inv)
         return NormalForm(1.5 * nf.lambda_a, nf.lambda_b, nf.c_x, nf.c_p)
 
+    def inflated_of(*args):
+        nf = real_normal_form_of(*args)
+        return NormalForm(1.5 * nf.lambda_a, nf.lambda_b, nf.c_x, nf.c_p)
+
+    real_normal_form_of = cvqkd.keyrate._normal_form_of
     monkeypatch.setattr(cvqkd.keyrate, "_normal_form", inflated)
-    with pytest.warns(UserWarning, match="undercuts the corner minimum") as caught:
-        worst_case_key_rate(default_state(-10.5), 10**6)
-    assert caught[0].filename == __file__
+    monkeypatch.setattr(cvqkd.keyrate, "_normal_form_of", inflated_of)
+    for route in (worst_case_key_rate, secret_key_rate):
+        with pytest.warns(UserWarning, match="undercuts the corner minimum") as caught:
+            route(default_state(-10.5), 10**6)
+        assert caught[0].filename == __file__
 
 
 # ------------------------------------------- edge regimes, single against batch
@@ -1330,14 +1389,23 @@ def _overflowing_box_state():
 
 def test_worst_case_of_an_overflowing_box_is_a_typed_error():
     """No NaN and no numpy warning: the box raises what invariants() raises
-    for a matrix that overflows. Narrower boxes still rate."""
+    for a matrix that overflows. Narrower boxes still rate. The state is a
+    pure one scaled by s = 1.67e76, so its symplectic eigenvalues are all s
+    and k = log2(3) - f(s), and its worst-case margin below k is that of
+    the same state scaled by 1e20, since f(s x) - f(s y) tends to
+    log2(x / y) as s grows."""
     g = _overflowing_box_state()
     invariants(g)
     for n in (1, 2):
         with pytest.raises(InvalidStateError, match=f"box at n = {n} overflow the symplectic invariants"):
             worst_case_key_rate(g, n)
-    assert worst_case_key_rate(g, 100) == 0.6520766965796926
-    assert worst_case_key_rate(g, 10**6) == 1.562285684440814
+    s, nominal = 1.67e76, secret_key_rate(g).k_nominal
+    assert nominal == pytest.approx(math.log2(3.0) - math.log2((s - 1.0) / 2.0) - 1.0 / math.log(2.0), rel=1e-15)
+    smaller = covariance(tmsv(3.0).entries * 1e20)
+    for n, want in ((100, -254.06739098633955), (10**6, -252.1109114610413)):
+        assert worst_case_key_rate(g, n) == want
+        margin = worst_case_key_rate(smaller, n) - secret_key_rate(smaller).k_nominal
+        assert want - nominal == pytest.approx(margin, abs=1e-12)
 
 
 def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
@@ -1364,13 +1432,15 @@ def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
         assert _captured(_stacked_rates, rows, 1) == ((type(error), str(error)), [])
 
 
-def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one():
-    """scan's epsilon = 0 sqz_db sweep from 0 to 300 dB in 600 steps: its
-    strongly squeezed rows warn that the candidate undercuts the corner
-    minimum, and a later row's mutual information log argument is not
-    positive. Rated in one stacked pass, the rows before it give the values
-    and warnings of one secret_key_rate call a row, in the same order, and
-    with it the same error after the same warnings."""
+def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one(monkeypatch):
+    """scan's epsilon = 0 sqz_db sweep from 0 to 300 dB in 600 steps: a
+    strongly squeezed row's mutual information log argument is not
+    positive. No row's candidate undercuts its corner minimum, so every
+    candidate's lambda_a is inflated by 1.5, which makes it noisier than
+    any corner. Rated in one stacked pass, the rows
+    before the error give the values and undercut warnings of one
+    secret_key_rate call a row, in the same order, and with it the same
+    error after the same warnings."""
     channel = ChannelParams(epsilon=0.0)
     states = [make_epr_state(SqueezingSpec(var_sqz_db=-db), channel) for db in np.linspace(0.0, 300.0, 600).tolist()]
 
@@ -1379,6 +1449,15 @@ def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one():
 
     want, want_warnings = _captured(one_by_one, states, 1e6)
     assert want == (InvalidStateError, "mutual information log argument -8.882e-16 is not positive")
+    assert want_warnings == []
+
+    def inflated(*args):
+        nf = real_normal_form_of(*args)
+        return NormalForm(1.5 * nf.lambda_a, nf.lambda_b, nf.c_x, nf.c_p)
+
+    real_normal_form_of = cvqkd.keyrate._normal_form_of
+    monkeypatch.setattr(cvqkd.keyrate, "_normal_form_of", inflated)
+    want, want_warnings = _captured(one_by_one, states, 1e6)
     assert len(want_warnings) > 10 and all("undercuts the corner minimum" in m for _, m in want_warnings)
     count = next(j for j, g in enumerate(states) if _captured(one_by_one, [g], 1e6)[0] == want)
     rated, rated_warnings = _captured(one_by_one, states[:count], 1e6)
@@ -1388,3 +1467,126 @@ def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one():
     assert got_warnings == want_warnings
     assert _captured(_stacked_rates, states[: count + 1], 1e6) == (want, want_warnings)
     assert _captured(_stacked_rates, states, 1e6) == (want, want_warnings)
+
+
+# ------------------------- block elimination and one floor test against the per-plane kernels
+
+
+def _plane_at_a_time_det(planes):
+    """gaussian._screened_det as it eliminated before: one entry plane of the
+    upper triangle at a time, about 37 numpy calls for a 4x4 stack."""
+    dim = planes.shape[0]
+    a = {(i, j): planes[i, j] for i in range(dim) for j in range(i, dim)}
+    det, positive = a[0, 0], a[0, 0] > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(dim - 1):
+            for i in range(k + 1, dim):
+                ratio = a[k, i] / a[k, k]
+                for j in range(i, dim):
+                    a[i, j] = a[i, j] - ratio * a[k, j]
+            det = det * a[k + 1, k + 1]
+            positive &= a[k + 1, k + 1] > 0.0
+    return det, positive
+
+
+def _per_floor_rejected(inv, f):
+    """keyrate._rejected as it tested before: one _below_floor call per
+    floored quantity."""
+    return (
+        (inv.i1 <= 0.0) | (inv.i2 <= 0.0) | (f.arg <= 0.0)
+        | _below_floor(f.disc, 0.0, f.disc_scale)
+        | _below_floor(f.rad, 0.0, f.rad_scale) | _below_floor(f.dm2, 0.0, f.d_scale)
+        | _below_floor(f.d_plus, 1.0, f.d_scale) | _below_floor(f.d_minus, 1.0, f.d_scale)
+        | _below_floor(f.d_a, 1.0, f.size) | _below_floor(f.d_b, 1.0, f.size)
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_stacks():
+    """{name: (4, 4, k) entry planes}: random stacks with Gamma > 0 and
+    indefinite ones, zero variances at each pivot, entries near 1e154 whose
+    pivot products overflow, and the default state's 65-matrix box and the
+    rotated state's 1025-matrix box at n = 1, 1e6 and inf."""
+    rng = np.random.default_rng(2501)
+    x = rng.normal(size=(500, 4, 6))
+    positive = x @ x.transpose(0, 2, 1) + 1e-3 * np.eye(4)
+    y = rng.normal(size=(500, 4, 4))
+    stacks = [("positive", positive), ("indefinite", y + y.transpose(0, 2, 1))]
+    zero = np.array([np.eye(4) * 2.0 + 0.5] * 4)
+    for k in range(4):
+        zero[k, k] = 0.0
+        zero[k, k, k] = 0.0
+    stacks.append(("zero variance", np.concatenate([zero, np.diag([0.0, 2e9, 1.0, 1.0])[np.newaxis]])))
+    huge = np.array([tmsv(3.0).entries, RECONSTRUCTED_EXAMPLE, default_state().entries, np.eye(4)])
+    stacks.append(("near 1e154", np.concatenate([huge * 1e154, huge * 1.5e154, huge * 0.3e154])))
+    planes = {name: stack.transpose(1, 2, 0) for name, stack in stacks}
+    for name, g in (("default box", default_state()), ("rotated box", _locally_rotated(default_state(), 0.3, -1.1))):
+        for n in (1, 1e6, math.inf):
+            planes[f"{name} at n = {n:g}"] = _box_planes(g.entries[:, :, np.newaxis], normal_form(g), 1.0 / math.sqrt(n))[0]
+    return planes
+
+
+_KERNEL_STACK_NAMES = ["positive", "indefinite", "zero variance", "near 1e154"] + [
+    f"{box} at n = {n}" for box in ("default box", "rotated box") for n in ("1", "1e+06", "inf")
+]
+
+
+@pytest.mark.parametrize("name", _KERNEL_STACK_NAMES)
+def test_block_elimination_and_stacked_floors_equal_the_per_plane_kernels(name):
+    """The trailing-block elimination gives the plane-at-a-time determinant
+    bits and screen, and the stacked floor test the per-floor mask, on every
+    matrix, without a numpy warning. The default state's box has 65
+    matrices and the rotated state's 1025 (2 each at n = inf)."""
+    planes = _kernel_stacks()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, positive = _screened_det(planes)
+    want_det, want_positive = _plane_at_a_time_det(planes)
+    assert det.tobytes() == want_det.tobytes()
+    np.testing.assert_array_equal(positive, want_positive)
+    with np.errstate(all="ignore"):
+        inv = SymplecticInvariants(*_invariant_values(planes, det))
+        f = _formula(inv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rejected = _rejected(inv, f)
+    np.testing.assert_array_equal(rejected, _per_floor_rejected(inv, f))
+    if name.startswith(("positive", "default box at n = 1e+06")):
+        assert positive.all() and not rejected.all()
+    if name in ("indefinite", "zero variance"):
+        assert not positive.all()
+    if name == "near 1e154":
+        assert positive.all() and np.isinf(det).all()
+
+
+def _box_corpus():
+    """_distinct_corner_mix() and the states whose boxes overflow or hold no
+    physical corner."""
+    over = tmsv(2.0).entries.copy()
+    over[0:2, 2:4] *= 1.0 + 1e-2
+    over[2:4, 0:2] *= 1.0 + 1e-2
+    return [*_distinct_corner_mix(), _overflowing_box_state(), covariance(over), covariance(RECONSTRUCTED_EXAMPLE)]
+
+
+@pytest.mark.parametrize("n", [1, 1e2, 1e6, 1e12, 1e33, math.inf])
+def test_secret_key_rate_rates_the_box_as_worst_case_key_rate_does(n):
+    """secret_key_rate rates the box from its own invariants and checked
+    formula: its k_worst_case is worst_case_key_rate's bit for bit, with the
+    same warnings, and where the box raises, both raise the same error. A
+    state whose nominal rate raises keeps raising that error first, as
+    before; a degenerate box is one of those, because the corner with every
+    entry widened by 1 + t of a state that rates is rated too."""
+    outcomes = set()
+    for g in _box_corpus():
+        got = _captured(lambda g, n: secret_key_rate(g, n).k_worst_case, g, n)
+        nominal = _captured(lambda g, n: secret_key_rate(g), g, n)[0]
+        want = _captured(worst_case_key_rate, g, n)
+        if isinstance(nominal, tuple):
+            assert got == (nominal, [])
+            outcomes.add(f"nominal {nominal[0].__name__}, box {_hex(want[0])[0].__name__}")
+            continue
+        assert (_hex(got[0]), got[1]) == (_hex(want[0]), want[1])
+        outcomes.add(got[0][0].__name__ if isinstance(got[0], tuple) else "rated")
+    if n <= 2:
+        assert "InvalidStateError" in outcomes  # the overflowing box
+    assert "rated" in outcomes
