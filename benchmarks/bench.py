@@ -24,7 +24,7 @@ reconstruction and dataset rows), REPEATS, the numpy and Python versions,
 the core count, the affinity it started with, the core it pinned, the git
 SHA of HEAD and git's tree id of src/ as timed, which equals
 ``git rev-parse <commit>:src`` of a commit holding that code. A run takes
-about 30 s.
+about 35 s.
 """
 
 import os
@@ -160,9 +160,12 @@ def main(argv=None) -> int:
         layers["load_dataset"] = median_per_call(lambda: load_dataset(csv_path), k, 1)
 
         sweep = ["scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "16", "--worst-case"]
+        # a dense nominal sweep, as the benchmark's model-nominal workload runs them: state assembly shows
+        dense = ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", "2000"]
         commands["simulate"] = median_per_call(lambda: run_cli(["simulate"]), k, 1000)
         commands["simulate --worst-case"] = median_per_call(lambda: run_cli(["simulate", "--worst-case"]), k, 200)
         commands[" ".join(sweep)] = median_per_call(lambda: run_cli(sweep), k, 20)
+        commands[" ".join(dense)] = median_per_call(lambda: run_cli(dense), k, 3)
         commands[f"sample --n {n} then analyze --worst-case"] = median_per_call(
             lambda: (run_cli(["sample", "--n", str(n), "--out", csv_path]), run_cli(["analyze", "--worst-case", csv_path])),
             k,

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, CvqkdError, InvalidStateError
 from .gaussian import (
+    _checked,
     _epr_products,
     covariance_from_json,
     covariance_to_json,
@@ -43,8 +44,10 @@ from .noise import (
     ChannelParams,
     SourceParams,
     SqueezingSpec,
+    _epr_entries,
     _optical_and_detected,
     _pump_sqz_variance,
+    _source,
     make_epr_state,
 )
 from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
@@ -237,9 +240,18 @@ def _apply_flag_overrides(cfg: dict, args) -> None:
 
 
 def _resolve(cfg: dict) -> tuple:
-    """(make_epr_state spec, ChannelParams) for the config."""
-    src, ch = cfg["source"], cfg["channel"]
-    channel = ChannelParams(
+    """(make_epr_state spec, ChannelParams) for the config. The channel is
+    built and checked first, so its error comes before the source's."""
+    channel = _channel_of(cfg)()
+    return _source_spec(cfg), channel
+
+
+def _channel_of(cfg: dict) -> functools.partial:
+    """ChannelParams of the config's channel fields, built and checked when
+    called; a field passed to the call replaces the config's."""
+    ch = cfg["channel"]
+    return functools.partial(
+        ChannelParams,
         epsilon=ch["epsilon"],
         loss_a=ch["nu_a"],
         loss_b=ch["nu_b"],
@@ -248,9 +260,14 @@ def _resolve(cfg: dict) -> tuple:
         phase_sigma_a=ch["sigma_a"],
         phase_sigma_b=ch["sigma_b"],
     )
+
+
+def _source_spec(cfg: dict):
+    """The make_epr_state spec of the config's source section."""
+    src = cfg["source"]
     if src["mode"] == "pump":
-        return SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"]), channel
-    return SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"]), channel
+        return SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"])
+    return SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"])
 
 
 def cmd_simulate(args, cfg: dict) -> int:
@@ -284,29 +301,59 @@ def cmd_scan(args, cfg: dict) -> int:
     except MemoryError as exc:
         raise ConfigError(f"--steps = {args.steps} grid points do not fit in memory") from exc
     lines = [",".join(SCAN_COLUMNS)]
+    point = _sweep_points(cfg, args.sweep, float(grid[0]))
     for start in range(0, len(grid), _SCAN_CHUNK):
-        lines += _scan_chunk(cfg, args.sweep, grid[start : start + _SCAN_CHUNK].tolist())
+        lines += _scan_chunk(point, cfg["analysis"], grid[start : start + _SCAN_CHUNK].tolist())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _scan_chunk(cfg: dict, sweep: str, values: list) -> list:
-    """The CSV rows of consecutive grid values: each row's state built in grid
-    order, then all rated in one stacked pass (keyrate._stacked_rates), with
-    --worst-case every row's worst case too, in one pass of the worst-case
-    kernel. Each row's cells, errors and warnings are those of rating it on
-    its own, byte for byte and in grid order."""
-    ana = cfg["analysis"]
-    states, inputs = [], []
+def _sweep_points(cfg: dict, sweep: str, first: float):
+    """The function from a grid value to its row's (spec, channel). The config
+    is resolved once, and each row replaces only the swept field: a new
+    SqueezingSpec, or a new ChannelParams whose checks run again. The first
+    row's channel is checked before the source, as _resolve checks them. So
+    each row's checks and messages are those of resolving its own config."""
+    vary = _channel_of(cfg)
+    if sweep == "sqz_db":
+        channel = vary()
+        return lambda value: (SqueezingSpec(var_sqz_db=-abs(value)), channel)
+    nu_b = cfg["channel"]["nu_b"]
+
+    def swept(value: float) -> dict:
+        if sweep == "sigma":
+            return {"phase_sigma_a": value, "phase_sigma_b": value}
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"--sweep nu_b adds loss to arm B, which must lie in [0, 1], got {value}")
+        return {"loss_b": 1.0 - (1.0 - nu_b) * (1.0 - value)}
+
+    vary(**swept(first))  # the first row's channel, checked before the source
+    spec = _source_spec(cfg)
+    return lambda value: (spec, vary(**swept(value)))
+
+
+def _scan_chunk(point, ana: dict, values: list) -> list:
+    """The CSV rows of consecutive grid values: each row's raw state entries
+    built in grid order (noise._epr_entries), then the rows validated in one
+    pass (gaussian._checked) and rated in one stacked pass
+    (keyrate._stacked_rates), with --worst-case every row's worst case too, in
+    one pass of the worst-case kernel. Each row's cells, errors and warnings
+    are those of rating it on its own, byte for byte and in grid order."""
+    entries, inputs = [], []
     try:
-        for value in values:
-            g, cells = _scan_row(cfg, sweep, value)
-            states.append(g)
-            inputs.append(cells)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is _checked's error
+            for value in values:
+                spec, channel = point(value)
+                entries.append(_epr_entries(*_source(spec, channel), channel))
+                inputs.append(_input_cells(spec, channel))
     finally:
-        # also when a state fails: the rows before it are rated first, so
-        # their errors come before its own, as when each row is rated in turn
-        rates = _stacked_rates(states, ana["n_samples"] if ana["worst_case"] else None)
+        # also when a state fails: the rows before it are validated and rated
+        # first, so their errors come before its own, as when each row is
+        # built and rated in turn
+        stack, error = _checked(np.array(entries).reshape(-1, 4, 4))
+        rates = _stacked_rates(stack, ana["n_samples"] if ana["worst_case"] else None)
+        if error is not None:
+            raise error
     n = str(ana["n_samples"])
     return [
         ",".join([*cells, *map(_fmt, rate[:4]), _fmt(rate[4]) if rate[4] is not None else "", n])
@@ -314,26 +361,14 @@ def _scan_chunk(cfg: dict, sweep: str, values: list) -> list:
     ]
 
 
-def _scan_row(cfg: dict, sweep: str, value: float) -> tuple:
-    """The state at one grid value and its row's first four cells."""
-    # cfg's sections are shared with every row: replace a section, never edit it
-    point = dict(cfg)
-    if sweep == "sqz_db":
-        point["source"] = {**cfg["source"], "mode": "measured", "var_sqz_db": -abs(value), "var_asqz_db": None}
-    elif sweep == "nu_b":
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"--sweep nu_b adds loss to arm B, which must lie in [0, 1], got {value}")
-        point["channel"] = {**cfg["channel"], "nu_b": 1.0 - (1.0 - cfg["channel"]["nu_b"]) * (1.0 - value)}
-    elif sweep == "sigma":
-        point["channel"] = {**cfg["channel"], "sigma_a": value, "sigma_b": value}
-    spec, channel = _resolve(point)
-    g = make_epr_state(spec, channel)
-    # the input column: a pump spec's detected squeezing comes from its model,
-    # whose power make_epr_state has checked and warned about; pump_to_variances would warn again
+def _input_cells(spec, channel: ChannelParams) -> list:
+    """A scan row's first four cells, after its state is built."""
+    # a pump spec's detected squeezing comes from its model, whose power the
+    # state's build has checked and warned about; pump_to_variances would warn again
     input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(
         _pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw))
     )
-    return g, [_fmt(input_db), _fmt(channel.loss_b), _fmt(channel.det_noise_b), _fmt(channel.phase_sigma_b)]
+    return [_fmt(input_db), _fmt(channel.loss_b), _fmt(channel.det_noise_b), _fmt(channel.phase_sigma_b)]
 
 
 def cmd_sample(args, cfg: dict) -> int:

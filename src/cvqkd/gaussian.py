@@ -85,19 +85,48 @@ def covariance(entries) -> CovarianceMatrix:
     dim = m.shape[0]
     if dim % 2 != 0 or dim == 0:
         raise InvalidStateError(f"covariance matrix dimension must be a positive even number, got {dim}")
+    m, error = _checked(m)
+    if error is not None:
+        raise error
+    m.flags.writeable = False
+    return CovarianceMatrix(n_modes=dim // 2, entries=m)
+
+
+def _checked(m: np.ndarray) -> tuple:
+    """covariance()'s rules on one float matrix, or on each of a (k, n, n) stack.
+
+    The rules: finite entries, an asymmetry within SYMMETRY_TOL, then exact
+    symmetrization, and a strictly positive diagonal. Returns the symmetrized
+    matrix or stack and None. When a matrix fails, returns the symmetrized
+    stack of the matrices before it and the InvalidStateError that covariance()
+    raises for it, naming the first rule it breaks. A stack is judged in one
+    pass, and matrix by matrix only when one fails.
+    """
+    sym, error = _symmetrized(m)
+    if error is None or m.ndim == 2:
+        return sym, error
+    for i, matrix in enumerate(m):
+        error = _symmetrized(matrix)[1]
+        if error is not None:
+            return _symmetrized(m[:i])[0], error
+
+
+def _symmetrized(m: np.ndarray) -> tuple:
+    """(m symmetrized, None), or (None, the error of the first rule that an
+    entry of m breaks): _checked on one matrix, or on a whole stack at once."""
     if not np.isfinite(m).all():
-        raise InvalidStateError("covariance matrix contains non-finite entries")
+        return None, InvalidStateError("covariance matrix contains non-finite entries")
     # halves first, so entries near the float maximum cannot overflow; for
     # normal floats this is bit for bit (m - m.T) / 2 and (m + m.T) / 2
     half = 0.5 * m
-    asym = 2.0 * float(abs(half - half.T).max())  # a Python float overflows to inf silently
+    half_t = half.swapaxes(-1, -2)
+    asym = 2.0 * float(abs(half - half_t).max(initial=0.0))  # a Python float overflows to inf silently
     if asym > SYMMETRY_TOL:
-        raise InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
-    m = half + half.T
-    if (m.diagonal() <= 0.0).any():
-        raise InvalidStateError("covariance matrix diagonal must be strictly positive")
-    m.flags.writeable = False
-    return CovarianceMatrix(n_modes=dim // 2, entries=m)
+        return None, InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
+    m = half + half_t
+    if (m.diagonal(0, -2, -1) <= 0.0).any():
+        return None, InvalidStateError("covariance matrix diagonal must be strictly positive")
+    return m, None
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:

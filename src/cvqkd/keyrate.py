@@ -25,14 +25,16 @@ functions and the oracles raise typed errors naming the quantity instead,
 where it is below its floor beyond rounding (gaussian._judge).
 
 Many states at once, as scan's rows, are rated in one stacked pass
-(_stacked_rates): one np.linalg.det over the stack, the invariants from its
-entry planes, one formula call, and each check the single-state path makes
-as one mask over the rows, by the same comparisons on the same bits
-(gaussian._below_floor for the tolerance rule, and the oracle's conditional
-variances and eigenvalues from one gaussian._conditioned stack). A row that
-a check flags is rated by secret_key_rate itself, so every error is raised
-and worded in one place, and every other row rates as secret_key_rate
-rates it, bit for bit.
+(_stacked_rates) over a (k, 4, 4) stack of entries that covariance()'s
+rules have validated in one pass (gaussian._checked): one np.linalg.det
+over the stack, the invariants from its entry planes, one formula call, and
+each check the single-state path makes as one mask over the rows, by the
+same comparisons on the same bits (gaussian._below_floor for the tolerance
+rule, and the oracle's conditional variances and eigenvalues from one
+gaussian._conditioned stack). Only a row that a check flags becomes a
+CovarianceMatrix, and secret_key_rate rates it, so every error is raised
+and worded in one place; every other row rates as secret_key_rate rates
+it, bit for bit.
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
@@ -97,6 +99,7 @@ from .gaussian import (
     _require_two_modes,
     _root,
     _screened_det,
+    covariance,
     invariants,
 )
 
@@ -285,9 +288,12 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     )
 
 
-def _stacked_rates(states: list, n_samples: float | None = None) -> list:
+def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
     """(mi, holevo_a, holevo_b, k_nominal, k_worst_case) of secret_key_rate
-    for each two-mode state of a list, bit for bit, from one stacked pass.
+    for each two-mode state of a (k, 4, 4) stack, bit for bit, from one
+    stacked pass. The stack holds the states' entries as covariance()
+    returns them, validated and symmetrized (gaussian._checked), and no row
+    is wrapped as a CovarianceMatrix unless a check flags it.
 
     The pass takes i4 from one np.linalg.det call over the stack (the same
     LAPACK factorization per matrix as invariants()), the other invariants
@@ -296,10 +302,12 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     rows, with the same comparisons on the same bits: the overflow rule of
     invariants() (gaussian._overflows), the formula's floors (_rejected), and
     the oracle's conditional variances and conditional eigenvalues on one
-    _conditioned stack. The states' diagonals are positive, as covariance()
+    _conditioned stack. The rows' diagonals are positive, as covariance()
     checks, so _conditioned does not raise. A row that a check flags, or
-    whose rate is not finite, is rated by secret_key_rate itself, in list
-    order, so its error or its values are that function's.
+    whose rate is not finite, becomes covariance(row), and is rated by
+    secret_key_rate itself, in stack order, so its error or its values are
+    that function's. When the raw rows were exactly symmetric, as scan's
+    are, covariance(row) has every bit of covariance(raw row).
 
     With n_samples, the worst cases of all other rows are one call of
     _worst_boxes, the kernel worst_case_breakdown calls for one state. Each
@@ -311,9 +319,8 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
     bit for bit. An n_samples that worst_case_key_rate rejects raises before
     the walk when any row is unflagged.
     """
-    if not states:
+    if not len(stack):
         return []
-    stack = np.stack([g.entries for g in states])
     with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
         inv = SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), np.linalg.det(stack)))
         f = _formula(inv)
@@ -333,9 +340,9 @@ def _stacked_rates(states: list, n_samples: float | None = None) -> list:
         nf = _normal_form_of(*(x[good] for x in (inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)))
         boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples), inv.i4[good])
     good_row = 0
-    for j, (g, bad) in enumerate(zip(states, flagged.tolist())):
+    for j, bad in enumerate(flagged.tolist()):
         if bad:
-            r = secret_key_rate(g, n_samples)
+            r = secret_key_rate(covariance(stack[j]), n_samples)
             rows[j] = [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
         elif boxes is None:
             rows[j].append(None)

@@ -189,7 +189,9 @@ def detection_noise(g: CovarianceMatrix, delta) -> CovarianceMatrix:
     deltas = _per_mode(delta, g.n_modes, "delta")
     if not np.all(deltas >= 0.0):
         raise InvalidArgumentError(f"detection noise must be non-negative, got {deltas.tolist()}")
-    return covariance(_detection(g.entries, deltas))
+    with np.errstate(over="ignore"):  # covariance() names a non-finite entry
+        entries = _detection(g.entries, deltas)
+    return covariance(entries)
 
 
 def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
@@ -213,7 +215,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
 
 # The channel arithmetic on raw matrices, without argument checks or
 # validation: the public maps above wrap each in covariance(), and
-# _optical and _pipeline chain them and validate once.
+# _optical and _epr_entries chain them for the callers to validate once.
 
 
 def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -339,13 +341,17 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     that r_from_measured infers from one measured value, and
     (v - epsilon)/(1 - epsilon) for each v of a measured or pump pair. Every
     route but a pure r goes through epsilon, so each arm's loss must be at
-    least epsilon. Then one pipeline, validated once: tensor with vacuum,
-    balanced beam splitter, the full per-arm loss, phase noise, detection
-    noise, equal bit for bit to tensor, apply_symplectic, loss_channel,
-    phase_noise_channel and detection_noise composed.
+    least epsilon. Then one pipeline on raw entries (_epr_entries), which
+    covariance() validates once: tensor with vacuum, balanced beam
+    splitter, the full per-arm loss, phase noise, detection noise, equal bit
+    for bit to tensor, apply_symplectic, loss_channel, phase_noise_channel
+    and detection_noise composed. An entry that overflows is covariance()'s
+    error, without a numpy warning.
     """
     ch = channel if channel is not None else ChannelParams()
-    return _pipeline(*_source(spec, ch), ch)
+    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
+        entries = _epr_entries(*_source(spec, ch), ch)
+    return covariance(entries)
 
 
 def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
@@ -353,11 +359,13 @@ def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
     detection noise, whose Reid product simulate reports, and the detected
     state make_epr_state(spec, ch) returns, each validated once. Bit for bit
     make_epr_state with zero detection noise, and detection_noise on it."""
-    # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
-    optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
-    if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
-        return optical, optical
-    return optical, covariance(_detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
+        # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
+        optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
+        if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
+            return optical, optical
+        detected = _detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
+    return optical, covariance(detected)
 
 
 def _source(spec, ch: ChannelParams) -> tuple[float, float]:
@@ -418,9 +426,12 @@ def _pair_db(spec, vs: float, va: float) -> str:
     return f"({spec.var_sqz_db} dB, {spec.var_asqz_db} dB)"
 
 
-def _pipeline(vs: float, va: float, ch: ChannelParams) -> CovarianceMatrix:
-    """_optical, then detection noise, validated once by the final covariance()."""
-    return covariance(_detection(_optical(vs, va, ch), np.array([ch.det_noise_a, ch.det_noise_b], dtype=float)))
+def _epr_entries(vs: float, va: float, ch: ChannelParams) -> np.ndarray:
+    """make_epr_state's raw entries from the source variances: _optical, then
+    detection noise, exactly symmetric and not validated. An entry that
+    overflows reads inf or NaN, with numpy's warning unless the caller's
+    np.errstate silences it."""
+    return _detection(_optical(vs, va, ch), np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
 
 
 def _optical(vs: float, va: float, ch: ChannelParams) -> np.ndarray:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd
-from cvqkd import cli
+from cvqkd import cli, gaussian
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError, DatasetParseError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json, variance_to_db
@@ -284,6 +284,11 @@ def run_scan_and_reference(capsys, monkeypatch, *argv):
         return stacked, run(capsys, "scan", *argv)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning as the command line has it: the warning on stderr."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 _README_SWEEPS = {"sqz_db": ("4.5", "12"), "nu_b": ("0", "0.3"), "sigma": ("0", "0.2")}
 
 _SCAN_CONFIGS = {
@@ -317,20 +322,36 @@ def test_scan_equals_the_per_row_reference_byte_for_byte(capsys, monkeypatch, tm
         (("sqz_db", "3000", "3200", "5"), {"epsilon": 0.0}, "error: covariance entries up to 4.66e+299 overflow"),
         (("sqz_db", "0", "300", "600"), {"epsilon": 0.0}, "error: mutual information log argument"),
         (("nu_b", "0", "1.5", "600"), {}, "error: --sweep nu_b adds loss to arm B"),
+        (
+            ("sqz_db", "3070", "3090", "21"),
+            {"epsilon": 0.0, "delta_b": 1.7e308},
+            "error: covariance entries up to 1.75e+308 overflow the symplectic invariants",
+        ),
     ],
-    ids=["rating error then state error in one chunk", "rating error in a later chunk", "state error in a later chunk"],
+    ids=[
+        "rating error then state error in one chunk",
+        "rating error in a later chunk",
+        "state error in a later chunk",
+        "rating error then an overflowing channel map",
+    ],
 )
 def test_scan_errors_come_in_the_per_row_reference_order(capsys, monkeypatch, tmp_path, argv, channel, error, worst_case):
     """A state that cannot be built raises only after the rows before it in
     its chunk are rated, so an earlier row's rating error wins, as row by row.
     At 3000 dB row 0 overflows the invariants, and from 3100 dB the source
     variances overflow while the state is built; the first row that fails at
-    0-300 dB is row 314, and at nu_b 0-1.5 row 400."""
+    0-300 dB is row 314, and at nu_b 0-1.5 row 400. With 1.7e308 of detection
+    noise, row 0 at 3070 dB overflows the invariants, and from row 4 the
+    detection map overflows to inf, which is covariance()'s error and prints
+    no numpy warning. Warnings print to stderr, as on the command line."""
     cfg = write_config(tmp_path, {"channel": channel, "analysis": {"worst_case": worst_case}})
     sweep, start, stop, steps = argv
-    stacked, reference = run_scan_and_reference(
-        capsys, monkeypatch, "--config", cfg, "--sweep", sweep, "--from", start, "--to", stop, "--steps", steps
-    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("always", category=RuntimeWarning)
+        warnings.showwarning = _print_warning
+        stacked, reference = run_scan_and_reference(
+            capsys, monkeypatch, "--config", cfg, "--sweep", sweep, "--from", start, "--to", stop, "--steps", steps
+        )
     assert stacked == reference
     rc, out, err = stacked
     assert rc == 1 and out == "" and err.startswith(error) and err.count("\n") == 1, err
@@ -353,6 +374,31 @@ def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp
     stacked = peak_bytes()
     monkeypatch.setitem(cli._DISPATCH, "scan", _reference_cmd_scan)
     assert stacked <= peak_bytes() + 0.3e6
+
+
+def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monkeypatch):
+    """A nominal 600-row scan, three chunks, runs covariance()'s rules once
+    per chunk over its stack, and builds no CovarianceMatrix: no row is
+    flagged, so none is rated on its own."""
+    checks, built = [], []
+    real_checked = gaussian._checked
+
+    def counted_checked(m):
+        checks.append(m.shape)
+        return real_checked(m)
+
+    class CountedCovarianceMatrix(gaussian.CovarianceMatrix):
+        def __init__(self, *args, **kwargs):
+            built.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "_checked", counted_checked)
+    monkeypatch.setattr(cli, "_checked", counted_checked)
+    monkeypatch.setattr(gaussian, "CovarianceMatrix", CountedCovarianceMatrix)
+    rc, out, err = run(capsys, "scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "600")
+    assert rc == 0 and err == "" and len(out.splitlines()) == 601
+    assert checks == [(256, 4, 4), (256, 4, 4), (88, 4, 4)]
+    assert built == []
 
 
 @pytest.mark.parametrize(

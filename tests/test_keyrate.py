@@ -348,7 +348,7 @@ def test_worst_case_rejects_a_sample_count_that_is_not_a_real_number(n):
     typed error naming the value."""
     g = default_state()
     message = re.escape(f"sample count must be a real number, got {n!r}")
-    for route in (worst_case_key_rate, worst_case_breakdown, secret_key_rate, lambda g, n: _stacked_rates([g], n)):
+    for route in (worst_case_key_rate, worst_case_breakdown, secret_key_rate, lambda g, n: _stacked_rates_of([g], n)):
         with pytest.raises(InvalidArgumentError, match=message):
             route(g, n)
 
@@ -698,12 +698,12 @@ def test_stacked_det_equals_per_matrix_det_bit_for_bit():
 @pytest.mark.parametrize("n_samples", [None, 1e6])
 def test_stacked_rates_equal_secret_key_rate_bit_for_bit(n_samples):
     states = _seeded_model_states(np.random.default_rng(7), 300 if n_samples is None else 24)
-    got = _stacked_rates(states, n_samples)
+    got = _stacked_rates_of(states, n_samples)
     reports = [secret_key_rate(g, n_samples) for g in states]
     want = [[r.mi, r.holevo_a, r.holevo_b, r.k_nominal] for r in reports]
     assert np.array([row[:4] for row in got]).tobytes() == np.array(want).tobytes()
     assert [row[4] for row in got] == [r.k_worst_case for r in reports]
-    assert _stacked_rates([]) == []
+    assert _stacked_rates(np.empty((0, 4, 4))) == []
 
 
 def test_stacked_rates_leave_flagged_rows_to_secret_key_rate():
@@ -722,7 +722,7 @@ def test_stacked_rates_leave_flagged_rows_to_secret_key_rate():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-                _stacked_rates(states)
+                _stacked_rates_of(states)
 
 
 def test_stacked_rates_flag_every_row_that_secret_key_rate_rejects():
@@ -748,10 +748,10 @@ def test_stacked_rates_flag_every_row_that_secret_key_rate_rejects():
         "entropy argument d_minus",
         "entropy argument d_a",
     }
-    assert np.array([row[:4] for row in _stacked_rates(passing)]).tobytes() == np.array(want).tobytes()
+    assert np.array([row[:4] for row in _stacked_rates_of(passing)]).tobytes() == np.array(want).tobytes()
     for g, exc in failing:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _stacked_rates(passing + [g])
+            _stacked_rates_of(passing + [g])
 
 
 @pytest.mark.parametrize("kind", list(_EDGE_GENERATORS))
@@ -1089,6 +1089,11 @@ def _captured(fn, g, n):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def _stacked_rates_of(states, n_samples=None):
+    """_stacked_rates of the states' entries, stacked as scan stacks its rows."""
+    return _stacked_rates(np.array([g.entries for g in states]).reshape(-1, 4, 4), n_samples)
+
+
 def _near_pure_state(rng):
     """L T diag(nu+, nu+, nu-, nu-) T^T L^T with nu- = 1 + 10^-k, k in [3, 16],
     for a two-mode squeezer T and random local rotations and squeezers L."""
@@ -1304,7 +1309,7 @@ def test_stacked_worst_case_equals_worst_case_breakdown_bit_for_bit(monkeypatch,
         return real_screen(planes)
 
     monkeypatch.setattr(cvqkd.keyrate, "_screened_det", screen)
-    got, got_warnings = _captured(_stacked_rates, states, n)
+    got, got_warnings = _captured(_stacked_rates_of, states, n)
     assert [row[4].hex() for row in got] == [value.hex() for value in want]
     assert got_warnings == want_warnings
     distinct = (64, 512, 1024) if n < 1e33 else (1, 1, 1)
@@ -1339,10 +1344,10 @@ def test_stretched_near_pure_state_rates_its_worst_case_at_its_nominal_rate(n):
     assert breakdown.value == breakdown.corner_min == nominal
     assert breakdown.n_corners_physical == 1024
     rows = [default_state(), g]
-    assert _stacked_rates(rows, n) == [
+    assert _stacked_rates_of(rows, n) == [
         [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, n) for g in rows)
     ]
-    assert _stacked_rates(rows, n)[1][4] == nominal
+    assert _stacked_rates_of(rows, n)[1][4] == nominal
 
 
 def _locally_squeezed_pure_states():
@@ -1378,7 +1383,7 @@ def test_a_box_of_zero_width_rates_its_state_as_secret_key_rate_does(n):
         assert breakdown.n_corners_physical == 1024
         rated.append(g)
     assert len(rated) >= len(states) // 2
-    assert [row[4] for row in _stacked_rates(rated, n)] == [worst_case_key_rate(g, n) for g in rated]
+    assert [row[4] for row in _stacked_rates_of(rated, n)] == [worst_case_key_rate(g, n) for g in rated]
 
 
 def _overflowing_box_state():
@@ -1421,7 +1426,7 @@ def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
     with pytest.raises(CvqkdError) as flagged_error:
         secret_key_rate(flagged, 1)
     good = [default_state(), default_state(-9.0)]
-    assert _captured(_stacked_rates, good, 1)[0] == [
+    assert _captured(_stacked_rates_of, good, 1)[0] == [
         [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in (secret_key_rate(g, 1) for g in good)
     ]
     for rows, error in (
@@ -1429,7 +1434,7 @@ def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
         ([*good, overflowing, flagged], want.value),
         ([*good, flagged, overflowing], flagged_error.value),
     ):
-        assert _captured(_stacked_rates, rows, 1) == ((type(error), str(error)), [])
+        assert _captured(_stacked_rates_of, rows, 1) == ((type(error), str(error)), [])
 
 
 def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one(monkeypatch):
@@ -1462,11 +1467,11 @@ def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one(monkeypatc
     count = next(j for j, g in enumerate(states) if _captured(one_by_one, [g], 1e6)[0] == want)
     rated, rated_warnings = _captured(one_by_one, states[:count], 1e6)
     assert rated_warnings == want_warnings
-    got, got_warnings = _captured(_stacked_rates, states[:count], 1e6)
+    got, got_warnings = _captured(_stacked_rates_of, states[:count], 1e6)
     assert [row[4].hex() for row in got] == [value.hex() for value in rated]
     assert got_warnings == want_warnings
-    assert _captured(_stacked_rates, states[: count + 1], 1e6) == (want, want_warnings)
-    assert _captured(_stacked_rates, states, 1e6) == (want, want_warnings)
+    assert _captured(_stacked_rates_of, states[: count + 1], 1e6) == (want, want_warnings)
+    assert _captured(_stacked_rates_of, states, 1e6) == (want, want_warnings)
 
 
 # ------------------------- block elimination and one floor test against the per-plane kernels

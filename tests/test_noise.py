@@ -186,6 +186,23 @@ def test_detection_noise_adds_to_diagonal():
     np.testing.assert_array_equal(detection_noise(g, 0.0).entries, g.entries)
 
 
+def test_detection_noise_that_overflows_is_a_typed_error_without_a_numpy_warning():
+    """Entries near 1.4e307 plus 1.7e308 of detection noise overflow to inf:
+    covariance()'s typed error on every route, and no numpy RuntimeWarning,
+    which this suite raises as an error."""
+    spec, ch = SqueezingSpec(r=354.0), ChannelParams(epsilon=0.0, det_noise_b=1.7e308)
+    huge = make_epr_state(spec, ChannelParams(epsilon=0.0))
+    assert huge.entries.max() > 1e307
+    routes = [
+        lambda: make_epr_state(spec, ch),
+        lambda: cvqkd.noise._optical_and_detected(spec, ch),
+        lambda: detection_noise(huge, [0.0, 1.7e308]),
+    ]
+    for route in routes:
+        with pytest.raises(InvalidStateError, match="^covariance matrix contains non-finite entries$"):
+            route()
+
+
 def test_detection_noise_rejects_negative():
     with pytest.raises(InvalidArgumentError):
         detection_noise(vacuum(1), -0.01)
@@ -682,8 +699,10 @@ def _epr_state_outcome(spec, ch, build=make_epr_state):
 def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     cases = _differential_cases()
     one_pass = [_epr_state_outcome(spec, ch) for spec, ch in cases]
-    # _pipeline takes the two source variances; the reference starts from their validated 2x2
-    monkeypatch.setattr(cvqkd.noise, "_pipeline", lambda vs, va, ch: _reference_pipeline(covariance(np.diag([vs, va])), ch))
+    # _epr_entries takes the two source variances; the reference starts from their validated 2x2
+    monkeypatch.setattr(
+        cvqkd.noise, "_epr_entries", lambda vs, va, ch: _reference_pipeline(covariance(np.diag([vs, va])), ch).entries
+    )
     composed = [_epr_state_outcome(spec, ch) for spec, ch in cases]
     for (spec, ch), (got, got_warnings), (want, want_warnings) in zip(cases, one_pass, composed):
         if isinstance(want, tuple):
