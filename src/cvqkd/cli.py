@@ -44,10 +44,9 @@ from .noise import (
     ChannelParams,
     SourceParams,
     SqueezingSpec,
-    _epr_entries,
     _optical_and_detected,
     _pump_sqz_variance,
-    _source,
+    _state_entries,
     make_epr_state,
 )
 from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
@@ -334,7 +333,7 @@ def _sweep_points(cfg: dict, sweep: str, first: float):
 
 def _scan_chunk(point, ana: dict, values: list) -> list:
     """The CSV rows of consecutive grid values: each row's raw state entries
-    built in grid order (noise._epr_entries), then the rows validated in one
+    built in grid order (noise._state_entries), then the rows validated in one
     pass (gaussian._checked) and rated in one stacked pass
     (keyrate._stacked_rates), with --worst-case every row's worst case too, in
     one pass of the worst-case kernel. Each row's cells, errors and warnings
@@ -344,7 +343,7 @@ def _scan_chunk(point, ana: dict, values: list) -> list:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is _checked's error
             for value in values:
                 spec, channel = point(value)
-                entries.append(_epr_entries(*_source(spec, channel), channel))
+                entries.append(_state_entries(spec, channel))
                 inputs.append(_input_cells(spec, channel))
     finally:
         # also when a state fails: the rows before it are validated and rated

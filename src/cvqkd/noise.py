@@ -368,9 +368,17 @@ def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
     return optical, covariance(detected)
 
 
+def _state_entries(spec, ch: ChannelParams) -> np.ndarray:
+    """make_epr_state(spec, ch)'s raw entries, not validated, for a caller
+    that validates many states at once: _source, at make_epr_state's call
+    depth so its warnings name the line that called this, then _epr_entries."""
+    return _epr_entries(*_source(spec, ch), ch)
+
+
 def _source(spec, ch: ChannelParams) -> tuple[float, float]:
     """make_epr_state's checked source variances (vs, va); its warnings name
-    the line that called make_epr_state or _optical_and_detected."""
+    the line that called make_epr_state, _optical_and_detected or
+    _state_entries."""
     eps = ch.epsilon
     if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import linecache
 import math
 import os
 import subprocess
@@ -355,6 +356,21 @@ def test_scan_errors_come_in_the_per_row_reference_order(capsys, monkeypatch, tm
     assert stacked == reference
     rc, out, err = stacked
     assert rc == 1 and out == "" and err.startswith(error) and err.count("\n") == 1, err
+
+
+def test_scan_source_warnings_name_the_line_that_builds_the_row(capsys, tmp_path):
+    """A measured pair below the uncertainty relation warns once a row, and
+    each warning names the cli line that builds the row's state, as when that
+    line called make_epr_state: not a line of noise.py or of cmd_scan."""
+    cfg = write_config(tmp_path, {"source": {"var_asqz_db": 10.0}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "scan", "--config", cfg, "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "3")
+    source = [w for w in caught if "violates the uncertainty relation" in str(w.message)]
+    assert rc == 0 and len(out.splitlines()) == 4 and len(source) == 3
+    for w in source:
+        assert w.filename == cli.__file__
+        assert "entries.append(_state_entries(spec, channel))" in linecache.getline(w.filename, w.lineno)
 
 
 def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp_path):
