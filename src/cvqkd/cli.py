@@ -44,9 +44,10 @@ from .noise import (
     ChannelParams,
     SourceParams,
     SqueezingSpec,
+    _detection,
     _optical_and_detected,
+    _optical_entries,
     _pump_sqz_variance,
-    _state_entries,
     make_epr_state,
 )
 from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
@@ -270,8 +271,7 @@ def _source_spec(cfg: dict):
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    # the Reid (EPR) product is of the optical state, before detection, so
-    # simulate takes the state before detection noise from the same pipeline run
+    # the Reid (EPR) product is of the optical state, before detection noise: one pipeline run builds both
     optical, detected = _optical_and_detected(*_resolve(cfg))
     n = cfg["analysis"]["n_samples"] if cfg["analysis"]["worst_case"] else None
     report = secret_key_rate(detected, n_samples=n)
@@ -300,23 +300,30 @@ def cmd_scan(args, cfg: dict) -> int:
     except MemoryError as exc:
         raise ConfigError(f"--steps = {args.steps} grid points do not fit in memory") from exc
     lines = [",".join(SCAN_COLUMNS)]
-    point = _sweep_points(cfg, args.sweep, float(grid[0]))
+    point, cells = _sweep_points(cfg, args.sweep, float(grid[0]))
     for start in range(0, len(grid), _SCAN_CHUNK):
-        lines += _scan_chunk(point, cfg["analysis"], grid[start : start + _SCAN_CHUNK].tolist())
+        lines += _scan_chunk(point, cells, cfg["analysis"], grid[start : start + _SCAN_CHUNK].tolist())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _sweep_points(cfg: dict, sweep: str, first: float):
-    """The function from a grid value to its row's (spec, channel). The config
-    is resolved once, and each row replaces only the swept field: a new
-    SqueezingSpec, or a new ChannelParams whose checks run again. The first
-    row's channel is checked before the source, as _resolve checks them. So
-    each row's checks and messages are those of resolving its own config."""
+def _sweep_points(cfg: dict, sweep: str, first: float) -> tuple:
+    """(point, cells) of a sweep. point maps a grid value to its row's (spec,
+    channel): the config is resolved once, and each row replaces only the
+    swept field, a new SqueezingSpec, or a new ChannelParams whose checks run
+    again. The first row's channel is checked before the source, as _resolve
+    checks them. So each row's checks and messages are those of resolving its
+    own config. cells maps a row's (spec, channel), once its state is built,
+    to its four input cells as CSV text: the swept cell is formatted for each
+    row, the three the sweep leaves alone once."""
     vary = _channel_of(cfg)
     if sweep == "sqz_db":
         channel = vary()
-        return lambda value: (SqueezingSpec(var_sqz_db=-abs(value)), channel)
+        fixed = _cells(channel.loss_b, channel.det_noise_b, channel.phase_sigma_b)
+        return (
+            lambda value: (SqueezingSpec(var_sqz_db=-abs(value)), channel),
+            lambda spec, _: f"{_fmt(spec.var_sqz_db)},{fixed}",
+        )
     nu_b = cfg["channel"]["nu_b"]
 
     def swept(value: float) -> dict:
@@ -326,48 +333,59 @@ def _sweep_points(cfg: dict, sweep: str, first: float):
             raise ConfigError(f"--sweep nu_b adds loss to arm B, which must lie in [0, 1], got {value}")
         return {"loss_b": 1.0 - (1.0 - nu_b) * (1.0 - value)}
 
-    vary(**swept(first))  # the first row's channel, checked before the source
+    channel = vary(**swept(first))  # the first row's channel, checked before the source
     spec = _source_spec(cfg)
-    return lambda value: (spec, vary(**swept(value)))
+    # read once the first row's state is built, which checks and warns about a pump's power
+    input_cell = functools.cache(lambda: _fmt(_input_db(spec)))
+    if sweep == "sigma":
+        fixed = _cells(channel.loss_b, channel.det_noise_b)
+        cells = lambda _, ch: f"{input_cell()},{fixed},{_fmt(ch.phase_sigma_b)}"
+    else:
+        fixed = _cells(channel.det_noise_b, channel.phase_sigma_b)
+        cells = lambda _, ch: f"{input_cell()},{_fmt(ch.loss_b)},{fixed}"
+    return lambda value: (spec, vary(**swept(value))), cells
 
 
-def _scan_chunk(point, ana: dict, values: list) -> list:
-    """The CSV rows of consecutive grid values: each row's raw state entries
-    built in grid order (noise._state_entries), then the rows validated in one
+def _scan_chunk(point, cells, ana: dict, values: list) -> list:
+    """The CSV rows of consecutive grid values: each row's raw optical state
+    built in grid order (noise._optical_entries), then the chunk's detection
+    noise added in one array pass (noise._detection), the rows validated in one
     pass (gaussian._checked) and rated in one stacked pass
     (keyrate._stacked_rates), with --worst-case every row's worst case too, in
     one pass of the worst-case kernel. Each row's cells, errors and warnings
     are those of rating it on its own, byte for byte and in grid order."""
-    entries, inputs = [], []
+    optical, deltas, inputs = [], [], []
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is _checked's error
             for value in values:
                 spec, channel = point(value)
-                entries.append(_state_entries(spec, channel))
-                inputs.append(_input_cells(spec, channel))
+                optical.append(_optical_entries(spec, channel))
+                deltas.append((channel.det_noise_a, channel.det_noise_b))
+                inputs.append(cells(spec, channel))
     finally:
         # also when a state fails: the rows before it are validated and rated
         # first, so their errors come before its own, as when each row is
         # built and rated in turn
-        stack, error = _checked(np.array(entries).reshape(-1, 4, 4))
+        with np.errstate(over="ignore"):  # likewise
+            entries = _detection(np.array(optical).reshape(-1, 4, 4), np.array(deltas, dtype=float).reshape(-1, 2))
+        stack, error = _checked(entries)
         rates = _stacked_rates(stack, ana["n_samples"] if ana["worst_case"] else None)
         if error is not None:
             raise error
     n = str(ana["n_samples"])
     return [
-        ",".join([*cells, *map(_fmt, rate[:4]), _fmt(rate[4]) if rate[4] is not None else "", n])
-        for cells, rate in zip(inputs, rates)
+        ",".join([row, *map(_fmt, rate[:4]), _fmt(rate[4]) if rate[4] is not None else "", n])
+        for row, rate in zip(inputs, rates)
     ]
 
 
-def _input_cells(spec, channel: ChannelParams) -> list:
-    """A scan row's first four cells, after its state is built."""
-    # a pump spec's detected squeezing comes from its model, whose power the
-    # state's build has checked and warned about; pump_to_variances would warn again
-    input_db = spec.var_sqz_db if isinstance(spec, SqueezingSpec) else variance_to_db(
-        _pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw))
-    )
-    return [_fmt(input_db), _fmt(channel.loss_b), _fmt(channel.det_noise_b), _fmt(channel.phase_sigma_b)]
+def _input_db(spec) -> float:
+    """A scan row's input cell, its detected squeezing in dB. A pump spec's
+    comes from its model, whose power the state's build has checked and
+    warned about; pump_to_variances would warn again."""
+    if isinstance(spec, SqueezingSpec):
+        return spec.var_sqz_db
+    return variance_to_db(_pump_sqz_variance(spec, math.sqrt(spec.p_mw / spec.p_th_mw)))
 
 
 def cmd_sample(args, cfg: dict) -> int:
@@ -485,6 +503,10 @@ def _json(value, newline: str = "\n") -> str:
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _cells(*values) -> str:
+    return ",".join(map(_fmt, values))
 
 
 def _emit(text: str, out_path) -> None:

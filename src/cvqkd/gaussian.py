@@ -223,11 +223,15 @@ def apply_symplectic(g: CovarianceMatrix, s) -> CovarianceMatrix:
     if s.shape != (g.dim, g.dim):
         raise InvalidArgumentError(f"symplectic matrix shape {s.shape} does not match state dimension {g.dim}")
     omega = symplectic_form(g.n_modes)
-    residual = float(np.max(np.abs(s @ omega @ s.T - omega)))
-    if residual > DEFAULT_TOL:
-        raise InvalidArgumentError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {residual:.3e}")
-    out = s @ g.entries @ s.T
-    return covariance((out + out.T) / 2.0)
+    # a product that overflows reads inf or NaN without numpy's warning: a NaN
+    # residual fails the check, and covariance() names a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(s @ omega @ s.T - omega)))
+        if not residual <= DEFAULT_TOL:
+            raise InvalidArgumentError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {residual:.3e}")
+        out = s @ g.entries @ s.T
+        out = (out + out.T) / 2.0
+    return covariance(out)
 
 
 def balanced_beamsplitter() -> np.ndarray:

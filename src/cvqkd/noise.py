@@ -33,6 +33,7 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
+    _checked,
     _squeezed_variances,
     balanced_beamsplitter,
     covariance,
@@ -225,7 +226,14 @@ def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
 
 
 def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    return m + np.diag(deltas.repeat(2))
+    """Detection noise on one matrix, one delta per mode, or on a (k, n, n)
+    stack, a row of deltas per matrix; one matrix with k rows of deltas gives
+    k matrices. Each is bit for bit m + np.diag(deltas.repeat(2)): every other
+    entry gets + 0.0, so a -0.0 entry reads +0.0, and one that overflows inf."""
+    n = m.shape[-1]
+    noise = np.zeros((*deltas.shape[:-1], n, n))
+    noise.reshape(*deltas.shape[:-1], -1)[..., :: n + 1] = deltas.repeat(2, axis=-1)
+    return m + noise
 
 
 def _phase_noise(m: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -357,28 +365,33 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
 def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
     """(optical, detected) states of one make_epr_state run: the state before
     detection noise, whose Reid product simulate reports, and the detected
-    state make_epr_state(spec, ch) returns, each validated once. Bit for bit
-    make_epr_state with zero detection noise, and detection_noise on it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
-        # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
-        optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
-        if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
-            return optical, optical
-        detected = _detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
-    return optical, covariance(detected)
+    state make_epr_state(spec, ch) returns. Both are validated as one stack of
+    two in one gaussian._checked pass, which raises the optical state's error
+    before the detected state's. Bit for bit make_epr_state with zero
+    detection noise, and detection_noise on it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _checked names a non-finite entry
+        optical = _optical(*_source(spec, ch), ch)
+        # zero detection noise has one effect on the optical state: -0.0 entries read +0.0
+        stack = _detection(optical, np.array([(0.0, 0.0), (ch.det_noise_a, ch.det_noise_b)], dtype=float))
+    stack, error = _checked(stack)
+    if error is not None:
+        raise error
+    stack.flags.writeable = False
+    return CovarianceMatrix(n_modes=2, entries=stack[0]), CovarianceMatrix(n_modes=2, entries=stack[1])
 
 
-def _state_entries(spec, ch: ChannelParams) -> np.ndarray:
-    """make_epr_state(spec, ch)'s raw entries, not validated, for a caller
-    that validates many states at once: _source, at make_epr_state's call
-    depth so its warnings name the line that called this, then _epr_entries."""
-    return _epr_entries(*_source(spec, ch), ch)
+def _optical_entries(spec, ch: ChannelParams) -> np.ndarray:
+    """make_epr_state(spec, ch)'s raw entries before detection noise, not
+    validated, for a caller that adds detection noise to many states and
+    validates them at once: _source, at make_epr_state's call depth so its
+    warnings name the line that called this, then _optical."""
+    return _optical(*_source(spec, ch), ch)
 
 
 def _source(spec, ch: ChannelParams) -> tuple[float, float]:
     """make_epr_state's checked source variances (vs, va); its warnings name
     the line that called make_epr_state, _optical_and_detected or
-    _state_entries."""
+    _optical_entries."""
     eps = ch.epsilon
     if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)

@@ -296,6 +296,7 @@ _SCAN_CONFIGS = {
     "default": {},
     "pump": {"source": {"mode": "pump", "p_mw": 200.0}},
     "phase noise": {"channel": {"sigma_a": 0.05, "sigma_b": 0.1}},
+    "unequal detection": {"channel": {"delta_a": 0.01, "delta_b": 0.03, "sigma_a": 0.05, "sigma_b": 0.05}},
     "worst case": {"analysis": {"worst_case": True}},
 }
 
@@ -370,7 +371,7 @@ def test_scan_source_warnings_name_the_line_that_builds_the_row(capsys, tmp_path
     assert rc == 0 and len(out.splitlines()) == 4 and len(source) == 3
     for w in source:
         assert w.filename == cli.__file__
-        assert "entries.append(_state_entries(spec, channel))" in linecache.getline(w.filename, w.lineno)
+        assert "optical.append(_optical_entries(spec, channel))" in linecache.getline(w.filename, w.lineno)
 
 
 def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp_path):

@@ -224,6 +224,21 @@ def test_apply_symplectic_rejects_non_symplectic():
         apply_symplectic(vacuum(1), np.diag([2.0, 2.0]))
 
 
+def test_apply_symplectic_rejects_a_nan_entry_as_not_symplectic():
+    """A NaN residual fails the check, which a residual > tol test let pass."""
+    with pytest.raises(InvalidArgumentError, match=r"^matrix is not symplectic: .* = nan$"):
+        apply_symplectic(vacuum(1), [[1.0, math.nan], [0.0, 1.0]])
+
+
+def test_apply_symplectic_that_overflows_is_a_typed_error_without_a_numpy_warning():
+    """Entries near the float maximum squeezed by 2 overflow the product: the
+    non-finite entry is covariance()'s error, and no numpy RuntimeWarning,
+    which this suite raises as an error, comes before it."""
+    g = covariance(np.diag([1.7e308, 1.7e308, 1.0, 1.0]))
+    with pytest.raises(InvalidStateError, match="^covariance matrix contains non-finite entries$"):
+        apply_symplectic(g, np.diag([2.0, 0.5, 1.0, 1.0]))
+
+
 def test_apply_symplectic_rejects_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         apply_symplectic(vacuum(2), rotation(0.3))

@@ -208,6 +208,34 @@ def test_detection_noise_rejects_negative():
         detection_noise(vacuum(1), -0.01)
 
 
+def test_detection_on_a_stack_equals_one_call_a_matrix_bit_for_bit():
+    """_detection on a (k, 4, 4) stack with a (delta_a, delta_b) row per matrix
+    gives each matrix what a lone call gives it, and a lone call gives
+    m + np.diag(deltas.repeat(2)), the form it replaced: -0.0 entries read
+    +0.0, and an entry that overflows reads inf. One matrix with k rows of
+    deltas gives what k copies of it give."""
+    rng = np.random.default_rng(27)
+    mats = [make_epr_state(SqueezingSpec(r=float(rng.uniform(0.0, 2.0))), ChannelParams(epsilon=0.0)).entries
+            for _ in range(20)]
+    signed_zero = np.diag([1.0, 2.0, 3.0, 4.0])
+    signed_zero[0, 1] = signed_zero[1, 0] = signed_zero[2, 3] = -0.0
+    huge = np.diag([1.0, 1.0, 1.5e308, 1.0])
+    stack = np.array([*mats, signed_zero, huge])
+    deltas = rng.uniform(0.0, 0.05, (len(stack), 2))
+    deltas[-1] = (0.01, 1.7e308)
+    assert (deltas[:, 0] != deltas[:, 1]).all()
+    with np.errstate(over="ignore"):
+        stacked = cvqkd.noise._detection(stack, deltas)
+        single = [cvqkd.noise._detection(m, d) for m, d in zip(stack, deltas)]
+        replaced = [m + np.diag(d.repeat(2)) for m, d in zip(stack, deltas)]
+    assert stacked.tobytes() == np.array(single).tobytes() == np.array(replaced).tobytes()
+    # one matrix with k rows of deltas, as simulate's optical and detected pair
+    spread = cvqkd.noise._detection(signed_zero, deltas[:-1])
+    assert spread.tobytes() == cvqkd.noise._detection(np.array([signed_zero] * (len(stack) - 1)), deltas[:-1]).tobytes()
+    assert not np.signbit(stacked[-2]).any() and np.signbit(signed_zero).any()
+    assert stacked[-1, 2, 2] == math.inf and np.isfinite(np.delete(stacked[-1].ravel(), 10)).all()
+
+
 def test_loss_and_detection_do_not_commute():
     """Order matters: the mismatch is exactly nu * delta on the diagonal."""
     nu, delta = 0.068, 0.0148
@@ -754,6 +782,20 @@ def test_optical_and_detected_equals_the_route_it_replaced():
     assert any((np.signbit(m) & (m == 0.0)).any() for m in raw)
     assert len(built) < len(cases)
     assert sum(bool(w) for _, w in outcomes) >= 10
+
+
+def test_optical_and_detected_raises_the_optical_states_error_first(monkeypatch):
+    """The two states are validated as one stack, and the optical state's
+    error wins: here its zero diagonal entry, where the detected state, one
+    entry past the float maximum, fails covariance()'s first rule, as its
+    route did when the optical state was validated on its own."""
+    optical = np.diag([1.0, 1.0, 1.5e308, 0.0])
+    monkeypatch.setattr(cvqkd.noise, "_optical", lambda vs, va, ch: optical.copy())
+    ch = ChannelParams(det_noise_b=1.7e308)
+    with pytest.raises(InvalidStateError, match="^covariance matrix diagonal must be strictly positive$"):
+        cvqkd.noise._optical_and_detected(SqueezingSpec(r=1.0), ch)
+    with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="^covariance matrix contains non-finite"):
+        covariance(cvqkd.noise._detection(optical, np.array([ch.det_noise_a, ch.det_noise_b])))
 
 
 @pytest.mark.parametrize(
