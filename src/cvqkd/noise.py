@@ -33,7 +33,6 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
-    _checked,
     _squeezed_variances,
     balanced_beamsplitter,
     covariance,
@@ -227,12 +226,12 @@ def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
 
 def _detection(m: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Detection noise on one matrix, one delta per mode, or on a (k, n, n)
-    stack, a row of deltas per matrix; one matrix with k rows of deltas gives
-    k matrices. Each is bit for bit m + np.diag(deltas.repeat(2)): every other
-    entry gets + 0.0, so a -0.0 entry reads +0.0, and one that overflows inf."""
+    stack, a row of deltas per matrix, k >= 0. Each matrix is bit for bit
+    m + np.diag(deltas.repeat(2)): every other entry gets + 0.0, so a -0.0
+    entry reads +0.0, and one that overflows reads inf."""
     n = m.shape[-1]
     noise = np.zeros((*deltas.shape[:-1], n, n))
-    noise.reshape(*deltas.shape[:-1], -1)[..., :: n + 1] = deltas.repeat(2, axis=-1)
+    noise.reshape(*deltas.shape[:-1], n * n)[..., :: n + 1] = deltas.repeat(2, axis=-1)
     return m + noise
 
 
@@ -365,19 +364,16 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
 def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
     """(optical, detected) states of one make_epr_state run: the state before
     detection noise, whose Reid product simulate reports, and the detected
-    state make_epr_state(spec, ch) returns. Both are validated as one stack of
-    two in one gaussian._checked pass, which raises the optical state's error
-    before the detected state's. Bit for bit make_epr_state with zero
-    detection noise, and detection_noise on it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _checked names a non-finite entry
-        optical = _optical(*_source(spec, ch), ch)
-        # zero detection noise has one effect on the optical state: -0.0 entries read +0.0
-        stack = _detection(optical, np.array([(0.0, 0.0), (ch.det_noise_a, ch.det_noise_b)], dtype=float))
-    stack, error = _checked(stack)
-    if error is not None:
-        raise error
-    stack.flags.writeable = False
-    return CovarianceMatrix(n_modes=2, entries=stack[0]), CovarianceMatrix(n_modes=2, entries=stack[1])
+    state make_epr_state(spec, ch) returns, each validated once, the optical
+    state first. Bit for bit make_epr_state with zero detection noise, and
+    detection_noise on it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
+        # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
+        optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
+        if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
+            return optical, optical
+        detected = _detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
+    return optical, covariance(detected)
 
 
 def _optical_entries(spec, ch: ChannelParams) -> np.ndarray:

@@ -329,12 +329,16 @@ def test_scan_equals_the_per_row_reference_byte_for_byte(capsys, monkeypatch, tm
             {"epsilon": 0.0, "delta_b": 1.7e308},
             "error: covariance entries up to 1.75e+308 overflow the symplectic invariants",
         ),
+        (("sqz_db", "20", "30", "3"), {}, "error: measured variance 0.01 does not exceed epsilon"),
+        (("nu_b", "0", "2", "512"), {}, "error: --sweep nu_b adds loss to arm B"),
     ],
     ids=[
         "rating error then state error in one chunk",
         "rating error in a later chunk",
         "state error in a later chunk",
         "rating error then an overflowing channel map",
+        "state error on a chunk's first row",
+        "state error on a later chunk's first row",
     ],
 )
 def test_scan_errors_come_in_the_per_row_reference_order(capsys, monkeypatch, tmp_path, argv, channel, error, worst_case):
@@ -345,7 +349,10 @@ def test_scan_errors_come_in_the_per_row_reference_order(capsys, monkeypatch, tm
     0-300 dB is row 314, and at nu_b 0-1.5 row 400. With 1.7e308 of detection
     noise, row 0 at 3070 dB overflows the invariants, and from row 4 the
     detection map overflows to inf, which is covariance()'s error and prints
-    no numpy warning. Warnings print to stderr, as on the command line."""
+    no numpy warning. At 20 dB with the default epsilon row 0's source
+    fails, and at nu_b 0-2 over 512 steps row 256, each the first row of its
+    chunk, so the chunk adds detection noise to no rows before the error.
+    Warnings print to stderr, as on the command line."""
     cfg = write_config(tmp_path, {"channel": channel, "analysis": {"worst_case": worst_case}})
     sweep, start, stop, steps = argv
     with warnings.catch_warnings():

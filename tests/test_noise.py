@@ -212,8 +212,8 @@ def test_detection_on_a_stack_equals_one_call_a_matrix_bit_for_bit():
     """_detection on a (k, 4, 4) stack with a (delta_a, delta_b) row per matrix
     gives each matrix what a lone call gives it, and a lone call gives
     m + np.diag(deltas.repeat(2)), the form it replaced: -0.0 entries read
-    +0.0, and an entry that overflows reads inf. One matrix with k rows of
-    deltas gives what k copies of it give."""
+    +0.0, and an entry that overflows reads inf. An empty stack, what scan
+    holds when a chunk's first row fails, stays empty."""
     rng = np.random.default_rng(27)
     mats = [make_epr_state(SqueezingSpec(r=float(rng.uniform(0.0, 2.0))), ChannelParams(epsilon=0.0)).entries
             for _ in range(20)]
@@ -229,9 +229,7 @@ def test_detection_on_a_stack_equals_one_call_a_matrix_bit_for_bit():
         single = [cvqkd.noise._detection(m, d) for m, d in zip(stack, deltas)]
         replaced = [m + np.diag(d.repeat(2)) for m, d in zip(stack, deltas)]
     assert stacked.tobytes() == np.array(single).tobytes() == np.array(replaced).tobytes()
-    # one matrix with k rows of deltas, as simulate's optical and detected pair
-    spread = cvqkd.noise._detection(signed_zero, deltas[:-1])
-    assert spread.tobytes() == cvqkd.noise._detection(np.array([signed_zero] * (len(stack) - 1)), deltas[:-1]).tobytes()
+    assert cvqkd.noise._detection(np.zeros((0, 4, 4)), np.zeros((0, 2))).shape == (0, 4, 4)
     assert not np.signbit(stacked[-2]).any() and np.signbit(signed_zero).any()
     assert stacked[-1, 2, 2] == math.inf and np.isfinite(np.delete(stacked[-1].ravel(), 10)).all()
 
@@ -785,10 +783,9 @@ def test_optical_and_detected_equals_the_route_it_replaced():
 
 
 def test_optical_and_detected_raises_the_optical_states_error_first(monkeypatch):
-    """The two states are validated as one stack, and the optical state's
+    """The optical state is validated before the detected state, so its
     error wins: here its zero diagonal entry, where the detected state, one
-    entry past the float maximum, fails covariance()'s first rule, as its
-    route did when the optical state was validated on its own."""
+    entry past the float maximum, fails covariance()'s first rule."""
     optical = np.diag([1.0, 1.0, 1.5e308, 0.0])
     monkeypatch.setattr(cvqkd.noise, "_optical", lambda vs, va, ch: optical.copy())
     ch = ChannelParams(det_noise_b=1.7e308)
