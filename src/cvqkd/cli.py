@@ -33,6 +33,7 @@ from .errors import ConfigError, CvqkdError, InvalidStateError
 from .gaussian import (
     _checked,
     _epr_products,
+    covariance,
     covariance_from_json,
     covariance_to_json,
     is_physical,
@@ -45,8 +46,7 @@ from .noise import (
     SourceParams,
     SqueezingSpec,
     _detection,
-    _optical_and_detected,
-    _optical_entries,
+    _optical,
     _pump_sqz_variance,
     make_epr_state,
 )
@@ -271,8 +271,14 @@ def _source_spec(cfg: dict):
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    # the Reid (EPR) product is of the optical state, before detection noise: one pipeline run builds both
-    optical, detected = _optical_and_detected(*_resolve(cfg))
+    # the Reid (EPR) product is of the optical state, before detection noise: one pipeline run builds both,
+    # each validated once, the optical state first, bit for bit make_epr_state without and with detection noise
+    spec, channel = _resolve(cfg)
+    deltas = np.array([channel.det_noise_a, channel.det_noise_b], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
+        # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
+        optical = covariance(_optical(spec, channel) + 0.0)
+        detected = covariance(_detection(optical.entries, deltas)) if deltas.any() else optical
     n = cfg["analysis"]["n_samples"] if cfg["analysis"]["worst_case"] else None
     report = secret_key_rate(detected, n_samples=n)
     (direct_ab, opt_ab), (direct_ba, opt_ba) = _epr_products(optical, ("a_given_b", "b_given_a"))
@@ -348,7 +354,7 @@ def _sweep_points(cfg: dict, sweep: str, first: float) -> tuple:
 
 def _scan_chunk(point, cells, ana: dict, values: list) -> list:
     """The CSV rows of consecutive grid values: each row's raw optical state
-    built in grid order (noise._optical_entries), then the chunk's detection
+    built in grid order (noise._optical), then the chunk's detection
     noise added in one array pass (noise._detection), the rows validated in one
     pass (gaussian._checked) and rated in one stacked pass
     (keyrate._stacked_rates), with --worst-case every row's worst case too, in
@@ -359,7 +365,7 @@ def _scan_chunk(point, cells, ana: dict, values: list) -> list:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is _checked's error
             for value in values:
                 spec, channel = point(value)
-                optical.append(_optical_entries(spec, channel))
+                optical.append(_optical(spec, channel))
                 deltas.append((channel.det_noise_a, channel.det_noise_b))
                 inputs.append(cells(spec, channel))
     finally:

@@ -1,9 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one warning rule.
 
 Every error raised by this package derives from CvqkdError, so callers can
 catch one base class at an API boundary (the command line driver does this
-to map failures to exit code 1).
+to map failures to exit code 1). Every warning is issued by _warn, which
+names the first line outside the library modules.
 """
+
+import sys
+import warnings
+
+#: modules whose frames a warning skips; the command line front end is not one
+_LIBRARY_MODULES = frozenset({"cvqkd.gaussian", "cvqkd.noise", "cvqkd.keyrate", "cvqkd.tomography"})
+
+
+def _warn(message: str) -> None:
+    """warnings.warn(message) at the first frame outside the library modules:
+    the user's line, or the line of the command line front end that called in.
+    Frames are told apart by module name, so the dataclass-generated
+    __init__ of a library class is skipped too."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _LIBRARY_MODULES:
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, stacklevel=stacklevel)
 
 
 class CvqkdError(Exception):

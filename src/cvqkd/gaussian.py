@@ -19,7 +19,6 @@ conditional-variance entanglement witness, and JSON serialization.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidStateError,
     NumericalDegeneracyError,
+    _warn,
 )
 
 #: absolute tolerance for physicality and symplectic checks
@@ -147,21 +147,16 @@ def squeezed_vacuum(var_sqz: float, var_asqz: float) -> CovarianceMatrix:
     return covariance(np.diag(_squeezed_variances(var_sqz, var_asqz)))
 
 
-def _squeezed_variances(var_sqz: float, var_asqz: float, stacklevel: int = 3) -> list:
-    """squeezed_vacuum's checks and warnings, named stacklevel frames up: by
-    default at the caller's caller."""
+def _squeezed_variances(var_sqz: float, var_asqz: float) -> list:
+    """squeezed_vacuum's checks and warnings."""
     if var_sqz <= 0.0 or var_asqz <= 0.0:
         raise InvalidArgumentError(f"variances must be positive, got ({var_sqz}, {var_asqz})")
     if not (var_sqz <= 1.0 <= var_asqz):
-        warnings.warn(
-            f"squeezed_vacuum({var_sqz}, {var_asqz}): expected var_sqz <= 1 <= var_asqz",
-            stacklevel=stacklevel,
-        )
+        _warn(f"squeezed_vacuum({var_sqz}, {var_asqz}): expected var_sqz <= 1 <= var_asqz")
     if var_sqz * var_asqz < 1.0 - DEFAULT_TOL:
-        warnings.warn(
+        _warn(
             f"squeezed_vacuum({var_sqz}, {var_asqz}): variance product {var_sqz * var_asqz:.6f} < 1, "
-            "state violates the uncertainty relation",
-            stacklevel=stacklevel,
+            "state violates the uncertainty relation"
         )
     return [float(var_sqz), float(var_asqz)]
 

@@ -68,7 +68,6 @@ import itertools
 import math
 import numbers
 import sys
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -79,6 +78,7 @@ from .errors import (
     FormulaDomainError,
     InvalidArgumentError,
     InvalidStateError,
+    _warn,
 )
 from .gaussian import (
     DEFAULT_TOL,
@@ -266,7 +266,7 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     if n_samples is not None:
         nf = _normal_form_of(inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)
         boxes = _worst_boxes(g.entries[:, :, np.newaxis], nf, _half_width(n_samples), np.array([inv.i4]))
-        _judge_box(boxes, 0, n_samples, stacklevel=3)
+        _judge_box(boxes, 0, n_samples)
         k_worst = min(boxes.low[0], float(f.k))
     return KeyRateReport(
         mi=float(f.mi),
@@ -347,7 +347,7 @@ def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
         elif boxes is None:
             rows[j].append(None)
         else:
-            _judge_box(boxes, good_row, n_samples, stacklevel=3)
+            _judge_box(boxes, good_row, n_samples)
             rows[j].append(min(boxes.low[good_row], rows[j][3]))
             good_row += 1
     return rows
@@ -380,7 +380,7 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     t = _half_width(n)
     inv = invariants(g)
     boxes = _worst_boxes(g.entries[:, :, np.newaxis], _normal_form(inv), t, np.array([inv.i4]))
-    _judge_box(boxes, 0, n, stacklevel=4)
+    _judge_box(boxes, 0, n)
     return WorstCaseBreakdown(
         corner_min=boxes.corner_min[0],
         candidate=boxes.candidate[0],
@@ -492,21 +492,20 @@ def _corner_factors(code: int, t: float) -> np.ndarray:
     return factors
 
 
-def _judge_box(boxes: _Boxes, row: int, n: float, stacklevel: int) -> None:
+def _judge_box(boxes: _Boxes, row: int, n: float) -> None:
     """Raise InvalidStateError when a matrix of the box overflows the
     invariants, DegenerateBoxError when no corner of the box is physical,
-    and warn, stacklevel frames up, when its candidate undercuts the corner
-    minimum by more than DEFAULT_TOL."""
+    and warn when its candidate undercuts the corner minimum by more than
+    DEFAULT_TOL."""
     if boxes.overflow[row]:
         raise InvalidStateError(f"matrices of the uncertainty box at n = {n:g} overflow the symplectic invariants")
     if boxes.n_physical[row] == 0:
         raise DegenerateBoxError(f"no physical matrix among the {len(_CORNER_MASKS)} uncertainty-box corners at n = {n:g}")
     candidate, corner_min = boxes.candidate[row], boxes.corner_min[row]
     if candidate is not None and candidate < corner_min - DEFAULT_TOL:
-        warnings.warn(
+        _warn(
             f"closed-form worst-case candidate {candidate:.9g} undercuts the corner "
-            f"minimum {corner_min:.9g}; corner enumeration may be too coarse",
-            stacklevel=stacklevel,
+            f"minimum {corner_min:.9g}; corner enumeration may be too coarse"
         )
 
 

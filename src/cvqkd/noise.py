@@ -24,12 +24,11 @@ source variance (v - epsilon)/(1 - epsilon); see make_epr_state.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import InvalidArgumentError, InvalidStateError, _warn
 from .gaussian import (
     DEFAULT_TOL,
     CovarianceMatrix,
@@ -129,7 +128,7 @@ class SqueezingSpec:
         if self.r is not None and math.isnan(self.r):
             raise InvalidArgumentError(f"squeezing parameter r must be a number, got {self.r}")
         if self.r is not None and self.r < 0.0:
-            warnings.warn(f"negative squeezing parameter r = {self.r}", stacklevel=3)
+            _warn(f"negative squeezing parameter r = {self.r}")
 
 
 def pump_to_variances(params: SourceParams) -> tuple[float, float]:
@@ -151,10 +150,7 @@ def pump_to_variances(params: SourceParams) -> tuple[float, float]:
             f"({PUMP_GUARD_FACTOR * params.p_th_mw:.6g} mW); the model is not valid there"
         )
     if x >= 1.0:
-        warnings.warn(
-            f"pump power {params.p_mw} mW is at or above threshold {params.p_th_mw} mW",
-            stacklevel=2,
-        )
+        _warn(f"pump power {params.p_mw} mW is at or above threshold {params.p_th_mw} mW")
     s = math.sqrt(x)
     denom_asqz = (1.0 - s) ** 2 + 4.0 * params.k * params.k
     if denom_asqz == 0.0:
@@ -215,7 +211,7 @@ def phase_noise_channel(g: CovarianceMatrix, sigma) -> CovarianceMatrix:
 
 # The channel arithmetic on raw matrices, without argument checks or
 # validation: the public maps above wrap each in covariance(), and
-# _optical and _epr_entries chain them for the callers to validate once.
+# _optical chains them for its callers to validate once.
 
 
 def _loss(m: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -348,46 +344,21 @@ def make_epr_state(spec, channel: ChannelParams | None = None) -> CovarianceMatr
     that r_from_measured infers from one measured value, and
     (v - epsilon)/(1 - epsilon) for each v of a measured or pump pair. Every
     route but a pure r goes through epsilon, so each arm's loss must be at
-    least epsilon. Then one pipeline on raw entries (_epr_entries), which
-    covariance() validates once: tensor with vacuum, balanced beam
-    splitter, the full per-arm loss, phase noise, detection noise, equal bit
-    for bit to tensor, apply_symplectic, loss_channel, phase_noise_channel
-    and detection_noise composed. An entry that overflows is covariance()'s
-    error, without a numpy warning.
+    least epsilon. Then one pipeline on raw entries, _optical and detection
+    noise, which covariance() validates once: tensor with vacuum, balanced
+    beam splitter, the full per-arm loss, phase noise, detection noise, equal
+    bit for bit to tensor, apply_symplectic, loss_channel,
+    phase_noise_channel and detection_noise composed. An entry that
+    overflows is covariance()'s error, without a numpy warning.
     """
     ch = channel if channel is not None else ChannelParams()
     with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
-        entries = _epr_entries(*_source(spec, ch), ch)
+        entries = _detection(_optical(spec, ch), np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
     return covariance(entries)
 
 
-def _optical_and_detected(spec, ch: ChannelParams) -> tuple:
-    """(optical, detected) states of one make_epr_state run: the state before
-    detection noise, whose Reid product simulate reports, and the detected
-    state make_epr_state(spec, ch) returns, each validated once, the optical
-    state first. Bit for bit make_epr_state with zero detection noise, and
-    detection_noise on it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # covariance() names a non-finite entry
-        # + 0.0 is the zero detection noise's one effect: -0.0 entries read +0.0
-        optical = covariance(_optical(*_source(spec, ch), ch) + 0.0)
-        if ch.det_noise_a == 0.0 and ch.det_noise_b == 0.0:
-            return optical, optical
-        detected = _detection(optical.entries, np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
-    return optical, covariance(detected)
-
-
-def _optical_entries(spec, ch: ChannelParams) -> np.ndarray:
-    """make_epr_state(spec, ch)'s raw entries before detection noise, not
-    validated, for a caller that adds detection noise to many states and
-    validates them at once: _source, at make_epr_state's call depth so its
-    warnings name the line that called this, then _optical."""
-    return _optical(*_source(spec, ch), ch)
-
-
 def _source(spec, ch: ChannelParams) -> tuple[float, float]:
-    """make_epr_state's checked source variances (vs, va); its warnings name
-    the line that called make_epr_state, _optical_and_detected or
-    _optical_entries."""
+    """make_epr_state's checked source variances (vs, va)."""
     eps = ch.epsilon
     if isinstance(spec, SqueezingSpec) and spec.var_asqz_db is None:
         r = spec.r if spec.r is not None else r_from_measured(spec.var_sqz_db, eps)
@@ -398,7 +369,7 @@ def _source(spec, ch: ChannelParams) -> tuple[float, float]:
                 f"var_sqz_db = {spec.var_sqz_db} dB under epsilon = {eps} implies r = {r:.6g}, which"
             )
             raise InvalidArgumentError(f"{figure} puts a source variance e^(-2r) or e^(2r) beyond the float range") from exc
-        source = _squeezed_variances(*variances, stacklevel=4)
+        source = _squeezed_variances(*variances)
     else:
         source = _detected_source(spec, eps)
     if not isinstance(spec, SqueezingSpec) or spec.r is None:
@@ -427,11 +398,10 @@ def _detected_source(spec, eps: float) -> tuple[float, float]:
         )
     source = ((vs - eps) / (1.0 - eps), (va - eps) / (1.0 - eps))
     if source[0] * source[1] < 1.0 - DEFAULT_TOL:
-        warnings.warn(
+        _warn(
             f"measured pair {_pair_db(spec, vs, va)} implies a source variance product "
             f"{source[0] * source[1]:.6f} < 1 under epsilon = {eps}; the inferred source state "
-            "violates the uncertainty relation",
-            stacklevel=4,
+            "violates the uncertainty relation"
         )
     return source
 
@@ -443,19 +413,14 @@ def _pair_db(spec, vs: float, va: float) -> str:
     return f"({spec.var_sqz_db} dB, {spec.var_asqz_db} dB)"
 
 
-def _epr_entries(vs: float, va: float, ch: ChannelParams) -> np.ndarray:
-    """make_epr_state's raw entries from the source variances: _optical, then
-    detection noise, exactly symmetric and not validated. An entry that
+def _optical(spec, ch: ChannelParams) -> np.ndarray:
+    """make_epr_state(spec, ch)'s raw entries before detection noise, not
+    validated: the source diag(vs, va) of _source with vacuum, _BEAMSPLITTER,
+    loss and phase noise on one raw 4x4 array, kept exactly symmetric. Zero
+    loss changes no entry; zero phase noise would round. An entry that
     overflows reads inf or NaN, with numpy's warning unless the caller's
     np.errstate silences it."""
-    return _detection(_optical(vs, va, ch), np.array([ch.det_noise_a, ch.det_noise_b], dtype=float))
-
-
-def _optical(vs: float, va: float, ch: ChannelParams) -> np.ndarray:
-    """The source diag(vs, va) with vacuum, _BEAMSPLITTER, loss and phase noise
-    on one raw 4x4 array, kept exactly symmetric, on values make_epr_state and
-    ChannelParams checked. Zero loss changes no entry; zero phase noise would
-    round."""
+    vs, va = _source(spec, ch)
     m = np.zeros((4, 4))
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = vs, va, 1.0, 1.0
     m = _BEAMSPLITTER @ m @ _BEAMSPLITTER.T

@@ -40,7 +40,6 @@ import contextlib
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidStateError,
     ProtocolIncompleteError,
+    _warn,
 )
 from .gaussian import CovarianceMatrix, _require_two_modes, covariance
 
@@ -346,10 +346,9 @@ def _fit(settings: tuple, stats: list) -> ReconstructionResult:
         measured, check_se = float(values[check]), float(errors[check])
         predicted = float(design[check] @ solution)
         if abs(measured - predicted) > 5.0 * check_se:
-            warnings.warn(
+            _warn(
                 f"redundant (45, 45) cross moment {measured:.9g} deviates from the value "
-                f"{predicted:.9g} predicted by the other settings by more than 5 standard errors",
-                stacklevel=3,
+                f"{predicted:.9g} predicted by the other settings by more than 5 standard errors"
             )
         cross_check = {
             "cross_check_measured": measured,

@@ -378,7 +378,7 @@ def test_scan_source_warnings_name_the_line_that_builds_the_row(capsys, tmp_path
     assert rc == 0 and len(out.splitlines()) == 4 and len(source) == 3
     for w in source:
         assert w.filename == cli.__file__
-        assert "optical.append(_optical_entries(spec, channel))" in linecache.getline(w.filename, w.lineno)
+        assert "optical.append(_optical(spec, channel))" in linecache.getline(w.filename, w.lineno)
 
 
 def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp_path):
@@ -1053,14 +1053,17 @@ def test_pump_at_threshold_warns_once(tmp_path, command):
 
 def test_pump_at_threshold_scan_warns_only_from_the_model(tmp_path):
     """scan reads its input column from the pump model without evaluating it
-    a second time, so the threshold warning comes once, from noise.py."""
+    a second time, so the threshold warning comes once, and it names the cli
+    line that builds the row's state, as every source warning does."""
     cfg = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 268.0}})
     proc = run_module("cvqkd", "scan", "--config", cfg, "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "3")
     assert proc.returncode == 0, proc.stderr
     warned = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
     assert len(warned) == 1, proc.stderr
     assert "pump power 268.0 mW is at or above threshold" in warned[0]
-    assert warned[0].split(":")[0].endswith("noise.py"), proc.stderr
+    filename, lineno = warned[0].split(":")[:2]
+    assert Path(filename).resolve() == Path(cli.__file__).resolve(), proc.stderr
+    assert "optical.append(_optical(spec, channel))" in linecache.getline(filename, int(lineno))
     assert len(proc.stdout.splitlines()) == 4
 
 

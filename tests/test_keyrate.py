@@ -548,7 +548,9 @@ def test_worst_case_batch_matches_corner_loop():
 
 def test_worst_case_undercut_warning_points_at_caller(monkeypatch):
     """A candidate below the corner minimum is a fault; force one by
-    inflating lambda_a, which makes the candidate noisier than any corner."""
+    inflating lambda_a, which makes the candidate noisier than any corner.
+    Each route's warning names the line that called the library, also when
+    that line is in a wrapper function."""
     real_normal_form = cvqkd.keyrate._normal_form
 
     def inflated(inv):
@@ -562,10 +564,17 @@ def test_worst_case_undercut_warning_points_at_caller(monkeypatch):
     real_normal_form_of = cvqkd.keyrate._normal_form_of
     monkeypatch.setattr(cvqkd.keyrate, "_normal_form", inflated)
     monkeypatch.setattr(cvqkd.keyrate, "_normal_form_of", inflated_of)
-    for route in (worst_case_key_rate, secret_key_rate):
+
+    def through_a_wrapper(g, n):
+        return worst_case_breakdown(g, n)
+
+    for route in (worst_case_key_rate, secret_key_rate, worst_case_breakdown, through_a_wrapper):
         with pytest.warns(UserWarning, match="undercuts the corner minimum") as caught:
+            line = sys._getframe().f_lineno + 1
             route(default_state(-10.5), 10**6)
-        assert caught[0].filename == __file__
+        if route is through_a_wrapper:
+            line = through_a_wrapper.__code__.co_firstlineno + 1
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line), route.__name__
 
 
 # ------------------------------------------- edge regimes, single against batch

@@ -1,6 +1,9 @@
 """Source model, loss and detection channels, phase noise, state assembly."""
 
+import argparse
+import copy
 import dataclasses
+import linecache
 import math
 import warnings
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import cvqkd.noise
+from cvqkd import cli
 from cvqkd.errors import InvalidArgumentError, InvalidStateError
 from cvqkd.gaussian import (
     DEFAULT_TOL,
@@ -124,6 +128,26 @@ def test_pump_at_threshold_warns_but_stays_finite():
     assert variance_to_db(vs) == pytest.approx(-11.186, abs=2e-3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_epr_state(SourceParams(p_mw=275.0)),
+        lambda: pump_to_variances(SourceParams(p_mw=275.0)),
+        lambda: make_epr_state(SqueezingSpec(var_sqz_db=-11.1, var_asqz_db=13.0)),
+        lambda: make_epr_state(SqueezingSpec(r=-0.2)),
+    ],
+    ids=["pump state", "pump model", "measured pair", "negative r"],
+)
+def test_source_warnings_name_the_line_that_called_in(build):
+    """Every warning on the way to a source's state names the line that
+    called the library, here the lambda's: not a line of noise.py or
+    gaussian.py, nor the dataclass-generated __init__ of SqueezingSpec."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    assert caught and {(w.filename, w.lineno) for w in caught} == {(__file__, build.__code__.co_firstlineno)}
+
+
 def test_pump_guard_rejects_far_above_threshold():
     with pytest.raises(InvalidArgumentError):
         pump_to_variances(SourceParams(p_mw=268.0 * 1.06))
@@ -186,16 +210,16 @@ def test_detection_noise_adds_to_diagonal():
     np.testing.assert_array_equal(detection_noise(g, 0.0).entries, g.entries)
 
 
-def test_detection_noise_that_overflows_is_a_typed_error_without_a_numpy_warning():
+def test_detection_noise_that_overflows_is_a_typed_error_without_a_numpy_warning(monkeypatch):
     """Entries near 1.4e307 plus 1.7e308 of detection noise overflow to inf:
-    covariance()'s typed error on every route, and no numpy RuntimeWarning,
-    which this suite raises as an error."""
+    covariance()'s typed error on every route, simulate's too, and no numpy
+    RuntimeWarning, which this suite raises as an error."""
     spec, ch = SqueezingSpec(r=354.0), ChannelParams(epsilon=0.0, det_noise_b=1.7e308)
     huge = make_epr_state(spec, ChannelParams(epsilon=0.0))
     assert huge.entries.max() > 1e307
     routes = [
         lambda: make_epr_state(spec, ch),
-        lambda: cvqkd.noise._optical_and_detected(spec, ch),
+        lambda: _simulated_states(monkeypatch, spec, ch),
         lambda: detection_noise(huge, [0.0, 1.7e308]),
     ]
     for route in routes:
@@ -712,24 +736,24 @@ def _differential_cases():
 
 
 def _epr_state_outcome(spec, ch, build=make_epr_state):
-    """(entries or (error type, message), warnings as (text, category, file, line))."""
+    """(entries or (error type, message), warnings as (text, category, file, line)).
+    build None is make_epr_state's stages composed from the public maps,
+    from the validated 2x2 of its checked source variances (noise._source)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = build(spec, ch).entries
+            # both routes on one line, so that the source's warnings name the same caller
+            g = build(spec, ch) if build else _reference_pipeline(covariance(np.diag(cvqkd.noise._source(spec, ch))), ch)
+            result = g.entries
         except Exception as exc:
             result = (type(exc), str(exc))
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
+def test_make_epr_state_equals_composition_of_public_maps():
     cases = _differential_cases()
     one_pass = [_epr_state_outcome(spec, ch) for spec, ch in cases]
-    # _epr_entries takes the two source variances; the reference starts from their validated 2x2
-    monkeypatch.setattr(
-        cvqkd.noise, "_epr_entries", lambda vs, va, ch: _reference_pipeline(covariance(np.diag([vs, va])), ch).entries
-    )
-    composed = [_epr_state_outcome(spec, ch) for spec, ch in cases]
+    composed = [_epr_state_outcome(spec, ch, build=None) for spec, ch in cases]
     for (spec, ch), (got, got_warnings), (want, want_warnings) in zip(cases, one_pass, composed):
         if isinstance(want, tuple):
             assert got == want, (spec, ch)
@@ -743,54 +767,84 @@ def test_make_epr_state_equals_composition_of_public_maps(monkeypatch):
     assert sum(bool(w) for _, w in composed) >= 10
 
 
-def _two_states_outcome(spec, ch, replaced: bool):
+class _Read(Exception):
+    """Stops cli.cmd_simulate once it has read both of its states."""
+
+
+def _simulated_states(monkeypatch, spec, ch) -> tuple:
+    """(optical, detected) as cli.cmd_simulate builds them for spec and ch:
+    _resolve hands it the pair, and each state is taken where simulate
+    reads it, the detected state by secret_key_rate, then the optical state
+    by _epr_products, which stops the command."""
+    read = {}
+
+    def stop(optical, _):
+        read["optical"] = optical
+        raise _Read
+
+    monkeypatch.setattr(cli, "_resolve", lambda cfg: (spec, ch))
+    monkeypatch.setattr(cli, "secret_key_rate", lambda g, n_samples: read.setdefault("detected", g))
+    monkeypatch.setattr(cli, "_epr_products", stop)
+    with pytest.raises(_Read):
+        cli.cmd_simulate(argparse.Namespace(out=None), copy.deepcopy(cli.DEFAULT_CONFIG))
+    return read["optical"], read["detected"]
+
+
+def _two_states_outcome(monkeypatch, spec, ch, replaced: bool):
     """((optical, detected) entries as bytes, or (error type, message), warnings
-    as (text, category, file, line)) of _optical_and_detected(spec, ch) or, with
-    replaced, of the route it replaced in `cvqkd simulate`: make_epr_state
-    without detection noise, then detection_noise on it if there is any."""
+    as (text, category), and the (file, line) each warning names) of
+    `cvqkd simulate` for spec and ch or, with replaced, of the route it
+    replaced: make_epr_state without detection noise, then detection_noise
+    on it if there is any."""
     deltas = [ch.det_noise_a, ch.det_noise_b]
     without = dataclasses.replace(ch, det_noise_a=0.0, det_noise_b=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # both routes on one line, so that their warnings name the same caller
-            states = make_epr_state(spec, without) if replaced else cvqkd.noise._optical_and_detected(spec, ch)
             if replaced:
+                states = make_epr_state(spec, without)
                 states = (states, detection_noise(states, deltas) if any(deltas) else states)
+            else:
+                states = _simulated_states(monkeypatch, spec, ch)
             result = tuple(g.entries.tobytes() for g in states)
         except Exception as exc:
             result = (type(exc), str(exc))
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return result, [(str(w.message), w.category) for w in caught], {(w.filename, w.lineno) for w in caught}
 
 
-def test_optical_and_detected_equals_the_route_it_replaced():
+def test_simulate_states_equal_the_route_they_replaced(monkeypatch):
     """One pipeline run gives simulate's two states bit for bit (-0.0 entries
-    included), with the same errors and warnings at the same caller's line."""
+    included), with the same errors and warnings, which name the cli line
+    that builds the optical state, as make_epr_state's name its caller."""
     cases = _differential_cases()
-    for spec, ch in cases:
-        assert _two_states_outcome(spec, ch, False) == _two_states_outcome(spec, ch, True), (spec, ch)
+    outcomes = [_two_states_outcome(monkeypatch, spec, ch, True) for spec, ch in cases]
+    for (spec, ch), (want, want_warnings, _) in zip(cases, outcomes):
+        got, got_warnings, got_lines = _two_states_outcome(monkeypatch, spec, ch, False)
+        assert (got, got_warnings) == (want, want_warnings), (spec, ch)
+        for filename, lineno in got_lines:
+            assert filename == cli.__file__
+            assert "optical = covariance(_optical(spec, channel) + 0.0)" in linecache.getline(filename, lineno)
     # the cases reach states with and without detection noise, a -0.0 entry
     # before detection, errors and warnings
-    outcomes = [_two_states_outcome(spec, ch, True) for spec, ch in cases]
-    built = [(spec, ch) for (spec, ch), (got, _) in zip(cases, outcomes) if not isinstance(got[0], type)]
+    built = [(spec, ch) for (spec, ch), (got, *_) in zip(cases, outcomes) if not isinstance(got[0], type)]
     assert {ch.det_noise_a == ch.det_noise_b == 0.0 for _, ch in built} == {True, False}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        raw = [cvqkd.noise._optical(*cvqkd.noise._source(spec, ch), ch) for spec, ch in built]
+        raw = [cvqkd.noise._optical(spec, ch) for spec, ch in built]
     assert any((np.signbit(m) & (m == 0.0)).any() for m in raw)
     assert len(built) < len(cases)
-    assert sum(bool(w) for _, w in outcomes) >= 10
+    assert sum(bool(w) for _, w, _ in outcomes) >= 10
 
 
-def test_optical_and_detected_raises_the_optical_states_error_first(monkeypatch):
+def test_simulate_raises_the_optical_states_error_first(monkeypatch):
     """The optical state is validated before the detected state, so its
     error wins: here its zero diagonal entry, where the detected state, one
     entry past the float maximum, fails covariance()'s first rule."""
     optical = np.diag([1.0, 1.0, 1.5e308, 0.0])
-    monkeypatch.setattr(cvqkd.noise, "_optical", lambda vs, va, ch: optical.copy())
+    monkeypatch.setattr(cli, "_optical", lambda spec, ch: optical.copy())
     ch = ChannelParams(det_noise_b=1.7e308)
     with pytest.raises(InvalidStateError, match="^covariance matrix diagonal must be strictly positive$"):
-        cvqkd.noise._optical_and_detected(SqueezingSpec(r=1.0), ch)
+        _simulated_states(monkeypatch, SqueezingSpec(r=1.0), ch)
     with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="^covariance matrix contains non-finite"):
         covariance(cvqkd.noise._detection(optical, np.array([ch.det_noise_a, ch.det_noise_b])))
 
