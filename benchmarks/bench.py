@@ -162,7 +162,13 @@ def main(argv=None) -> int:
         sweep = ["scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "16", "--worst-case"]
         # a dense nominal sweep, as the benchmark's model-nominal workload runs them: state assembly shows
         dense = ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", "2000"]
+        # the default config as a file: the config read every benchmark call pays shows
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(cli.DEFAULT_CONFIG), encoding="utf-8")
         commands["simulate"] = median_per_call(lambda: run_cli(["simulate"]), k, 1000)
+        commands["simulate --config <default config>"] = median_per_call(
+            lambda: run_cli(["simulate", "--config", str(config_path)]), k, 1000
+        )
         commands["simulate --worst-case"] = median_per_call(lambda: run_cli(["simulate", "--worst-case"]), k, 200)
         commands[" ".join(sweep)] = median_per_call(lambda: run_cli(sweep), k, 20)
         commands[" ".join(dense)] = median_per_call(lambda: run_cli(dense), k, 3)

@@ -151,7 +151,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         cfg = load_config(args.config)
         _apply_flag_overrides(cfg, args)
@@ -168,8 +168,8 @@ def load_config(path=None) -> dict:
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            # one binary read: opening a text stream costs more than decoding the bytes
+            doc = json.loads(_read_utf8(path))
         except ValueError as exc:
             raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -470,8 +470,33 @@ def _read_whitespace(buf) -> str:
     return skipped.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _read_utf8(path) -> str:
+    """open(path, encoding="utf-8").read(), from one binary read: a BOM kept,
+    line breaks read as "\n", and a decoding error at the same byte."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 #: json.dumps's spelling of the floats whose repr is not JSON
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """The JSON text of an exact float, whose repr is float.__repr__'s."""
+    text = repr(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: the JSON text of a scalar, by its exact type; a container member of one of
+#: these types is written inline, without a call of _json
+_JSON_SCALARS = {
+    float: _json_float,
+    int: repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+}
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -498,11 +523,17 @@ def _json(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+        items = [scalar(v) if (scalar := _JSON_SCALARS.get(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        items = [
+            encode_basestring_ascii(k)
+            + ": "
+            + (scalar(v) if (scalar := _JSON_SCALARS.get(type(v))) else _json(v, inner))
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -521,6 +552,27 @@ def _emit(text: str, out_path) -> None:
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_parser().parse_args(argv), with the named command's own sub-parser
+    when that suffices: the top-level parser hands such an argv to that
+    sub-parser anyway, and adds only the command's name. A missing or
+    unknown command, an option before it, any arguments the sub-parser
+    leaves over, and an argv holding "--" (whose hand-over to a sub-parser
+    argparse has changed across Python versions) go to the top-level
+    parser, so every usage error and help text is its own."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and "--" not in argv:
+        commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        command = commands.get(argv[0])
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
 
 
 _DISPATCH = {

@@ -130,13 +130,25 @@ class KeyRateReport:
     """Full key-rate summary for one covariance matrix.
 
     mi, holevo_a, holevo_b and k_nominal are the headline formula-path
-    values, with k_nominal = min(mi - holevo_a, mi - holevo_b); negative
-    rates are reported as-is and flagged through no_key. The per-quadrature
-    branch detail (mi_x, mi_p, k_branch_x, k_branch_p and their average
-    k_two_basis) comes from the conditioning oracle. d_plus and d_minus are
-    the joint symplectic eigenvalues, d_a and d_b the conditional ones after
-    the other party measures the better quadrature. k_worst_case and
-    n_samples are filled only when a finite sample count was supplied.
+    values, in the state's normal-form basis (each local oscillator
+    re-aligned to it), keyed on the quadrature of larger mutual information
+    there, mi. holevo_a bounds Eve's information on A's outcomes, the key of
+    direct reconciliation; holevo_b on B's, the key of reverse
+    reconciliation. k_nominal = min(mi - holevo_a, mi - holevo_b) is the
+    smaller of the two directions' rates; negative rates are reported as-is
+    and flagged through no_key.
+
+    The per-quadrature branch detail comes from the conditioning oracle, in
+    the matrix's own basis (the quadratures as measured, no re-alignment):
+    mi_x and mi_p, and k_branch_x and k_branch_p, keyed on x and on p, each
+    the smaller of its direct and reverse reconciliation rates. k_two_basis
+    is their average, the rate of keying on x and on p in equal shares.
+    d_plus and d_minus are the joint symplectic eigenvalues, d_a and d_b the
+    conditional ones after A, respectively B, measures the keyed quadrature.
+    k_worst_case, the smaller of k_nominal and the least k_nominal-style rate
+    (normal-form basis, smaller direction) over the corners of the
+    finite-statistics box, and n_samples are filled only when a finite
+    sample count was supplied.
     """
 
     mi: float

@@ -910,6 +910,17 @@ def test_config_invalid_json_and_missing_file(capsys, tmp_path):
     assert rc == 1 and "invalid JSON" in err
     rc, _, err = run(capsys, "simulate", "--config", str(tmp_path / "absent.json"))
     assert rc == 1
+    # the config is read as UTF-8 text: bad bytes are a decoding error, a BOM
+    # is kept and the JSON parser rejects it, and line breaks read as "\n"
+    for body, message in (
+        (b'{"source": {}}\xff', "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+        (b'{"source": {"eta": "\xc3', "'utf-8' codec can't decode byte 0xc3 in position 20: unexpected end of data"),
+        (b'\xef\xbb\xbf{"source": {}}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{"source": {}}\r\n,\r,', "Extra data: line 2 column 1 (char 15)"),
+    ):
+        path.write_bytes(body)
+        rc, out, err = run(capsys, "simulate", "--config", str(path))
+        assert (rc, out, err) == (1, "", f"error: config {path}: invalid JSON: {message}\n")
 
 
 def test_config_pump_mode_runs(capsys, tmp_path):
@@ -978,6 +989,129 @@ def test_shared_parser_leaks_no_state_between_calls(capsys, monkeypatch):
     assert [row[9] for row in scan_rows(shared[3][1])] == ["1000000"] * 3
     assert "invalid choice" in shared[4][2]
     assert shared[5][1] == shared[1][1]
+
+
+_SWEEP = ("--sweep", "nu_b", "--from", "0", "--to", "0.1", "--steps", "3")
+
+#: argv lists for main, with CFG, DATA, STATE and OUT standing for a config,
+#: a dataset CSV, a covariance JSON and an output path
+_PARSE_CORPUS = (
+    # valid flags, --opt=value, abbreviations and repeated options
+    ("simulate",),
+    ("simulate", "--worst-case", "--n", "1000"),
+    ("simulate", "--config", "CFG"),
+    ("simulate", "--config=CFG"),
+    ("simulate", "--conf", "CFG"),
+    ("simulate", "--conf=CFG", "--worst"),
+    ("simulate", "--seed", "3", "--seed=4", "--n", "10", "--n", "2000", "--worst-case", "--worst-case"),
+    ("simulate", "--config", "absent.json", "--config", "CFG"),
+    ("simulate", "--out", "OUT"),
+    ("simulate", "--o=OUT", "--config", "CFG"),
+    ("scan", *_SWEEP),
+    ("scan", "--sweep=sigma", "--from=0", "--to=0.2", "--steps=2", "--worst"),
+    ("scan", "--sweep", "sqz_db", "--from", "-4.5", "--to", "-12", "--steps", "2"),
+    ("scan", "--steps", "2", "--to", "1", "--from", "0", "--sweep", "sqz_db", "--sweep", "nu_b"),
+    ("scan", "--swe", "sqz_db", "--fr", "4", "--t", "5", "--ste", "2", "--out", "OUT"),
+    ("sample", "--n", "3", "--seed", "1"),
+    ("sample", "--n=2", "--out", "OUT"),
+    ("reconstruct", "DATA"),
+    ("analyze", "STATE"),
+    ("analyze", "--worst-case", "DATA", "--n", "500"),
+    ("analyze", "--conf", "CFG", "STATE"),
+    # usage and value errors
+    ("simulate", "--config"),
+    ("simulate", "--n"),
+    ("simulate", "--n", "1.5"),
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--n", "-h"),
+    ("scan", "--sweep", "nu_b", "--from"),
+    ("scan", "--sweep", "entropy", "--from", "0", "--to", "1", "--steps", "3"),
+    ("scan", "--sweep", "sqz_db", "--from", "0", "--to", "1", "--steps", "x"),
+    ("scan", "--sweep", "sqz_db"),
+    ("scan", "--s", "nu_b", "--from", "0", "--to", "1", "--steps", "2"),
+    ("scan", *_SWEEP, "--steps", "1"),
+    ("simulate", "--bogus"),
+    ("simulate", "--bogus=1", "--worst-case"),
+    ("simulate", "-x"),
+    ("simulate", "-1"),
+    ("simulate", "extra"),
+    ("simulate", "extra", "--bogus"),
+    ("scan", *_SWEEP, "extra"),
+    ("reconstruct",),
+    ("reconstruct", "DATA", "DATA"),
+    ("analyze", "STATE", "extra"),
+    ("analyze",),
+    ("sample", "--worst-case", "x", "y"),
+    # help
+    ("simulate", "-h"),
+    ("scan", "--help"),
+    ("sample", "-h"),
+    ("reconstruct", "--he"),
+    ("analyze", "--n", "5", "-h"),
+    ("simulate", "extra", "-h"),
+    ("-h",),
+    ("--help", "simulate"),
+    # "--"
+    ("--", "simulate"),
+    ("simulate", "--"),
+    ("simulate", "--", "extra"),
+    ("analyze", "--", "STATE"),
+    ("analyze", "--worst-case", "--", "DATA"),
+    ("scan", *_SWEEP, "--"),
+    # no command, or an unknown or abbreviated one
+    (),
+    ("--worst-case",),
+    ("--config", "CFG", "simulate"),
+    ("sim",),
+    ("simulat", "--worst-case"),
+    ("Simulate",),
+    ("bogus", "-h"),
+    ("",),
+)
+
+
+def _run_corpus(capsys, paths):
+    results = []
+    for argv in _PARSE_CORPUS:
+        argv = [paths.get(a, a).replace("=CFG", "=" + paths["CFG"]).replace("=OUT", "=" + paths["OUT"]) for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        out_path = Path(paths["OUT"])
+        written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        results.append((argv, rc, captured.out, captured.err, written))
+    return results
+
+
+def test_each_command_parses_as_the_top_level_parser_would(capsys, monkeypatch, tmp_path):
+    """main parses with the named command's own sub-parser: exit codes,
+    stdout, stderr and --out files are those of build_parser().parse_args."""
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help and usage text to the terminal
+    monkeypatch.chdir(tmp_path)
+    g = make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams())
+    paths = {
+        "CFG": write_config(tmp_path, {"source": {"var_sqz_db": -10.0}}),
+        "DATA": str(tmp_path / "records.csv"),
+        "STATE": str(tmp_path / "state.json"),
+        "OUT": str(tmp_path / "out.txt"),
+    }
+    save_dataset(sample_homodyne(g, n_per_setting=2000, seed=5), paths["DATA"])
+    Path(paths["STATE"]).write_text(json.dumps(covariance_to_json(g)), encoding="utf-8")
+
+    own = _run_corpus(capsys, paths)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    top_level = _run_corpus(capsys, paths)
+    for mine, theirs in zip(own, top_level, strict=True):
+        assert mine == theirs
+    codes = {tuple(argv): rc for argv, rc, _, _, _ in own}
+    assert codes[("simulate",)] == 0 and codes[("simulate", "-h")] == 0 and codes[()] == 1
+    assert sum(rc == 1 for rc in codes.values()) > 30
+    assert sum(written is not None for *_, written in own) == 4
+    simulate_extra = next(err for argv, _, _, err, _ in own if argv == ["simulate", "extra"])
+    assert simulate_extra.endswith("\ncvqkd: error: unrecognized arguments: extra\n")
 
 
 def test_load_config_direct_error_type(tmp_path):
