@@ -366,13 +366,17 @@ def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
 
 
 def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
-    """Lowest key rate over the finite-statistics uncertainty box.
+    """Least key rate found on the finite-statistics uncertainty box.
 
     Each of the 10 independent entries is known to a relative 1/sqrt(n), so
-    the box has 2^10 corners; the rate is minimized over the physical ones
-    (corner enumeration is authoritative) and over the closed-form candidate
-    minimizer applied in the normal-form basis. Never exceeds the nominal
-    rate.
+    the box has 2^10 corners. The value is the least of the rates of the
+    physical corners, of the closed-form candidate minimizer applied in the
+    normal-form basis, and of the nominal rate, so it never exceeds the
+    nominal rate. It is not a proven minimum over the box: k is not concave
+    in the entries, and on locally rotated states at n <= 1e5 a point along
+    an edge of the box has been found to rate up to 8.3e-3 bits below it.
+    States in standard form, as the noise model builds them, showed no
+    such gap.
     """
     return worst_case_breakdown(g, n).value
 

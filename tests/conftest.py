@@ -1,10 +1,17 @@
-"""Shared fixtures: random-state generation and the acceptance summary."""
+"""Shared fixtures: random-state generation, the acceptance summary, and
+configs and subprocess runs for the command-line tests."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvqkd
 from cvqkd.gaussian import (
     covariance,
     is_physical,
@@ -84,3 +91,27 @@ RECONSTRUCTED_EXAMPLE = np.array(
 def reconstructed_example():
     """The measured-state fixture wrapped as a CovarianceMatrix."""
     return covariance(RECONSTRUCTED_EXAMPLE)
+
+
+#: a strongly mixed point: an estimate from a few thousand records per setting stays physical
+NOISY = {
+    "source": {"mode": "measured", "var_sqz_db": -6.0},
+    "channel": {"nu_a": 0.2, "nu_b": 0.2, "delta_a": 0.25, "delta_b": 0.25, "sigma_a": 0.1, "sigma_b": 0.1},
+}
+
+
+def write_config(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def run_module(module, *argv, input=None):
+    """python -m module argv in a fresh process, on this checkout's cvqkd,
+    with input, if given, sent to its stdin through a pipe."""
+    paths = [str(Path(cvqkd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        input=input, capture_output=True, text=True, env=env, timeout=120,
+    )

@@ -6,7 +6,6 @@ import json
 import linecache
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cvqkd
 from cvqkd import cli, gaussian
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError, DatasetParseError
@@ -28,7 +26,7 @@ from cvqkd.keyrate import secret_key_rate
 from cvqkd.noise import ChannelParams, SqueezingSpec, _pump_sqz_variance, make_epr_state
 from cvqkd.tomography import _BLOCK, load_dataset, reconstruct, sample_homodyne, save_dataset
 
-from conftest import RECONSTRUCTED_EXAMPLE
+from conftest import NOISY, RECONSTRUCTED_EXAMPLE, run_module, write_config
 
 K_DEFAULT = 0.3976320686657666
 
@@ -37,12 +35,6 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
-
-
-def write_config(tmp_path, doc, name="cfg.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
 
 
 # ------------------------------------------------------------------- simulate
@@ -478,13 +470,6 @@ def test_sample_writes_to_stdout(capsys):
     assert "setting_id,theta_a_deg,theta_b_deg,sample_a,sample_b" in out
 
 
-#: a strongly mixed point: an estimate from a few thousand records per setting stays physical
-NOISY = {
-    "source": {"mode": "measured", "var_sqz_db": -6.0},
-    "channel": {"nu_a": 0.2, "nu_b": 0.2, "delta_a": 0.25, "delta_b": 0.25, "sigma_a": 0.1, "sigma_b": 0.1},
-}
-
-
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
 def test_sample_streams_the_library_dataset_byte_for_byte(capsys, tmp_path, offset, to_stdout):
@@ -668,7 +653,7 @@ def test_analyze_indefinite_covariance_names_file(capsys, tmp_path):
     assert err == f"error: {path}: covariance matrix is unphysical\n"
 
 
-@pytest.mark.parametrize("r", [3.0, 5.0, 6.0])
+@pytest.mark.parametrize("r", [3.0, 4.0, 5.0, 6.0])
 @pytest.mark.parametrize("worst_case", [False, True])
 def test_analyze_strongly_squeezed_pure_state(capsys, tmp_path, r, worst_case):
     """A pure two-mode squeezed vacuum rates k = log2(cosh 2r), to the
@@ -1108,6 +1093,9 @@ def test_each_command_parses_as_the_top_level_parser_would(capsys, monkeypatch, 
         assert mine == theirs
     codes = {tuple(argv): rc for argv, rc, _, _, _ in own}
     assert codes[("simulate",)] == 0 and codes[("simulate", "-h")] == 0 and codes[()] == 1
+    config, conf = (next((rc, out) for argv, rc, out, _, _ in own if argv == ["simulate", flag, paths["CFG"]])
+                    for flag in ("--config", "--conf"))
+    assert config == conf and config[0] == 0 and config[1] != ""  # an abbreviated option reads as the full one
     assert sum(rc == 1 for rc in codes.values()) > 30
     assert sum(written is not None for *_, written in own) == 4
     simulate_extra = next(err for argv, _, _, err, _ in own if argv == ["simulate", "extra"])
@@ -1119,16 +1107,6 @@ def test_load_config_direct_error_type(tmp_path):
     path.write_text(json.dumps({"analysis": {"n_samples": 0}}), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
-
-
-def run_module(module, *argv):
-    """python -m module argv in a fresh process, on this checkout's cvqkd."""
-    paths = [str(Path(cvqkd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
 
 
 @pytest.mark.parametrize("module", ["cvqkd", "cvqkd.cli"])
