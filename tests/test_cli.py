@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import copy
+import csv
 import io
 import json
 import linecache
@@ -306,6 +307,9 @@ def test_scan_equals_the_per_row_reference_byte_for_byte(capsys, monkeypatch, tm
     )
     assert stacked[0] == 0 and len(stacked[1].splitlines()) == steps + 1
     assert stacked == reference
+    if config == "worst case":  # a worst case never exceeds its row's nominal rate
+        rows = list(csv.DictReader(stacked[1].splitlines()))
+        assert all(float(row["k_worst_case"]) <= float(row["k_nominal"]) for row in rows)
 
 
 @pytest.mark.filterwarnings("ignore:closed-form worst-case candidate")  # near-pure rows, on both paths
@@ -1091,16 +1095,20 @@ def test_each_command_parses_as_the_top_level_parser_would(capsys, monkeypatch, 
     top_level = _run_corpus(capsys, paths)
     for mine, theirs in zip(own, top_level, strict=True):
         assert mine == theirs
-    codes = {tuple(argv): rc for argv, rc, _, _, _ in own}
+    results = {tuple(argv): (rc, out, err) for argv, rc, out, err, _ in own}
+    codes = {argv: rc for argv, (rc, _, _) in results.items()}
     assert codes[("simulate",)] == 0 and codes[("simulate", "-h")] == 0 and codes[()] == 1
-    config, conf = (next((rc, out) for argv, rc, out, _, _ in own if argv == ["simulate", flag, paths["CFG"]])
-                    for flag in ("--config", "--conf"))
+    config, conf = (results[("simulate", flag, paths["CFG"])][:2] for flag in ("--config", "--conf"))
     assert config == conf and config[0] == 0 and config[1] != ""  # an abbreviated option reads as the full one
     assert sum(rc == 1 for rc in codes.values()) > 30
     assert sum(written is not None for *_, written in own) == 4
-    simulate_extra = next(err for argv, _, _, err, _ in own if argv == ["simulate", "extra"])
-    assert simulate_extra.endswith("\ncvqkd: error: unrecognized arguments: extra\n")
-
+    for argv, message in [  # argparse's own messages for a left-over argument and a bad value
+        (("simulate", "extra"), "cvqkd: error: unrecognized arguments: extra"),
+        (("scan", "--sweep", "sqz_db", "--from", "0", "--to", "1", "--steps", "x"),
+         "cvqkd scan: error: argument --steps: invalid int value: 'x'"),
+    ]:
+        rc, out, err = results[argv]
+        assert (rc, out, err.splitlines()[-1]) == (1, "", message), err
 
 def test_load_config_direct_error_type(tmp_path):
     path = tmp_path / "cfg.json"
@@ -1161,6 +1169,10 @@ def test_pump_at_threshold_warns_once(tmp_path, command):
     proc = run_module("cvqkd", command, "--config", cfg, "--n", "10", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("pump power 268.0 mW is at or above threshold") == 1, proc.stderr
+    # the warning names the cli line that builds the state, never a line of noise.py
+    warned = next(line for line in proc.stderr.splitlines() if "UserWarning" in line)
+    assert Path(warned.split(":")[0]).resolve() == Path(cli.__file__).resolve(), proc.stderr
+    assert "noise.py:" not in proc.stderr, proc.stderr
 
 
 def test_pump_at_threshold_scan_warns_only_from_the_model(tmp_path):

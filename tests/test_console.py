@@ -5,13 +5,11 @@ import csv
 import io
 import json
 import math
-import re
 
 import numpy as np
 import pytest
 
 from cvqkd import cli, make_epr_state, worst_case_key_rate
-from cvqkd.cli import SCAN_COLUMNS
 from cvqkd.keyrate import secret_key_rate
 from cvqkd.tomography import (
     CANONICAL_SETTINGS,
@@ -23,25 +21,6 @@ from cvqkd.tomography import (
 )
 
 from conftest import NOISY, run_module, write_config
-
-_README_SWEEPS = [("sqz_db", "4.5", "12", 16), ("nu_b", "0", "0.3", 13), ("sigma", "0", "0.2", 11)]
-
-
-@pytest.mark.parametrize(
-    "dense, flags", [(False, []), (False, ["--worst-case"]), (True, [])], ids=["readme", "worst-case", "600-rows"]
-)
-@pytest.mark.parametrize("sweep, start, stop, steps", _README_SWEEPS, ids=[s[0] for s in _README_SWEEPS])
-def test_scan_prints_the_header_and_one_row_per_step(sweep, start, stop, steps, dense, flags):
-    """The README sweeps, with and without --worst-case, and 600-row sweeps,
-    which span three of scan's 256-row chunks; a worst case never exceeds
-    its row's nominal rate."""
-    steps = 600 if dense else steps
-    proc = run_module("cvqkd", "scan", "--sweep", sweep, "--from", start, "--to", stop, "--steps", str(steps), *flags)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == ",".join(SCAN_COLUMNS) and len(lines) == 1 + steps
-    if flags:
-        assert all(float(row["k_worst_case"]) <= float(row["k_nominal"]) for row in csv.DictReader(lines))
 
 
 def test_scan_worst_cases_are_worst_case_key_rate_of_each_row():
@@ -134,20 +113,6 @@ def test_detected_pair_and_pump_sources_rate_a_finite_key(tmp_path, source):
     assert math.isfinite(json.loads(proc.stdout)["report"]["k_nominal"])
 
 
-@pytest.mark.parametrize(
-    "argv", [["simulate"], ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.1", "--steps", "3"]], ids=["simulate", "scan"]
-)
-def test_library_warnings_name_the_cli_line(tmp_path, argv):
-    """A warning names the first line outside the library modules, so a pump
-    above threshold warns at the cli line that builds the state, never at a
-    line of noise.py."""
-    cfg = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 275.0}})
-    proc = run_module("cvqkd", *argv, "--config", cfg)
-    assert proc.returncode == 0, proc.stderr
-    assert re.search(r"/cli\.py:[0-9]+: UserWarning: pump power 275\.0 mW is at or above threshold", proc.stderr), proc.stderr
-    assert "noise.py:" not in proc.stderr, proc.stderr
-
-
 def test_analyze_reads_records_piped_to_stdin_as_it_reads_the_file(tmp_path):
     """analyze reads its input through one open stream, so records sent
     through a pipe give the file's report and exit code. The records are
@@ -162,22 +127,3 @@ def test_analyze_reads_records_piped_to_stdin_as_it_reads_the_file(tmp_path):
     assert json.loads(from_file.stdout)["k_worst_case"] is not None
     from_pipe = run_module("cvqkd", "analyze", "--config", cfg, "--worst-case", "/dev/stdin", input=data.read_text(encoding="utf-8"))
     assert (from_pipe.stdout, from_pipe.returncode) == (from_file.stdout, from_file.returncode), from_pipe.stderr
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["simulate", "extra"], "cvqkd: error: unrecognized arguments: extra"),
-        (
-            ["scan", "--sweep", "sqz_db", "--from", "0", "--to", "1", "--steps", "x"],
-            "cvqkd scan: error: argument --steps: invalid int value: 'x'",
-        ),
-    ],
-    ids=["left-over argument", "bad value"],
-)
-def test_usage_errors_end_with_argparse_own_message(argv, message):
-    """main parses with the named command's own sub-parser; a left-over
-    argument and a bad value still get argparse's own messages."""
-    proc = run_module("cvqkd", *argv)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines()[-1] == message, proc.stderr
