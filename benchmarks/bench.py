@@ -159,7 +159,9 @@ def main(argv=None) -> int:
         layers["save_dataset"] = median_per_call(lambda: save_dataset(ds, csv_path), k, 1)
         layers["load_dataset"] = median_per_call(lambda: load_dataset(csv_path), k, 1)
 
-        sweep = ["scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "16", "--worst-case"]
+        # the three README sweeps with --worst-case, as the benchmark's model-worst-case workload runs them
+        readme = (("sqz_db", "4.5", "12", "16"), ("nu_b", "0", "0.3", "13"), ("sigma", "0", "0.2", "11"))
+        sweeps = [["scan", "--sweep", s, "--from", a, "--to", b, "--steps", m, "--worst-case"] for s, a, b, m in readme]
         # a dense nominal sweep, as the benchmark's model-nominal workload runs them: state assembly shows
         dense = ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", "2000"]
         # the default config as a file: the config read every benchmark call pays shows
@@ -170,7 +172,8 @@ def main(argv=None) -> int:
             lambda: run_cli(["simulate", "--config", str(config_path)]), k, 1000
         )
         commands["simulate --worst-case"] = median_per_call(lambda: run_cli(["simulate", "--worst-case"]), k, 200)
-        commands[" ".join(sweep)] = median_per_call(lambda: run_cli(sweep), k, 20)
+        for sweep in sweeps:
+            commands[" ".join(sweep)] = median_per_call(lambda: run_cli(sweep), k, 20)
         commands[" ".join(dense)] = median_per_call(lambda: run_cli(dense), k, 3)
         commands[f"sample --n {n} then analyze --worst-case"] = median_per_call(
             lambda: (run_cli(["sample", "--n", str(n), "--out", csv_path]), run_cli(["analyze", "--worst-case", csv_path])),

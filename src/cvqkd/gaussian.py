@@ -372,14 +372,14 @@ def normal_form(g: CovarianceMatrix) -> NormalForm:
 def _normal_form(inv: SymplecticInvariants) -> NormalForm:
     """normal_form from the invariants."""
     _check_block_determinants(inv)
-    r = _radicands(inv)
-    _judge("correlation discriminant", r.disc, 0.0, r.disc_scale, FormulaDomainError)
-    return _normal_form_of(inv.i1, inv.i2, inv.i3, r.cx2, r.cp2)
+    c = _correlations(inv)
+    _judge("correlation discriminant", c.disc, 0.0, c.disc_scale, FormulaDomainError)
+    return _normal_form_of(inv.i1, inv.i2, inv.i3, c.cx2, c.cp2)
 
 
 def _normal_form_of(i1, i2, i3, cx2, cp2) -> NormalForm:
-    """The normal form of checked invariants and their _radicands' c_x^2 and
-    c_p^2, for floats and arrays alike."""
+    """The normal form of checked invariants and their _correlations' c_x^2
+    and c_p^2, for floats and arrays alike."""
     if isinstance(i3, float):
         c_p = math.copysign(_root(cp2), -i3) if i3 != 0.0 else 0.0
     else:
@@ -565,7 +565,9 @@ def _radicands(inv: SymplecticInvariants) -> _Radicands:
     (|i1 i2| + i3^2 + |i4|)/s. d_scale, that of d_plus^2 and d_minus^2, adds
     what the root of an unsnapped rad amplifies: the rounding of rad over
     2 sqrt(rad). s reads 1 where i1*i2 <= 0 and a larger root 0 divides as 1;
-    only non-states reach either.
+    only non-states reach either. Its correlation half is _correlations, which
+    gives keyrate._worst_boxes its candidates' normal forms before the one
+    formula call that rates a chunk's rows, corners and candidates.
     """
     size = abs(inv.i1) + abs(inv.i2) + 2.0 * abs(inv.i3)
     delta = inv.i1 + inv.i2 + 2.0 * inv.i3
@@ -575,6 +577,16 @@ def _radicands(inv: SymplecticInvariants) -> _Radicands:
     dp2 = (delta + rad_root) / 2.0
     dm2 = inv.i4 / (dp2 + (dp2 == 0.0))
     d_scale = size + rad_scale * (rad > 0.0) / (2.0 * rad_root + (rad <= 0.0))
+    return _Radicands(rad, rad_scale, dm2, _root(dp2), _root(dm2), d_scale, *_correlations(inv), size)
+
+
+#: what _correlations returns, for floats or arrays: the tail of _Radicands
+_Correlations = namedtuple("_Correlations", _Radicands._fields[6:-1])
+
+
+def _correlations(inv: SymplecticInvariants) -> _Correlations:
+    """The correlation half of _radicands, for floats and arrays alike: disc,
+    its scale, c_x^2 and c_p^2, the roots of t^2 - u t + i3^2, and s."""
     q, i3_sq = inv.i1 * inv.i2, inv.i3 * inv.i3
     s = _root(q) + (q <= 0.0)
     u = inv.i4_prime / s
@@ -582,7 +594,7 @@ def _radicands(inv: SymplecticInvariants) -> _Radicands:
     disc = _snap(u * u - 4.0 * i3_sq, disc_scale)
     cx2 = (u + _root(disc)) / 2.0
     cp2 = i3_sq / (cx2 + (cx2 == 0.0))
-    return _Radicands(rad, rad_scale, dm2, _root(dp2), _root(dm2), d_scale, disc, disc_scale, cx2, cp2, s, size)
+    return _Correlations(disc, disc_scale, cx2, cp2, s)
 
 
 def _require_two_modes(g: CovarianceMatrix) -> None:

@@ -27,14 +27,15 @@ where it is below its floor beyond rounding (gaussian._judge).
 Many states at once, as scan's rows, are rated in one stacked pass
 (_stacked_rates) over a (k, 4, 4) stack of entries that covariance()'s
 rules have validated in one pass (gaussian._checked): one np.linalg.det
-over the stack, the invariants from its entry planes, one formula call, and
-each check the single-state path makes as one mask over the rows, by the
-same comparisons on the same bits (gaussian._below_floor for the tolerance
-rule, and the oracle's conditional variances and eigenvalues from one
-gaussian._conditioned stack). Only a row that a check flags becomes a
-CovarianceMatrix, and secret_key_rate rates it, so every error is raised
-and worded in one place; every other row rates as secret_key_rate rates
-it, bit for bit.
+over the stack, the invariants from its entry planes, one call of the
+kernel _worst_boxes, whose one formula call rates the rows (and with a
+sample count their boxes too), and each check the single-state path makes
+as one mask over the rows, by the same comparisons on the same bits
+(gaussian._below_floor for the tolerance rule, and the oracle's conditional
+variances and eigenvalues from one gaussian._conditioned stack). Only a row
+that a check flags becomes a CovarianceMatrix, and secret_key_rate rates
+it, so every error is raised and worded in one place; every other row rates
+as secret_key_rate rates it, bit for bit.
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
@@ -45,20 +46,22 @@ below rounding, so equal corners are built once, each with its weight: a
 general state has 1024 distinct corners, the model's states 64 (the single
 squeezed mode and the beam splitter leave four zero entries, the standard
 form) and N = inf one. One kernel, _worst_boxes, rates the boxes of any
-number of states in one pass: every state's distinct corners, then one
-candidate per state, as entry planes of shape (4, 4, distinct + states),
-plane (i, j) holding entry (i, j) of every matrix. The planes give i1, i2
-and i3 directly; one elimination without pivoting, gaussian._screened_det,
-one trailing block per pivot, gives i4 and whether Gamma > 0. One formula
-call rates every matrix, and one stacked floor test (_rejected, shared with
-_stacked_rates) says where the single-state path would rate it: for two
-modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1.
-Segmented reductions give each state's corner minimum and physical count.
-Its callers, worst_case_breakdown, secret_key_rate and _stacked_rates,
-hand it the normal forms and closing nominal rates of their own checked
-invariants and formula pass, so a report with a worst case takes one of
-each; every state's worst case, error and warnings are those of
-worst_case_key_rate on that state alone, bit for bit and in the same order.
+number of states in one pass: the states themselves, every state's
+distinct corners, then one candidate per state, as entry planes of shape
+(4, 4, states + distinct + states), plane (i, j) holding entry (i, j) of
+every matrix, the candidates' normal forms from the states' invariants
+(gaussian._correlations). The planes give i1, i2 and i3; the states keep
+their own i4, and one elimination without pivoting, gaussian._screened_det,
+gives the corners' and candidates' i4 and whether Gamma > 0. One formula
+call rates the states, their corners and their candidates, and one stacked
+floor test (_rejected) says where the single-state path would rate each:
+for two modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and
+d_minus >= 1. Segmented reductions give each state's corner minimum and
+physical count. Its callers, _stacked_rates, secret_key_rate and
+worst_case_breakdown, hand it the states' own invariants, so a scan chunk,
+with or without its worst cases, takes one formula call; every state's
+worst case, error and warnings are those of worst_case_key_rate on that
+state alone, bit for bit and in the same order.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ from .gaussian import (
     _below_floor,
     _clamp,
     _conditioned,
+    _correlations,
     _invariant_values,
     _judge,
     _normal_form,
@@ -262,8 +266,8 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     is computed as well.
 
     One formula evaluation gives the headline values, the oracle's
-    S(E) = f(d_plus) + f(d_minus) and the worst case's normal form and
-    nominal rate; one _conditioned stack gives the rest.
+    S(E) = f(d_plus) + f(d_minus) and the worst case's closing nominal rate;
+    one _conditioned stack gives the rest.
     """
     _require_two_modes(g)
     inv = invariants(g)
@@ -276,8 +280,7 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     k_branch_p = mi_p - max(chi_a_p, chi_b_p)
     k_worst = None
     if n_samples is not None:
-        nf = _normal_form_of(inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)
-        boxes = _worst_boxes(g.entries[:, :, np.newaxis], nf, _half_width(n_samples), np.array([inv.i4]))
+        boxes = _worst_boxes(g.entries[:, :, np.newaxis], inv, _half_width(n_samples)).boxes
         _judge_box(boxes, 0, n_samples)
         k_worst = min(boxes.low[0], float(f.k))
     return KeyRateReport(
@@ -308,60 +311,56 @@ def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
     is wrapped as a CovarianceMatrix unless a check flags it.
 
     The pass takes i4 from one np.linalg.det call over the stack (the same
-    LAPACK factorization per matrix as invariants()), the other invariants
-    from one _invariant_values call on the entry planes, and the rates from
-    one _formula call. Every check secret_key_rate makes is one mask over the
-    rows, with the same comparisons on the same bits: the overflow rule of
-    invariants() (gaussian._overflows), the formula's floors (_rejected), and
-    the oracle's conditional variances and conditional eigenvalues on one
-    _conditioned stack. The rows' diagonals are positive, as covariance()
-    checks, so _conditioned does not raise. A row that a check flags, or
-    whose rate is not finite, becomes covariance(row), and is rated by
-    secret_key_rate itself, in stack order, so its error or its values are
-    that function's. When the raw rows were exactly symmetric, as scan's
-    are, covariance(row) has every bit of covariance(raw row).
+    LAPACK factorization per matrix as invariants()) and the other invariants
+    from one _invariant_values call on the entry planes, and makes one call
+    of the kernel _worst_boxes: one _formula call rates the rows, and with
+    n_samples every row's distinct box corners and candidate with them.
+    Every check secret_key_rate makes is one mask over the rows, with the
+    same comparisons on the same bits: the overflow rule of invariants()
+    (gaussian._overflows) and the formula's floors (_rejected), both from the
+    kernel, and the oracle's conditional variances and conditional
+    eigenvalues on one _conditioned stack. The rows' diagonals are positive,
+    as covariance() checks, so _conditioned does not raise. A row that a
+    check flags, or whose rate is not finite, becomes covariance(row), and is
+    rated by secret_key_rate itself, in stack order, so its error or its
+    values are that function's. When the raw rows were exactly symmetric, as
+    scan's are, covariance(row) has every bit of covariance(raw row).
 
-    With n_samples, the worst cases of all other rows are one call of
-    _worst_boxes, the kernel worst_case_breakdown calls for one state. Each
-    row's candidate takes its normal form from the pass's invariants and
-    radicands (gaussian._normal_form_of), and its closing nominal rate is
-    the row's k. The rows are then walked in list order, so a flagged row's
-    error, a box's error and an undercut warning come in the order that one
-    worst_case_key_rate call per row gives, and every value is that call's,
-    bit for bit. An n_samples that worst_case_key_rate rejects raises before
-    the walk when any row is unflagged.
+    With n_samples, each row's candidate takes its normal form from the
+    row's invariants (gaussian._correlations), and its closing nominal rate
+    is the row's k. The rows are then walked in list order, so a flagged
+    row's error, a box's error, an undercut warning and an n_samples that
+    worst_case_key_rate rejects come in the order that one secret_key_rate
+    call per row gives, and every value is that call's, bit for bit.
     """
     if not len(stack):
         return []
+    try:
+        t = None if n_samples is None else _half_width(n_samples)
+    except InvalidArgumentError:  # raised again at the first unflagged row, where secret_key_rate raises it
+        t = None
+    k, planes = len(stack), stack.transpose(1, 2, 0)
     with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
-        inv = SymplecticInvariants(*_invariant_values(stack.transpose(1, 2, 0), np.linalg.det(stack)))
-        f = _formula(inv)
-        flagged = _overflows(inv) | _rejected(inv, f)
+        inv = SymplecticInvariants(*_invariant_values(planes, np.linalg.det(stack)))
+        f, flagged, boxes = _worst_boxes(planes, inv, t)  # the rows first, then their boxes
+        flagged = flagged[:k]
         cond = np.moveaxis(_conditioned(stack), 0, -1)  # cond[k, i, j]: entry (i, j) given quadrature k, every row
         var_x, var_p = _conditional_variances(cond[2:])
         flagged |= ~((var_x > 0.0) & (var_p > 0.0))
         for measured in (0, 1):
             d_cond = _root(_conditional_dets(cond[2 * measured : 2 * measured + 2], measured))
-            flagged |= _below_floor(d_cond, 1.0, f.size).any(axis=0)
-        flagged |= ~np.isfinite(f.k)
-    rows = np.stack([f.mi, f.chi_a, f.chi_b, f.k], axis=1).tolist()
-    boxes = None
-    if n_samples is not None and not flagged.all():
-        # _normal_form of every good row, whose checks the masks above have made
-        good = ~flagged
-        nf = _normal_form_of(*(x[good] for x in (inv.i1, inv.i2, inv.i3, f.cx2, f.cp2)))
-        boxes = _worst_boxes(stack[good].transpose(1, 2, 0), nf, _half_width(n_samples), inv.i4[good])
-    good_row = 0
+            flagged |= _below_floor(d_cond, 1.0, f.size[:k]).any(axis=0)
+        flagged |= ~np.isfinite(f.k[:k])
+    rows = np.stack([f.mi[:k], f.chi_a[:k], f.chi_b[:k], f.k[:k]], axis=1).tolist()
     for j, bad in enumerate(flagged.tolist()):
         if bad:
             r = secret_key_rate(covariance(stack[j]), n_samples)
             rows[j] = [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
-        elif boxes is None:
-            rows[j].append(None)
+        elif boxes is None:  # no sample count, or one that _half_width rejects
+            rows[j].append(None if n_samples is None else _half_width(n_samples))
         else:
-            _judge_box(boxes, good_row, n_samples)
-            rows[j].append(min(boxes.low[good_row], rows[j][3]))
-            good_row += 1
+            _judge_box(boxes, j, n_samples)
+            rows[j].append(min(boxes.low[j], rows[j][3]))
     return rows
 
 
@@ -385,8 +384,8 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     """worst_case_key_rate with its corner/candidate diagnostics exposed.
 
     A caller of _worst_boxes, which secret_key_rate and _stacked_rates call
-    too. The invariants of g are computed once, for the normal form and for
-    the closing nominal rate.
+    too. The invariants of g are computed once, for the box and for the
+    closing nominal rate.
     InvalidStateError is raised when a matrix of the box overflows the
     invariants, then DegenerateBoxError when no corner is physical; the
     normal form that the candidate needs is built before that, so its own
@@ -395,7 +394,8 @@ def worst_case_breakdown(g: CovarianceMatrix, n: float) -> WorstCaseBreakdown:
     _require_two_modes(g)
     t = _half_width(n)
     inv = invariants(g)
-    boxes = _worst_boxes(g.entries[:, :, np.newaxis], _normal_form(inv), t, np.array([inv.i4]))
+    _normal_form(inv)  # the candidate's normal form: its errors come before the box's
+    boxes = _worst_boxes(g.entries[:, :, np.newaxis], inv, t).boxes
     _judge_box(boxes, 0, n)
     return WorstCaseBreakdown(
         corner_min=boxes.corner_min[0],
@@ -417,17 +417,22 @@ def _half_width(n: float) -> float:
     return 1.0 / math.sqrt(n)
 
 
-#: what _worst_boxes returns, one list entry per state: the least rate of
+#: the boxes of _worst_boxes, one list entry per state: the least rate of
 #: its physical corners (inf when none is), its candidate's rate (None when
 #: the candidate is unphysical), the least of the two, how many of its 1024
 #: corners are physical, and whether a matrix of its box overflows
 _Boxes = namedtuple("_Boxes", "corner_min candidate low n_physical overflow")
 
+#: what _worst_boxes returns: the _formula of every matrix it rated (the rows
+#: first), where invariants() or _checked_formula would reject each, and _Boxes
+_Rated = namedtuple("_Rated", "f rejected boxes")
 
-def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float, row_i4: np.ndarray) -> _Boxes:
-    """The uncertainty boxes of matrices given as entry planes planes[i, j],
-    shape (4, 4, rows), with determinants row_i4 (invariants()'s), at
-    relative half-width t, in one pass.
+
+def _worst_boxes(planes: np.ndarray, inv: SymplecticInvariants, t: float | None = None) -> _Rated:
+    """Rate matrices given as entry planes planes[i, j], shape (4, 4, rows),
+    with invariants inv (invariants()'s, floats or arrays), and at relative
+    half-width t their uncertainty boxes, in one _formula, one _overflows and
+    one _rejected call. Without t the rows alone are rated, and boxes is None.
 
     Only the distinct corners are built: an entry whose values g (1 + t) and
     g (1 - t) compare equal (a zero entry, or every entry once t is below
@@ -435,61 +440,74 @@ def _worst_boxes(planes: np.ndarray, nf: NormalForm, t: float, row_i4: np.ndarra
     only in such entries the one with their bits set stands for all of them.
     With w entries of width a row has 2^w distinct corners, each of weight
     2^(10 - w), and its n_physical is the weight times its distinct physical
-    count. Every row's distinct corners, then one candidate per row (local
-    noise up and correlations down by t in the normal form nf, floats or
-    arrays over the rows), are laid out as one (4, 4, distinct + rows) array
-    of entry planes, with the per-element arithmetic of the full box,
-    g (1 + t s), so each row's result is that of its 1024 corners bit for bit.
+    count. The rows, every row's distinct corners, then one candidate per row
+    (local noise up and correlations down by t in the normal form that the
+    row's invariants give through gaussian._correlations) are laid out as one
+    (4, 4, rows + distinct + rows) array of entry planes, with the
+    per-element arithmetic of the full box, g (1 + t s), so each row's result
+    is that of its 1024 corners bit for bit. A flagged row's box is rated
+    too, and its caller reads none of it.
 
-    A matrix is physical when the single-state path would rate it (for two
-    modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1):
+    A box matrix is physical when the single-state path would rate it (for
+    two modes, Gamma + i*Omega >= 0 exactly when Gamma > 0 and d_minus >= 1):
     one elimination (gaussian._screened_det) gives i4 and whether Gamma > 0,
-    one formula call rates every matrix, and those with Gamma > 0 that
-    _rejected and gaussian._overflows leave are physical. The elimination's
-    i4 agrees with LAPACK's only to eps * cond(Gamma), so the one corner of a
-    box of zero width, the row itself, takes row_i4 and rates as the row.
+    and those with Gamma > 0 that _rejected and gaussian._overflows leave are
+    physical. The rows keep inv.i4; the elimination's i4 agrees with LAPACK's
+    only to eps * cond(Gamma), so the one corner of a box of zero width, the
+    row itself, takes the row's i4 and rates as the row.
     """
-    box, counts = _box_planes(planes, nf, t)
-    starts = list(itertools.accumulate(counts, initial=0))  # each row's first corner
-    n_corners = starts.pop()
-    i4, positive = _screened_det(box)
-    alone = [row for row, count in enumerate(counts) if count == 1]  # zero width: the corner is the row
-    if alone:
-        i4[[starts[row] for row in alone]] = row_i4[alone]
+    rows = planes.shape[-1]
     with np.errstate(all="ignore"):  # overflowing and unphysical matrices are masked out below
-        inv = SymplecticInvariants(*_invariant_values(box, i4))
-        del box  # freed before the formula's temporaries are made, which lowers the peak
+        if t is not None:
+            c = _correlations(inv)
+            box, counts = _box_planes(planes, _normal_form_of(inv.i1, inv.i2, inv.i3, c.cx2, c.cp2), t)
+            starts = list(itertools.accumulate(counts, initial=0))  # each row's first corner
+            n_corners = starts.pop()
+            i4 = np.empty(box.shape[-1])
+            i4[:rows] = inv.i4
+            i4[rows:], positive = _screened_det(box[:, :, rows:])
+            alone = [row for row, count in enumerate(counts) if count == 1]  # zero width: the corner is the row
+            if alone:
+                i4[[rows + starts[row] for row in alone]] = i4[alone]
+            inv = SymplecticInvariants(*_invariant_values(box, i4))
+            del box  # freed before the formula's temporaries are made, which lowers the peak
         f = _formula(inv)
-        overflowed = positive & _overflows(inv)
-        physical = positive & ~(overflowed | _rejected(inv, f))
-    rates = np.where(physical, f.k, np.inf)
+        overflowed = _overflows(inv)
+        rejected = overflowed | _rejected(inv, f)
+    if t is None:
+        return _Rated(f, rejected, None)
+    physical = positive & ~rejected[rows:]
+    overflowed = positive & overflowed[rows:]
+    rates = np.where(physical, f.k[rows:], np.inf)
     corner_min, candidate = np.minimum.reduceat(rates[:n_corners], starts), rates[n_corners:]
     n_physical = np.add.reduceat(physical[:n_corners], starts, dtype=np.intp).tolist()
-    return _Boxes(
+    boxes = _Boxes(
         corner_min.tolist(),
         [c if ok else None for c, ok in zip(candidate.tolist(), physical[n_corners:].tolist())],
         np.minimum(corner_min, candidate).tolist(),
         [m * (len(_CORNER_MASKS) // c) for m, c in zip(n_physical, counts)],
         (np.logical_or.reduceat(overflowed[:n_corners], starts) | overflowed[n_corners:]).tolist(),
     )
+    return _Rated(f, rejected, boxes)
 
 
 def _box_planes(planes: np.ndarray, nf: NormalForm, t: float) -> tuple:
     """(box, counts) for _worst_boxes: box[i, j] holds entry (i, j) of every
-    row's distinct corners, then of every row's candidate, and counts[r] is
-    the number of distinct corners of row r."""
+    row, then of every row's distinct corners, then of every row's
+    candidate, and counts[r] is the number of distinct corners of row r."""
     rows = planes.shape[-1]
     entries = planes[_ROWS, _COLS]
     codes = (_ENTRY_BITS @ (entries * (1.0 + t) == entries * (1.0 - t))).tolist()
     factors = {code: _corner_factors(code, t) for code in set(codes)}
     counts = [factors[code].shape[-1] for code in codes]
     n_corners = sum(counts)
-    box = np.empty((4, 4, n_corners + rows))
-    corners = box[:, :, :n_corners]
+    box = np.empty((4, 4, rows + n_corners + rows))
+    box[:, :, :rows] = planes
+    corners = box[:, :, rows : rows + n_corners]
     np.concatenate([factors[code] for code in codes], axis=2, out=corners)
     np.multiply(np.repeat(planes, counts, axis=2), corners, out=corners)
     # the candidates, every entry symmetrized as covariance() does, 0.5 x + 0.5 x
-    plane = box[:, :, n_corners:]
+    plane = box[:, :, rows + n_corners :]
     plane.fill(0.0)
     plane[0, 0] = plane[1, 1] = _symmetrized(nf.lambda_a * (1.0 + t))
     plane[2, 2] = plane[3, 3] = _symmetrized(nf.lambda_b * (1.0 + t))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqkd import cli, gaussian
+from cvqkd import cli, gaussian, keyrate
 from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load_config, main
 from cvqkd.errors import ConfigError, DatasetParseError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json, variance_to_db
@@ -396,16 +396,47 @@ def test_scan_transient_memory_stays_near_the_per_row_reference(monkeypatch, tmp
     assert stacked <= peak_bytes() + 0.3e6
 
 
-def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monkeypatch):
-    """A nominal 600-row scan, three chunks, runs covariance()'s rules once
-    per chunk over its stack, and builds no CovarianceMatrix: no row is
-    flagged, so none is rated on its own."""
-    checks, built = [], []
-    real_checked = gaussian._checked
+def test_scan_worst_case_transient_memory_stays_bounded_by_its_chunk(tmp_path):
+    """The worst-case pass holds one chunk's rows and boxes at a time: a
+    2000-row scan --worst-case peaks at most 0.3 MB above a one-chunk,
+    256-row one, about the CSV text of the rows rated before its last chunk."""
+
+    def peak_bytes(steps):
+        argv = ["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", str(steps), "--worst-case"]
+        argv += ["--out", str(tmp_path / "s.csv")]
+        main(argv)  # caches and lazy imports first
+        tracemalloc.start()
+        try:
+            main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak_bytes(256)
+    assert peak_bytes(2000) <= one_chunk + 0.3e6
+
+
+@pytest.mark.parametrize("worst_case", [False, True], ids=["nominal", "worst-case"])
+def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monkeypatch, worst_case):
+    """A 600-row scan, three chunks, runs covariance()'s rules once per
+    chunk over its stack, and builds no CovarianceMatrix: no row is flagged,
+    so none is rated on its own. Each chunk takes one formula call, which
+    with --worst-case also rates the rows' boxes, after one screen of their
+    corners and candidates."""
+    checks, built, formulas, screens = [], [], [], []
+    real_checked, real_formula, real_screen = gaussian._checked, keyrate._formula, keyrate._screened_det
 
     def counted_checked(m):
         checks.append(m.shape)
         return real_checked(m)
+
+    def counted_formula(inv):
+        formulas.append(np.shape(inv.i4))
+        return real_formula(inv)
+
+    def counted_screen(planes):
+        screens.append(planes.shape[-1])
+        return real_screen(planes)
 
     class CountedCovarianceMatrix(gaussian.CovarianceMatrix):
         def __init__(self, *args, **kwargs):
@@ -414,11 +445,17 @@ def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monke
 
     monkeypatch.setattr(gaussian, "_checked", counted_checked)
     monkeypatch.setattr(cli, "_checked", counted_checked)
+    monkeypatch.setattr(keyrate, "_formula", counted_formula)
+    monkeypatch.setattr(keyrate, "_screened_det", counted_screen)
     monkeypatch.setattr(gaussian, "CovarianceMatrix", CountedCovarianceMatrix)
-    rc, out, err = run(capsys, "scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "600")
+    flag = ["--worst-case"] if worst_case else []
+    rc, out, err = run(capsys, "scan", "--sweep", "sqz_db", "--from", "4.5", "--to", "12", "--steps", "600", *flag)
     assert rc == 0 and err == "" and len(out.splitlines()) == 601
     assert checks == [(256, 4, 4), (256, 4, 4), (88, 4, 4)]
     assert built == []
+    # a model row's box has 64 distinct corners and one candidate, rated with the row
+    assert formulas == [((66 if worst_case else 1) * rows,) for rows in (256, 256, 88)]
+    assert screens == ([65 * rows for rows in (256, 256, 88)] if worst_case else [])
 
 
 @pytest.mark.parametrize(

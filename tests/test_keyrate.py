@@ -903,10 +903,10 @@ def _kernel_screen(stack):
     elimination's i4 that the box rates its corners with: each matrix is its
     own box of zero width (t = 0, one distinct corner), which has 1024
     physical corners or none."""
-    ones, zeros = np.ones(len(stack)), np.zeros(len(stack))
     planes = stack.transpose(1, 2, 0)
-    boxes = _worst_boxes(planes, NormalForm(ones, ones, zeros, zeros), 0.0, _screened_det(planes)[0])
-    return np.array(boxes.n_physical) == 1024
+    with np.errstate(all="ignore"):
+        inv = SymplecticInvariants(*_invariant_values(planes, _screened_det(planes)[0]))
+    return np.array(_worst_boxes(planes, inv, 0.0).boxes.n_physical) == 1024
 
 
 def _eigen_margins(stack):
@@ -1446,6 +1446,24 @@ def test_stacked_worst_case_raises_an_overflowing_box_in_row_order():
         assert _captured(_stacked_rates_of, rows, 1) == ((type(error), str(error)), [])
 
 
+@pytest.mark.parametrize("n", [0, -1.0, math.nan, True, "1e6"])
+def test_stacked_rates_raise_an_invalid_sample_count_at_the_first_unflagged_row(n):
+    """A sample count that worst_case_key_rate rejects is raised where one
+    secret_key_rate call per row raises it: a flagged row before the first
+    unflagged one raises its own error first, and rows after it get no
+    chance."""
+    flagged = covariance(np.diag([0.5, 0.5, 1.0, 1.0]))
+    good = default_state()
+
+    def one_by_one(states, n):
+        return [secret_key_rate(g, n).k_worst_case for g in states]
+
+    for rows in ([flagged, good], [good, flagged], [flagged, flagged, good], [good]):
+        want = _captured(one_by_one, rows, n)
+        assert want[0][1].startswith("sample count") == (rows[0] is good)
+        assert _captured(_stacked_rates_of, rows, n) == want
+
+
 def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one(monkeypatch):
     """scan's epsilon = 0 sqz_db sweep from 0 to 300 dB in 600 steps: a
     strongly squeezed row's mutual information log argument is not
@@ -1519,8 +1537,8 @@ def _per_floor_rejected(inv, f):
 def _kernel_stacks():
     """{name: (4, 4, k) entry planes}: random stacks with Gamma > 0 and
     indefinite ones, zero variances at each pivot, entries near 1e154 whose
-    pivot products overflow, and the default state's 65-matrix box and the
-    rotated state's 1025-matrix box at n = 1, 1e6 and inf."""
+    pivot products overflow, and the default state's 66-matrix box and the
+    rotated state's 1026-matrix box at n = 1, 1e6 and inf, the state first."""
     rng = np.random.default_rng(2501)
     x = rng.normal(size=(500, 4, 6))
     positive = x @ x.transpose(0, 2, 1) + 1e-3 * np.eye(4)
@@ -1549,8 +1567,8 @@ _KERNEL_STACK_NAMES = ["positive", "indefinite", "zero variance", "near 1e154"] 
 def test_block_elimination_and_stacked_floors_equal_the_per_plane_kernels(name):
     """The trailing-block elimination gives the plane-at-a-time determinant
     bits and screen, and the stacked floor test the per-floor mask, on every
-    matrix, without a numpy warning. The default state's box has 65
-    matrices and the rotated state's 1025 (2 each at n = inf)."""
+    matrix, without a numpy warning. The default state's box has 66
+    matrices and the rotated state's 1026 (3 each at n = inf)."""
     planes = _kernel_stacks()[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
