@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, CvqkdError, InvalidStateError
 from .gaussian import (
-    _checked,
     _epr_products,
     covariance,
     covariance_from_json,
@@ -286,7 +285,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     doc_report["epr_direct"] = min(direct_ab, direct_ba)
     doc_report["epr_optimized"] = min(opt_ab, opt_ba)
     doc = {"covariance": covariance_to_json(detected), "report": doc_report}
-    _emit(_json(doc) + "\n", args.out)
+    _emit([_json(doc) + "\n"], args.out)
     return 2 if report.k_nominal <= 0.0 else 0
 
 
@@ -305,11 +304,12 @@ def cmd_scan(args, cfg: dict) -> int:
         grid = np.linspace(args.sweep_start, args.sweep_stop, args.steps)
     except MemoryError as exc:
         raise ConfigError(f"--steps = {args.steps} grid points do not fit in memory") from exc
-    lines = [",".join(SCAN_COLUMNS)]
+    # one string a chunk, written once every row is rated: a failing scan prints no row
+    texts = [",".join(SCAN_COLUMNS) + "\n"]
     point, cells = _sweep_points(cfg, args.sweep, float(grid[0]))
     for start in range(0, len(grid), _SCAN_CHUNK):
-        lines += _scan_chunk(point, cells, cfg["analysis"], grid[start : start + _SCAN_CHUNK].tolist())
-    _emit("\n".join(lines) + "\n", args.out)
+        texts.append(_scan_chunk(point, cells, cfg["analysis"], grid[start : start + _SCAN_CHUNK].tolist()))
+    _emit(texts, args.out)
     return 0
 
 
@@ -352,17 +352,18 @@ def _sweep_points(cfg: dict, sweep: str, first: float) -> tuple:
     return lambda value: (spec, vary(**swept(value))), cells
 
 
-def _scan_chunk(point, cells, ana: dict, values: list) -> list:
-    """The CSV rows of consecutive grid values: each row's raw optical state
-    built in grid order (noise._optical), then the chunk's detection
-    noise added in one array pass (noise._detection), the rows validated in one
-    pass (gaussian._checked) and rated in one stacked pass
-    (keyrate._stacked_rates), with --worst-case every row's worst case too, in
-    one pass of the worst-case kernel. Each row's cells, errors and warnings
-    are those of rating it on its own, byte for byte and in grid order."""
+def _scan_chunk(point, cells, ana: dict, values: list) -> str:
+    """The CSV rows of consecutive grid values, as one string: each row's raw
+    optical state built in grid order (noise._optical), then the chunk's
+    detection noise added in one array pass (noise._detection), and the raw
+    rows validated and rated in one stacked pass (keyrate._stacked_rates),
+    with --worst-case every row's worst case too. Each row's cells, errors
+    and warnings are those of rating it on its own, byte for byte and in grid
+    order: where a check fails, the stacked pass rates rows on their own, in
+    turn, so the first error is raised where that row's own rating raises it."""
     optical, deltas, inputs = [], [], []
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is _checked's error
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is covariance()'s error
             for value in values:
                 spec, channel = point(value)
                 optical.append(_optical(spec, channel))
@@ -374,15 +375,13 @@ def _scan_chunk(point, cells, ana: dict, values: list) -> list:
         # built and rated in turn
         with np.errstate(over="ignore"):  # likewise
             entries = _detection(np.array(optical).reshape(-1, 4, 4), np.array(deltas, dtype=float).reshape(-1, 2))
-        stack, error = _checked(entries)
-        rates = _stacked_rates(stack, ana["n_samples"] if ana["worst_case"] else None)
-        if error is not None:
-            raise error
+        rates = _stacked_rates(entries, ana["n_samples"] if ana["worst_case"] else None)
     n = str(ana["n_samples"])
-    return [
+    rows = [
         ",".join([row, *map(_fmt, rate[:4]), _fmt(rate[4]) if rate[4] is not None else "", n])
         for row, rate in zip(inputs, rates)
     ]
+    return "\n".join(rows) + "\n"
 
 
 def _input_db(spec) -> float:
@@ -423,7 +422,7 @@ def cmd_reconstruct(args, cfg: dict) -> int:
             "std_error": result.cross_check_std_error,
             "within_5_std_errors": result.cross_check_ok,
         }
-    _emit(_json(doc) + "\n", args.out)
+    _emit([_json(doc) + "\n"], args.out)
     return 0
 
 
@@ -452,7 +451,7 @@ def cmd_analyze(args, cfg: dict) -> int:
         raise InvalidStateError(f"{args.input}: covariance matrix is unphysical{detail}")
     n = args.n if args.n is not None else n_default
     report = secret_key_rate(g, n_samples=n if cfg["analysis"]["worst_case"] else None)
-    _emit(_json(report.as_dict()) + "\n", args.out)
+    _emit([_json(report.as_dict()) + "\n"], args.out)
     return 2 if report.k_nominal <= 0.0 else 0
 
 
@@ -546,12 +545,13 @@ def _cells(*values) -> str:
     return ",".join(map(_fmt, values))
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(texts: list, out_path) -> None:
+    """Write the strings texts, in order, to out_path or to stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _parse(argv) -> argparse.Namespace:

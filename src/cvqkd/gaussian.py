@@ -85,35 +85,19 @@ def covariance(entries) -> CovarianceMatrix:
     dim = m.shape[0]
     if dim % 2 != 0 or dim == 0:
         raise InvalidStateError(f"covariance matrix dimension must be a positive even number, got {dim}")
-    m, error = _checked(m)
+    m, error = _symmetrized(m)
     if error is not None:
         raise error
     m.flags.writeable = False
     return CovarianceMatrix(n_modes=dim // 2, entries=m)
 
 
-def _checked(m: np.ndarray) -> tuple:
-    """covariance()'s rules on one float matrix, or on each of a (k, n, n) stack.
-
-    The rules: finite entries, an asymmetry within SYMMETRY_TOL, then exact
-    symmetrization, and a strictly positive diagonal. Returns the symmetrized
-    matrix or stack and None. When a matrix fails, returns the symmetrized
-    stack of the matrices before it and the InvalidStateError that covariance()
-    raises for it, naming the first rule it breaks. A stack is judged in one
-    pass, and matrix by matrix only when one fails.
-    """
-    sym, error = _symmetrized(m)
-    if error is None or m.ndim == 2:
-        return sym, error
-    for i, matrix in enumerate(m):
-        error = _symmetrized(matrix)[1]
-        if error is not None:
-            return _symmetrized(m[:i])[0], error
-
-
 def _symmetrized(m: np.ndarray) -> tuple:
-    """(m symmetrized, None), or (None, the error of the first rule that an
-    entry of m breaks): _checked on one matrix, or on a whole stack at once."""
+    """covariance()'s rules on one float matrix, or on each of a (k, n, n)
+    stack at once: finite entries, an asymmetry within SYMMETRY_TOL, then
+    exact symmetrization, and a strictly positive diagonal. Returns
+    (m symmetrized, None), or (None, the InvalidStateError of the first rule
+    that an entry of m breaks)."""
     if not np.isfinite(m).all():
         return None, InvalidStateError("covariance matrix contains non-finite entries")
     # halves first, so entries near the float maximum cannot overflow; for

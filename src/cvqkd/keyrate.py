@@ -25,17 +25,19 @@ functions and the oracles raise typed errors naming the quantity instead,
 where it is below its floor beyond rounding (gaussian._judge).
 
 Many states at once, as scan's rows, are rated in one stacked pass
-(_stacked_rates) over a (k, 4, 4) stack of entries that covariance()'s
-rules have validated in one pass (gaussian._checked): one np.linalg.det
-over the stack, the invariants from its entry planes, one call of the
-kernel _worst_boxes, whose one formula call rates the rows (and with a
-sample count their boxes too), and each check the single-state path makes
-as one mask over the rows, by the same comparisons on the same bits
+(_stacked_rates) over a (k, 4, 4) stack of raw entries: covariance()'s
+rules on the whole stack in one gaussian._symmetrized call, one
+np.linalg.det over the stack, the invariants from its entry planes, one
+call of the kernel _worst_boxes, whose one formula call rates the rows (and
+with a sample count their boxes too), and each check the single-state path
+makes as one mask over the rows, by the same comparisons on the same bits
 (gaussian._below_floor for the tolerance rule, and the oracle's conditional
-variances and eigenvalues from one gaussian._conditioned stack). Only a row
-that a check flags becomes a CovarianceMatrix, and secret_key_rate rates
-it, so every error is raised and worded in one place; every other row rates
-as secret_key_rate rates it, bit for bit.
+variances and eigenvalues from one gaussian._conditioned stack). There is
+one fallback, secret_key_rate(covariance(row)): a row that a check flags
+takes it, and every row does, in order, when the stack breaks a rule of
+covariance() or the sample count is invalid. So every error is raised and
+worded in one place, and every other row rates as secret_key_rate rates
+it, bit for bit.
 
 worst_case_key_rate accounts for finite measurement statistics: every
 independent covariance entry is only known to a relative 1/sqrt(N), so the
@@ -103,6 +105,7 @@ from .gaussian import (
     _require_two_modes,
     _root,
     _screened_det,
+    _symmetrized,
     covariance,
     invariants,
 )
@@ -303,42 +306,43 @@ def secret_key_rate(g: CovarianceMatrix, n_samples: float | None = None) -> KeyR
     )
 
 
-def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
-    """(mi, holevo_a, holevo_b, k_nominal, k_worst_case) of secret_key_rate
-    for each two-mode state of a (k, 4, 4) stack, bit for bit, from one
-    stacked pass. The stack holds the states' entries as covariance()
-    returns them, validated and symmetrized (gaussian._checked), and no row
-    is wrapped as a CovarianceMatrix unless a check flags it.
+def _stacked_rates(entries: np.ndarray, n_samples: float | None = None) -> list:
+    """(mi, holevo_a, holevo_b, k_nominal, k_worst_case) of
+    secret_key_rate(covariance(row), n_samples) for each row of a (k, 4, 4)
+    stack of raw float entries, bit for bit, from one stacked pass in which
+    no row becomes a CovarianceMatrix unless a check flags it.
 
-    The pass takes i4 from one np.linalg.det call over the stack (the same
-    LAPACK factorization per matrix as invariants()) and the other invariants
-    from one _invariant_values call on the entry planes, and makes one call
-    of the kernel _worst_boxes: one _formula call rates the rows, and with
-    n_samples every row's distinct box corners and candidate with them.
-    Every check secret_key_rate makes is one mask over the rows, with the
-    same comparisons on the same bits: the overflow rule of invariants()
+    One gaussian._symmetrized call applies covariance()'s rules to the whole
+    stack. The pass takes i4 from one np.linalg.det call over the stack (the
+    same LAPACK factorization per matrix as invariants()) and the other
+    invariants from one _invariant_values call on the entry planes, and makes
+    one call of the kernel _worst_boxes: one _formula call rates the rows,
+    and with n_samples every row's distinct box corners and candidate with
+    them, the candidate's normal form from the row's invariants
+    (gaussian._correlations). Every check secret_key_rate makes is one mask over the rows, with
+    the same comparisons on the same bits: the overflow rule of invariants()
     (gaussian._overflows) and the formula's floors (_rejected), both from the
     kernel, and the oracle's conditional variances and conditional
     eigenvalues on one _conditioned stack. The rows' diagonals are positive,
-    as covariance() checks, so _conditioned does not raise. A row that a
-    check flags, or whose rate is not finite, becomes covariance(row), and is
-    rated by secret_key_rate itself, in stack order, so its error or its
-    values are that function's. When the raw rows were exactly symmetric, as
-    scan's are, covariance(row) has every bit of covariance(raw row).
+    as covariance() checks, so _conditioned does not raise.
 
-    With n_samples, each row's candidate takes its normal form from the
-    row's invariants (gaussian._correlations), and its closing nominal rate
-    is the row's k. The rows are then walked in list order, so a flagged
-    row's error, a box's error, an undercut warning and an n_samples that
-    worst_case_key_rate rejects come in the order that one secret_key_rate
-    call per row gives, and every value is that call's, bit for bit.
+    There is one fallback, secret_key_rate(covariance(row), n_samples). A row
+    that a check flags, or whose rate is not finite, takes it. When the stack
+    breaks a rule of covariance(), or _half_width rejects n_samples, every
+    row takes it, in row order, so the first error is raised where one call
+    per row raises it. Otherwise the rows are walked in order, so a flagged
+    row's error, a box's error and an undercut warning come in the order
+    that one call per row gives them.
     """
-    if not len(stack):
-        return []
+    stack = _symmetrized(entries)[0]
     try:
         t = None if n_samples is None else _half_width(n_samples)
-    except InvalidArgumentError:  # raised again at the first unflagged row, where secret_key_rate raises it
-        t = None
+    except InvalidArgumentError:  # secret_key_rate raises it after the row's own checks
+        stack = None
+    if stack is None:
+        return [_rates(row, n_samples) for row in entries]
+    if not len(stack):
+        return []
     k, planes = len(stack), stack.transpose(1, 2, 0)
     with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
         inv = SymplecticInvariants(*_invariant_values(planes, np.linalg.det(stack)))
@@ -354,14 +358,19 @@ def _stacked_rates(stack: np.ndarray, n_samples: float | None = None) -> list:
     rows = np.stack([f.mi[:k], f.chi_a[:k], f.chi_b[:k], f.k[:k]], axis=1).tolist()
     for j, bad in enumerate(flagged.tolist()):
         if bad:
-            r = secret_key_rate(covariance(stack[j]), n_samples)
-            rows[j] = [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
-        elif boxes is None:  # no sample count, or one that _half_width rejects
-            rows[j].append(None if n_samples is None else _half_width(n_samples))
+            rows[j] = _rates(entries[j], n_samples)
+        elif boxes is None:
+            rows[j].append(None)
         else:
             _judge_box(boxes, j, n_samples)
             rows[j].append(min(boxes.low[j], rows[j][3]))
     return rows
+
+
+def _rates(row: np.ndarray, n_samples: float | None) -> list:
+    """_stacked_rates' five values of one raw row, rated on its own."""
+    r = secret_key_rate(covariance(row), n_samples)
+    return [r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case]
 
 
 def worst_case_key_rate(g: CovarianceMatrix, n: float) -> float:
@@ -509,10 +518,10 @@ def _box_planes(planes: np.ndarray, nf: NormalForm, t: float) -> tuple:
     # the candidates, every entry symmetrized as covariance() does, 0.5 x + 0.5 x
     plane = box[:, :, rows + n_corners :]
     plane.fill(0.0)
-    plane[0, 0] = plane[1, 1] = _symmetrized(nf.lambda_a * (1.0 + t))
-    plane[2, 2] = plane[3, 3] = _symmetrized(nf.lambda_b * (1.0 + t))
-    plane[0, 2] = plane[2, 0] = _symmetrized(nf.c_x * (1.0 - t))
-    plane[1, 3] = plane[3, 1] = _symmetrized(-(nf.c_p * (1.0 - t)))
+    plane[0, 0] = plane[1, 1] = _symmetrized_entry(nf.lambda_a * (1.0 + t))
+    plane[2, 2] = plane[3, 3] = _symmetrized_entry(nf.lambda_b * (1.0 + t))
+    plane[0, 2] = plane[2, 0] = _symmetrized_entry(nf.c_x * (1.0 - t))
+    plane[1, 3] = plane[3, 1] = _symmetrized_entry(-(nf.c_p * (1.0 - t)))
     return box, counts
 
 
@@ -543,7 +552,7 @@ def _judge_box(boxes: _Boxes, row: int, n: float) -> None:
         )
 
 
-def _symmetrized(x: float) -> float:
+def _symmetrized_entry(x: float) -> float:
     """x as covariance() symmetrizes an entry: 0.5 x + 0.5 x, which is x
     unless x is subnormal."""
     return 0.5 * x + 0.5 * x

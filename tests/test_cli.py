@@ -416,6 +416,25 @@ def test_scan_worst_case_transient_memory_stays_bounded_by_its_chunk(tmp_path):
     assert peak_bytes(2000) <= one_chunk + 0.3e6
 
 
+def test_scan_holds_its_csv_text_about_once(tmp_path):
+    """A scan keeps each chunk's rows as one string and writes the strings in
+    turn once every row is rated, so a 20000-row scan to a file peaks below
+    twice the size of the CSV it writes."""
+    path = tmp_path / "s.csv"
+
+    def scan(steps):
+        main(["scan", "--sweep", "sigma", "--from", "0", "--to", "0.2", "--steps", str(steps), "--out", str(path)])
+
+    scan(2)  # caches and lazy imports first
+    tracemalloc.start()
+    try:
+        scan(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+
+
 @pytest.mark.parametrize("worst_case", [False, True], ids=["nominal", "worst-case"])
 def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monkeypatch, worst_case):
     """A 600-row scan, three chunks, runs covariance()'s rules once per
@@ -424,11 +443,11 @@ def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monke
     with --worst-case also rates the rows' boxes, after one screen of their
     corners and candidates."""
     checks, built, formulas, screens = [], [], [], []
-    real_checked, real_formula, real_screen = gaussian._checked, keyrate._formula, keyrate._screened_det
+    real_symmetrized, real_formula, real_screen = gaussian._symmetrized, keyrate._formula, keyrate._screened_det
 
-    def counted_checked(m):
+    def counted_symmetrized(m):
         checks.append(m.shape)
-        return real_checked(m)
+        return real_symmetrized(m)
 
     def counted_formula(inv):
         formulas.append(np.shape(inv.i4))
@@ -443,8 +462,8 @@ def test_scan_validates_each_chunk_once_and_wraps_no_unflagged_row(capsys, monke
             built.append(args or kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(gaussian, "_checked", counted_checked)
-    monkeypatch.setattr(cli, "_checked", counted_checked)
+    monkeypatch.setattr(gaussian, "_symmetrized", counted_symmetrized)
+    monkeypatch.setattr(keyrate, "_symmetrized", counted_symmetrized)
     monkeypatch.setattr(keyrate, "_formula", counted_formula)
     monkeypatch.setattr(keyrate, "_screened_det", counted_screen)
     monkeypatch.setattr(gaussian, "CovarianceMatrix", CountedCovarianceMatrix)

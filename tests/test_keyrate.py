@@ -1464,6 +1464,38 @@ def test_stacked_rates_raise_an_invalid_sample_count_at_the_first_unflagged_row(
         assert _captured(_stacked_rates_of, rows, n) == want
 
 
+#: ways a raw row breaks a rule of covariance(): the entry changed, and its new value
+_BROKEN_ROWS = {
+    "nan entry": ((0, 2), lambda x: math.nan),
+    "inf entry": ((0, 2), lambda x: math.inf),
+    "asymmetry of 1e-9": ((0, 2), lambda x: x + 1e-9),
+    "zero diagonal entry": ((1, 1), lambda x: 0.0),
+    "negative diagonal entry": ((1, 1), lambda x: -x),
+}
+
+
+@pytest.mark.parametrize("n", [None, 1e6])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("broken", list(_BROKEN_ROWS))
+def test_stacked_rates_of_raw_rows_that_break_covariance_rules_are_one_call_a_row(broken, position, n):
+    """Raw rows at 6, 9 and 11.1 dB, one of which breaks a rule of
+    covariance(): the stacked pass gives what secret_key_rate(covariance(row))
+    called row by row gives, the rows before the broken one bit for bit and
+    then the broken row's error, with no warning."""
+    rows = np.array([default_state(-db).entries for db in (6.0, 9.0, 11.1)])
+    index, value = _BROKEN_ROWS[broken]
+    rows[position][index] = value(rows[position][index])
+
+    def one_by_one(rows, n):
+        reports = [secret_key_rate(covariance(row), n) for row in rows]
+        return [[r.mi, r.holevo_a, r.holevo_b, r.k_nominal, r.k_worst_case] for r in reports]
+
+    want = _captured(one_by_one, rows, n)
+    assert want[0][0] is InvalidStateError and want[1] == []
+    assert _captured(_stacked_rates, rows, n) == want
+    assert repr(_captured(_stacked_rates, rows[:position], n)) == repr(_captured(one_by_one, rows[:position], n))
+
+
 def test_stacked_worst_case_warns_and_raises_as_rows_rated_one_by_one(monkeypatch):
     """scan's epsilon = 0 sqz_db sweep from 0 to 300 dB in 600 steps: a
     strongly squeezed row's mutual information log argument is not
