@@ -12,7 +12,9 @@ Five subcommands cover the end-to-end workflow:
 Configuration is a JSON file with the sections and field names of
 DEFAULT_CONFIG; every omitted field keeps its default, the fitted
 operating-point values, so `cvqkd simulate` with no arguments reproduces
-the headline numbers. Command line flags override file values.
+the headline numbers; the source and channel defaults are those of
+noise.SourceParams and noise.ChannelParams. Command line flags override
+file values.
 
 Exit codes: 0 success, 1 usage/configuration/parse error, 2 for a valid
 run whose nominal key rate is not positive.
@@ -21,6 +23,7 @@ run whose nominal key rate is not positive.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -51,25 +54,25 @@ from .noise import (
 )
 from .tomography import _MAX_ARRAY_BYTES, CANONICAL_SETTINGS, _reconstruct_file, _sample_blocks, _write_records
 
+#: each config channel field and the ChannelParams field it sets, in the config's order
+_CHANNEL_FIELDS = {
+    "epsilon": "epsilon",
+    "nu_a": "loss_a",
+    "nu_b": "loss_b",
+    "delta_a": "det_noise_a",
+    "delta_b": "det_noise_b",
+    "sigma_a": "phase_sigma_a",
+    "sigma_b": "phase_sigma_b",
+}
+
 DEFAULT_CONFIG = {
     "source": {
         "mode": "measured",
         "var_sqz_db": -11.1,
         "var_asqz_db": None,
-        "eta": 0.941,
-        "p_mw": None,
-        "p_th_mw": 268.0,
-        "k": 0.136,
+        **dataclasses.asdict(SourceParams()),
     },
-    "channel": {
-        "epsilon": 0.059,
-        "nu_a": 0.068,
-        "nu_b": 0.068,
-        "delta_a": 0.0148,
-        "delta_b": 0.0148,
-        "sigma_a": 0.0,
-        "sigma_b": 0.0,
-    },
+    "channel": {key: getattr(ChannelParams(), field) for key, field in _CHANNEL_FIELDS.items()},
     "analysis": {
         "n_samples": 1000000,
         "seed": 0,
@@ -249,23 +252,14 @@ def _channel_of(cfg: dict) -> functools.partial:
     """ChannelParams of the config's channel fields, built and checked when
     called; a field passed to the call replaces the config's."""
     ch = cfg["channel"]
-    return functools.partial(
-        ChannelParams,
-        epsilon=ch["epsilon"],
-        loss_a=ch["nu_a"],
-        loss_b=ch["nu_b"],
-        det_noise_a=ch["delta_a"],
-        det_noise_b=ch["delta_b"],
-        phase_sigma_a=ch["sigma_a"],
-        phase_sigma_b=ch["sigma_b"],
-    )
+    return functools.partial(ChannelParams, **{field: ch[key] for key, field in _CHANNEL_FIELDS.items()})
 
 
 def _source_spec(cfg: dict):
     """The make_epr_state spec of the config's source section."""
     src = cfg["source"]
     if src["mode"] == "pump":
-        return SourceParams(eta=src["eta"], p_mw=src["p_mw"], p_th_mw=src["p_th_mw"], k=src["k"])
+        return SourceParams(**{f.name: src[f.name] for f in dataclasses.fields(SourceParams)})
     return SqueezingSpec(var_sqz_db=src["var_sqz_db"], var_asqz_db=src["var_asqz_db"])
 
 

@@ -85,32 +85,30 @@ def covariance(entries) -> CovarianceMatrix:
     dim = m.shape[0]
     if dim % 2 != 0 or dim == 0:
         raise InvalidStateError(f"covariance matrix dimension must be a positive even number, got {dim}")
-    m, error = _symmetrized(m)
-    if error is not None:
-        raise error
+    m = _symmetrized(m)
     m.flags.writeable = False
     return CovarianceMatrix(n_modes=dim // 2, entries=m)
 
 
-def _symmetrized(m: np.ndarray) -> tuple:
+def _symmetrized(m: np.ndarray) -> np.ndarray:
     """covariance()'s rules on one float matrix, or on each of a (k, n, n)
     stack at once: finite entries, an asymmetry within SYMMETRY_TOL, then
-    exact symmetrization, and a strictly positive diagonal. Returns
-    (m symmetrized, None), or (None, the InvalidStateError of the first rule
-    that an entry of m breaks)."""
+    exact symmetrization, and a strictly positive diagonal. Returns m
+    symmetrized, or raises the InvalidStateError of the first rule that an
+    entry of m breaks."""
     if not np.isfinite(m).all():
-        return None, InvalidStateError("covariance matrix contains non-finite entries")
+        raise InvalidStateError("covariance matrix contains non-finite entries")
     # halves first, so entries near the float maximum cannot overflow; for
     # normal floats this is bit for bit (m - m.T) / 2 and (m + m.T) / 2
     half = 0.5 * m
     half_t = half.swapaxes(-1, -2)
     asym = 2.0 * float(abs(half - half_t).max(initial=0.0))  # a Python float overflows to inf silently
     if asym > SYMMETRY_TOL:
-        return None, InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
+        raise InvalidStateError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
     m = half + half_t
     if (m.diagonal(0, -2, -1) <= 0.0).any():
-        return None, InvalidStateError("covariance matrix diagonal must be strictly positive")
-    return m, None
+        raise InvalidStateError("covariance matrix diagonal must be strictly positive")
+    return m
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:

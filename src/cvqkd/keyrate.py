@@ -334,15 +334,13 @@ def _stacked_rates(entries: np.ndarray, n_samples: float | None = None) -> list:
     row's error, a box's error and an undercut warning come in the order
     that one call per row gives them.
     """
-    stack = _symmetrized(entries)[0]
-    try:
-        t = None if n_samples is None else _half_width(n_samples)
-    except InvalidArgumentError:  # secret_key_rate raises it after the row's own checks
-        stack = None
-    if stack is None:
-        return [_rates(row, n_samples) for row in entries]
-    if not len(stack):
+    if not len(entries):
         return []
+    try:
+        stack = _symmetrized(entries)
+        t = None if n_samples is None else _half_width(n_samples)
+    except (InvalidStateError, InvalidArgumentError):  # raised where one call per row raises it
+        return [_rates(row, n_samples) for row in entries]
     k, planes = len(stack), stack.transpose(1, 2, 0)
     with np.errstate(all="ignore"):  # only flagged rows overflow, and those are rated one by one
         inv = SymplecticInvariants(*_invariant_values(planes, np.linalg.det(stack)))

@@ -24,7 +24,7 @@ from cvqkd.cli import DEFAULT_CONFIG, SCAN_COLUMNS, build_parser, cmd_scan, load
 from cvqkd.errors import ConfigError, DatasetParseError
 from cvqkd.gaussian import covariance, covariance_from_json, covariance_to_json, variance_to_db
 from cvqkd.keyrate import secret_key_rate
-from cvqkd.noise import ChannelParams, SqueezingSpec, _pump_sqz_variance, make_epr_state
+from cvqkd.noise import ChannelParams, SourceParams, SqueezingSpec, _pump_sqz_variance, make_epr_state
 from cvqkd.tomography import _BLOCK, load_dataset, reconstruct, sample_homodyne, save_dataset
 
 from conftest import NOISY, RECONSTRUCTED_EXAMPLE, run_module, write_config
@@ -52,6 +52,20 @@ def test_simulate_default_report(capsys):
     g = covariance_from_json(doc["covariance"])
     expected = make_epr_state(SqueezingSpec(var_sqz_db=-11.1), ChannelParams())
     np.testing.assert_allclose(g.entries, expected.entries, rtol=1e-12)
+
+
+def test_config_defaults_are_the_library_defaults_in_both_source_modes(tmp_path):
+    """The config's source and channel defaults resolve to SourceParams() and
+    ChannelParams(), in measured and in pump mode, and each section keeps its
+    key order."""
+    assert cli._resolve(load_config()) == (SqueezingSpec(var_sqz_db=-11.1), ChannelParams())
+    pump = write_config(tmp_path, {"source": {"mode": "pump", "p_mw": 100.0}})
+    assert cli._resolve(load_config(pump)) == (SourceParams(p_mw=100.0), ChannelParams())
+    assert {section: list(values) for section, values in DEFAULT_CONFIG.items()} == {
+        "source": ["mode", "var_sqz_db", "var_asqz_db", "eta", "p_mw", "p_th_mw", "k"],
+        "channel": ["epsilon", "nu_a", "nu_b", "delta_a", "delta_b", "sigma_a", "sigma_b"],
+        "analysis": ["n_samples", "seed", "worst_case"],
+    }
 
 
 def test_simulate_weak_squeezing_exits_two(capsys, tmp_path):
@@ -266,7 +280,7 @@ def _reference_cmd_scan(args, cfg: dict) -> int:
     """cmd_scan rating one row at a time, in grid order, for valid --steps."""
     grid = np.linspace(args.sweep_start, args.sweep_stop, args.steps)
     lines = [",".join(SCAN_COLUMNS)] + [_reference_scan_row(cfg, args.sweep, float(value)) for value in grid]
-    cli._emit("\n".join(lines) + "\n", args.out)
+    cli._emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
